@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import (BracketError, DomainError, HypothesisViolation)
 from .generators import LargeFunctionSpec, SchwarzFunction
-from .geometry import DistanceEstimate, boundary_distance, delta_diagnostic
+from .geometry import boundary_distance
 from .modular import E_PI, a_coeffs, j_eval, minus_j_minus_series
 from .series import TruncatedSeries
 
@@ -116,7 +116,6 @@ class TheoremReport:
     rhs: float              # boundary distance estimate
     tail_bound: float
     rhs_error: float        # distance-oracle error
-    delta_diag: float       # dist(0, boundary of z g(z) image), diagnostic
     passed: bool
 
     def row(self) -> dict:
@@ -175,9 +174,8 @@ def main_theorem_check(spec: LargeFunctionSpec, r: float = E_PI,
     lhs = bohr_operator(spec.series.truncated(order), r, from_degree=1)
     tail = cauchy_tail_bound(spec.eval, tail_rho, order, r) if r > 0 else 0.0
     dist = boundary_distance(spec)
-    delta = delta_diagnostic(spec)
     passed = lhs + tail <= dist.value + dist.error + BASE_SLACK
-    return TheoremReport(lhs, dist.value, tail, dist.error, delta, passed)
+    return TheoremReport(lhs, dist.value, tail, dist.error, passed)
 
 
 def shift_polynomial(p: TruncatedSeries, c: complex) -> TruncatedSeries:

@@ -3,8 +3,9 @@
 J(z) = 16 z prod_{n>=1} [(1 + z^{2n}) / (1 + z^{2n-1})]^8 covers the
 twice-punctured plane C \\ {0, 1} from the punctured unit disk.  This module
 provides its series expansion (float and exact-integer), the positive
-coefficient sequence A_n of -J(-z) = 16 z sum A_n z^n, direct product-form
-evaluation with derivative, the induced covering map
+coefficient sequence A_n of -J(-z) = 16 z sum A_n z^n, pointwise evaluation
+of J and J' (modular reduction of the nome, then theta sums, in bounded
+blocks; non-finite results raise DomainError), the induced covering map
 Q(z) = J(exp(-alpha (1+z)/(1-z))), and probabilistic injectivity probes.
 """
 
@@ -25,11 +26,6 @@ E_PI = math.exp(-math.pi)
 
 #: Radius of univalence of J.
 E_HALF_PI = math.exp(-math.pi / 2)
-
-# Product factor n deviates from 1 at order z^{2n-1}; truncating once
-# r^{2n-1} drops below this leaves a relative tail ~1e-19.
-_FACTOR_CUTOFF = 1e-19
-
 
 # ---------------------------------------------------------------------------
 # Series expansions
@@ -170,59 +166,144 @@ def minus_j_minus_series(order: int) -> TruncatedSeries:
 
 
 # ---------------------------------------------------------------------------
-# Product-form evaluation
+# Evaluation by modular reduction
+#
+# With w = e^{i pi tau}, J(w) = lambda(tau) = (theta_2 / theta_3)^4 at nome w.
+# The modular group acts on lambda through the anharmonic group:
+# lambda(tau + 1) = lambda / (lambda - 1), which is w -> -w, and
+# lambda(-1/tau) = 1 - lambda, which is log w -> pi^2 / log w.  Reducing
+# tau to |Re tau| <= 1/2, |tau| >= _FLIP_BELOW leaves |w| <= _REDUCED_RADIUS,
+# where three terms of each theta series reach double precision: the first
+# omitted one, 2 w^16 in theta_3, is below 4e-19.
+
+#: A reduction step inverts tau when |tau| is below this.  It sits under 1
+#: so that rounding cannot undo an inversion: each one multiplies Im tau by
+#: more than 1/_FLIP_BELOW^2, so the loop ends.
+_FLIP_BELOW = 0.995
+
+#: Largest |w| of a reduced point, e^{-pi sqrt(_FLIP_BELOW^2 - 1/4)} ≈ 0.067;
+#: points inside it are summed as they are.
+_REDUCED_RADIUS = math.exp(-math.pi * math.sqrt(_FLIP_BELOW ** 2 - 0.25))
+
+#: Points per evaluation block; bounds the temporaries of large inputs.
+_BLOCK = 8192
+
+_PI_SQ = math.pi ** 2
+
+# The anharmonic group as Moebius maps x -> (a x + b) / (c x + d), indexed
+# 0..5: x, 1 - x (tau -> -1/tau), x / (x - 1) (tau -> tau + 1), 1/x,
+# 1 / (1 - x) and (x - 1) / x.  _AFTER_INVERT[g] and _AFTER_SHIFT[g] are
+# the indices of g composed with 1 - x and with x / (x - 1).
+_MOBIUS = np.array([(1, 0, 0, 1), (-1, 1, 0, 1), (1, 0, 1, -1),
+                    (0, 1, 1, 0), (0, 1, -1, 1), (1, -1, 1, 0)], dtype=np.int8)
+_DET = _MOBIUS[:, 0] * _MOBIUS[:, 3] - _MOBIUS[:, 1] * _MOBIUS[:, 2]
+_SHIFT = 2
+_AFTER_INVERT = np.array([1, 0, 5, 4, 3, 2])
+_AFTER_SHIFT = np.array([2, 4, 0, 5, 1, 3])
 
 
-def _n_factors(rmax: float) -> int:
-    if rmax <= 0:
-        return 1
-    m = math.log(_FACTOR_CUTOFF) / math.log(rmax)  # need r^(2n-1) < cutoff
-    return max(1, int(m // 2) + 1)
+def _reduce(w: np.ndarray, deriv: bool):
+    """Move the nomes w into |w| <= _REDUCED_RADIUS.
+
+    Returns the reduced nomes, the index g of the anharmonic map with
+    J(w_in) = M_g(J(w_out)), and, when ``deriv``, d tau_out / d tau_in.
+    The first shift negates w, which is exact; later ones act on log w,
+    where the inversion already rounds.
+    """
+    neg = w.real < 0
+    sigma = np.log(np.where(neg, -w, w))           # i pi tau
+    g = np.where(neg, _SHIFT, 0)
+    dtau = np.ones_like(w) if deriv else None
+    while True:
+        flip = np.abs(sigma) < math.pi * _FLIP_BELOW
+        if not flip.any():
+            return np.exp(sigma), g, dtau
+        sigma = np.where(flip, _PI_SQ / sigma, sigma)
+        g = np.where(flip, _AFTER_INVERT[g], g)
+        if deriv:              # d(-1/tau)/d tau = (-1/tau)^2 = -sigma^2/pi^2
+            dtau = np.where(flip, dtau * sigma * sigma / -_PI_SQ, dtau)
+        shift = np.rint(sigma.imag / math.pi)     # lambda has period 2
+        sigma.imag -= math.pi * shift
+        g = np.where(shift % 2 == 0, g, _AFTER_SHIFT[g])
+
+
+def _theta_terms(w: np.ndarray):
+    """J(w) / w and theta_3(w) for |w| <= _REDUCED_RADIUS.
+
+    theta_2^4 = 16 w (1 + w^2 + w^6 + w^12)^4 and
+    theta_3 = 1 + 2 (w + w^4 + w^9), both in Horner form.
+    """
+    w2 = w * w
+    p = w2 * w                                  # w^3
+    s3 = 1.0 + 2.0 * w * (1.0 + p * (1.0 + p * w2))
+    p = w2 * w2                                 # w^4
+    ratio = (1.0 + w2 * (1.0 + p * (1.0 + p * w2))) / s3
+    ratio = ratio * ratio
+    return 16.0 * ratio * ratio, s3
+
+
+def _evaluate_block(w: np.ndarray, deriv: bool) -> np.ndarray:
+    """J(w), or J'(w) when ``deriv``, on a flat block of disk points."""
+    far = np.abs(w) > _REDUCED_RADIUS
+    any_far = far.any()
+    wr = w.copy()
+    if any_far:
+        wr[far], g, dtau = _reduce(w[far], deriv)
+    if not deriv:
+        lam = wr * _theta_terms(wr)[0]
+        if any_far:
+            x = lam[far]
+            a, b, c, d = _MOBIUS[g].T
+            lam[far] = (a * x + b) / (c * x + d)
+        return lam
+    # w lambda'(w) = lambda (1 - lambda) theta_3^4 at the reduced point;
+    # the chain rule through J = M_g(lambda(tau_out)), w = e^{i pi tau_in}
+    # carries it back.
+    j_over_w, theta3 = _theta_terms(wr)
+    lam = wr * j_over_w
+    t2 = theta3 * theta3
+    out = j_over_w * (1.0 - lam) * t2 * t2
+    if any_far:
+        _, _, c, d = _MOBIUS[g].T
+        den = c * lam[far] + d
+        out[far] = out[far] * _DET[g] / (den * den) * dtau * wr[far] / w[far]
+    return out
+
+
+def _evaluate(z, deriv: bool):
+    z = np.asarray(z, dtype=complex)
+    _check_disk(z)
+    flat = z.reshape(-1)
+    with np.errstate(all="ignore"):
+        if flat.size <= _BLOCK:            # no separate output array
+            out = _evaluate_block(flat, deriv)
+        else:
+            out = np.empty_like(flat)
+            for k in range(0, flat.size, _BLOCK):
+                out[k:k + _BLOCK] = _evaluate_block(flat[k:k + _BLOCK], deriv)
+    if not np.isfinite(out).all():
+        raise DomainError("%s exceeds the double range near a cusp"
+                          % ("J'" if deriv else "J"))
+    return complex(out[0]) if z.ndim == 0 else out.reshape(z.shape)
+
 
 def _check_disk(z: np.ndarray):
-    if np.any(np.abs(z) >= 1):
+    if not (np.abs(z) < 1).all():
+        if not np.isfinite(z).all():
+            raise DomainError("input is not finite")
         raise DomainError("evaluation requires |z| < 1")
 
 
 def j_eval(z):
-    """J(z) from the product form; vectorized over ndarray input."""
-    z = np.asarray(z, dtype=complex)
-    scalar = z.ndim == 0
-    z = np.atleast_1d(z)
-    _check_disk(z)
-    rmax = float(np.abs(z).max(initial=0.0))
-    out = 16.0 * z.copy()
-    zp = np.ones_like(z)
-    for _ in range(_n_factors(rmax)):
-        odd = zp * z
-        even = odd * z
-        ratio = (1.0 + even) / (1.0 + odd)
-        out *= ratio ** 8
-        zp = even
-    return complex(out[0]) if scalar else out
+    """J(z) by modular reduction and theta sums, in blocks of _BLOCK
+    points; keeps the shape of array input."""
+    return _evaluate(z, deriv=False)
 
 
 def j_deriv(z):
-    """J'(z) via the logarithmic derivative of the product form."""
-    z = np.asarray(z, dtype=complex)
-    scalar = z.ndim == 0
-    z = np.atleast_1d(z)
-    _check_disk(z)
-    rmax = float(np.abs(z).max(initial=0.0))
-    s = np.ones_like(z)          # the product without the 16z prefactor
-    logd_z = np.zeros_like(z)    # z * d/dz log of that product
-    zp = np.ones_like(z)         # z^{2n-2}
-    for n in range(1, _n_factors(rmax) + 1):
-        odd = zp * z             # z^{2n-1}
-        even = odd * z           # z^{2n}
-        s *= ((1.0 + even) / (1.0 + odd)) ** 8
-        # z d/dz log factor^8 = 8 [2n z^{2n}/(1+z^{2n}) - (2n-1) z^{2n-1}/(1+z^{2n-1})]
-        logd_z += 8.0 * (2 * n * even / (1.0 + even)
-                         - (2 * n - 1) * odd / (1.0 + odd))
-        zp = even
-    # J = 16 z s, so J' = 16 s + 16 z s (log s)' = 16 s (1 + z (log s)').
-    out = 16.0 * s * (1.0 + logd_z)
-    return complex(out[0]) if scalar else out
+    """J'(z) from w J'(w) = J (1 - J) theta_3(w)^4 at the reduced point,
+    carried back through the reduction by the chain rule."""
+    return _evaluate(z, deriv=True)
 
 
 def j_max_modulus(r: float, samples: int = 4096) -> tuple[float, float]:
@@ -276,7 +357,7 @@ def q_eval(alpha, z):
 
 
 def q_deriv(alpha, z):
-    """Q'(z) by the chain rule through the product form."""
+    """Q'(z) by the chain rule through J'."""
     a = _alpha_value(alpha)
     z = np.asarray(z, dtype=complex)
     w = q_argument(a, z)

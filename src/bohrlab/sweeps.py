@@ -91,7 +91,7 @@ def run_theorem4(seed: int = 7, trials: int = 100, order: int = 64,
                 "trial": t, "seed": ts, "spec": spec.text(),
                 "lhs": rep.lhs, "tail_bound": rep.tail_bound,
                 "rhs": rep.rhs, "rhs_error": rep.rhs_error,
-                "delta_diag": rep.delta_diag,
+                "delta_diag": geometry.delta_diagnostic(spec),
             })
     res.summary = {"r": r, "order": order, "min_margin": min_margin,
                    "exact_distance_trials": exact_trials}

@@ -1,7 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from bohrlab.cli import main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -90,3 +98,33 @@ def test_usage_errors(capsys):
     assert run(capsys, "report")[0] == 2
     assert run(capsys, "report", "--suite", "algebra",
                "--tolerance", "nope=1")[0] == 2
+
+
+def run_cli(*argv):
+    """The CLI in a fresh interpreter, so warnings reach stderr as users
+    see them."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-m", "bohrlab.cli", *argv],
+                          capture_output=True, text=True, env=env,
+                          timeout=120)
+
+
+@pytest.mark.parametrize("x", ["-0.99", "-0.999", "nan"])
+def test_eval_refuses_cusp_and_nan_plainly(x):
+    proc = run_cli("eval", "--re", x)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ")
+    assert "Warning" not in proc.stderr
+    reason = "not finite" if x == "nan" else "exceeds the double range"
+    assert reason in proc.stderr
+
+
+def test_eval_next_to_the_cusp_at_one():
+    # J(0.9999999) = 1 - 16 exp(-pi^2 / 1e-7) + ..., which rounds to 1.
+    proc = run_cli("eval", "--re", "0.9999999")
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout)["value"] == [1.0, 0.0]

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from bohrlab.bohr import TheoremReport
 from bohrlab.errors import DomainError, SingularDerivative
 from bohrlab.generators import (Factor, SchwarzFunction, identity_schwarz,
                                 make_large_function, random_large_function)
@@ -10,6 +11,7 @@ from bohrlab.geometry import (Cover, boundary_distance, delta_diagnostic,
                               density_distance_check,
                               density_distance_products, disk_identity_cover,
                               hyperbolic_density, q_cover, spec_cover)
+from bohrlab.sweeps import run_theorem4, theorem4_spec
 
 
 def test_disk_identity_closed_form():
@@ -88,3 +90,12 @@ def test_delta_diagnostic_finite():
     spec = random_large_function(4, order=48)
     v = delta_diagnostic(spec)
     assert np.isfinite(v) and v >= 0
+
+
+def test_delta_diagnostic_only_in_theorem4_failures():
+    assert "delta_diag" not in TheoremReport.__dataclass_fields__
+    res = run_theorem4(seed=7, trials=3)       # trial 2 fails at seed 7
+    assert [f["trial"] for f in res.failures] == [2]
+    fail = res.failures[0]
+    assert fail["delta_diag"] == delta_diagnostic(
+        theorem4_spec(fail["seed"], 2))

@@ -1,9 +1,12 @@
+import cmath
 import math
+import time
 
 import mpmath
 import numpy as np
 import pytest
 
+from bohrlab import modular
 from bohrlab.errors import DomainError
 from bohrlab.modular import (E_HALF_PI, E_PI, CoveringParameter, a_coeffs,
                              collision_search, j_coeffs_exact, j_deriv,
@@ -102,6 +105,151 @@ def test_deriv_against_mpmath():
 
 def test_deriv_at_zero():
     assert complex(j_deriv(0.0)) == pytest.approx(16.0, abs=1e-14)
+
+
+# -- evaluation by modular reduction -----------------------------------------
+
+
+def mp_lambda_deriv(w):
+    """J(w) and J'(w) from theta functions, at the first precision (50, 100,
+    200, ... digits) that agrees with twice itself to 1e-30 relative.
+
+    Near the unit circle the theta series cancel heavily, so a fixed
+    precision can return a wrong value there.  J' comes from
+    w J'(w) = J (1 - J) theta_3(w)^4.
+    """
+    dps = 50
+    while dps <= 1600:
+        pair = []
+        for d in (dps, 2 * dps):
+            with mpmath.workdps(d):
+                q = mpmath.mpc(w)
+                t3 = mpmath.jtheta(3, 0, q)
+                lam = (mpmath.jtheta(2, 0, q) / t3) ** 4
+                pair.append((lam, lam * (1 - lam) * t3 ** 4 / q))
+        (a, da), (b, db) = pair
+        if abs(a - b) <= 1e-30 * abs(b) and abs(da - db) <= 1e-30 * abs(db):
+            return b, db
+        dps *= 2
+    raise AssertionError("theta oracle did not converge at %r" % w)
+
+
+def reduction_steps(w):
+    """Inversions tau -> -1/tau that the evaluation takes at w: none inside
+    the reduced radius, else until |Re tau| <= 1/2 and |tau| >= 0.995."""
+    if abs(w) <= modular._REDUCED_RADIUS:
+        return 0
+    tau = cmath.log(w) / (1j * math.pi)
+    steps = 0
+    while True:
+        tau -= round(tau.real)
+        if abs(tau) >= modular._FLIP_BELOW:
+            return steps
+        tau = -1 / tau
+        steps += 1
+
+
+RADII = (0.3, 0.72, 0.87, 0.97, 0.995, 0.9999)
+ANGLES = (0.4, 2.2, -2.2, -0.4)          # one in each quadrant
+GRID = [r * cmath.exp(1j * a) for r in RADII for a in ANGLES] + [
+    0.05, -0.06j, 0.3, -0.3, 0.9999 * cmath.exp(1.2j)]
+
+
+def test_anharmonic_tables():
+    def apply(g, x):
+        a, b, c, d = modular._MOBIUS[g]
+        return (a * x + b) / (c * x + d)
+
+    for x in (0.3 + 0.7j, -2.1 + 0.4j):
+        for g in range(6):
+            assert apply(modular._AFTER_INVERT[g], x) == pytest.approx(
+                apply(g, 1 - x))
+            assert apply(modular._AFTER_SHIFT[g], x) == pytest.approx(
+                apply(g, x / (x - 1)))
+
+
+def test_grid_covers_reduction_depths():
+    steps = [reduction_steps(w) for w in GRID]
+    assert steps.count(0) >= 2 and steps.count(1) >= 2
+    assert max(steps) >= 3
+
+
+@pytest.mark.parametrize("w", GRID, ids=lambda w: "%.4g%+.4gj" % (w.real,
+                                                                     w.imag))
+def test_eval_and_deriv_against_converged_oracle(w):
+    rel = 1e-12 if abs(w) <= 0.9 else 1e-9
+    for fn, expect in zip((j_eval, j_deriv), mp_lambda_deriv(w)):
+        if abs(expect) < mpmath.mpf("1.7976931348623157e308"):
+            assert fn(w) == pytest.approx(complex(expect), rel=rel,
+                                          abs=1e-300)
+        else:
+            with pytest.raises(DomainError, match="double range"):
+                fn(w)
+
+
+def test_cusp_overflow_is_a_domain_error():
+    # J(-0.99) is about -1.9e425 (the oracle needs 600 digits there).
+    far_out = (-0.99, 0.9999 * cmath.exp(7j * math.pi / 9))
+    for w in far_out:
+        assert abs(mp_lambda_deriv(w)[0]) > mpmath.mpf("1e400")
+    for w in far_out + (-0.999,):
+        with pytest.raises(DomainError, match="exceeds the double range"):
+            j_eval(w)
+
+
+def test_non_finite_input_rejected():
+    for bad in (float("nan"), complex(0.1, float("nan")), float("inf")):
+        with pytest.raises(DomainError, match="not finite"):
+            j_eval(bad)
+        with pytest.raises(DomainError, match="not finite"):
+            j_deriv(np.array([0.1, bad]))
+
+
+def test_near_positive_cusp_is_one():
+    assert complex(j_eval(0.9999999)) == 1.0
+    assert complex(j_eval(1 - 2.0 ** -52)) == 1.0
+
+
+def _disk_sample(n, seed):
+    rng = np.random.default_rng(seed)
+    # Radii up to 0.95 keep J finite; some points skip the reduction.
+    return 0.95 * np.sqrt(rng.random(n)) * np.exp(2j * np.pi * rng.random(n))
+
+
+def test_blocks_match_scalar_calls_bit_for_bit():
+    z = _disk_sample(modular._BLOCK + 7, seed=11)
+    for fn in (j_eval, j_deriv):
+        whole = fn(z)
+        single = np.array([fn(complex(w)) for w in z])
+        assert np.array_equal(whole, single)
+
+
+def test_array_shape_is_kept():
+    z = _disk_sample(12, seed=12).reshape(3, 4)
+    for fn in (j_eval, j_deriv):
+        out = fn(z)
+        assert out.shape == (3, 4)
+        assert np.array_equal(out.ravel(), fn(z.ravel()))
+    assert j_eval(np.zeros((0, 2))).shape == (0, 2)
+
+
+def test_scalar_call_cost():
+    """collision_search makes thousands of scalar calls, so a scalar J must
+    stay cheap.  The cost is measured in units of one ufunc call on a
+    1-element array.  A 21-factor truncated product of J costs 215-330
+    units at |w| = 0.35 on a 2-core x86 host; the bound is 200."""
+    x = np.array([0.35 + 0j])
+    unit = call = math.inf
+    for _ in range(5):          # interleaved, so both see the same core speed
+        t0 = time.perf_counter()
+        for _ in range(2000):
+            x * x
+        unit = min(unit, (time.perf_counter() - t0) / 2000)
+        t0 = time.perf_counter()
+        for _ in range(200):
+            j_eval(0.35)
+        call = min(call, (time.perf_counter() - t0) / 200)
+    assert call <= 200 * unit
 
 
 def test_max_modulus_on_negative_axis():
