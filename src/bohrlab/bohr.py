@@ -13,7 +13,7 @@ from .errors import (BracketError, DomainError, HypothesisViolation)
 from .generators import LargeFunctionSpec, SchwarzFunction
 from .geometry import boundary_distance
 from .modular import E_PI, a_coeffs, j_eval, minus_j_minus_series
-from .series import TruncatedSeries
+from .series import TruncatedSeries, unit_ring
 
 #: Fixed absolute slack added to every inequality check on top of any
 #: explicit tail bound and distance-oracle error.
@@ -40,8 +40,7 @@ def cauchy_tail_bound(f_eval, rho: float, order: int, r: float,
     """
     if not 0 < r < rho < 1:
         raise DomainError("need 0 < r < rho < 1")
-    theta = 2 * np.pi * np.arange(nodes) / nodes
-    m_rho = float(np.abs(f_eval(rho * np.exp(1j * theta))).max()) * inflate
+    m_rho = float(np.abs(f_eval(rho * unit_ring(nodes))).max()) * inflate
     q = r / rho
     return m_rho * q ** (order + 1) / (1.0 - q)
 
@@ -193,8 +192,7 @@ def shift_polynomial(p: TruncatedSeries, c: complex) -> TruncatedSeries:
 
 def polynomial_sup(p: TruncatedSeries, nodes: int = 4096) -> float:
     """Sampled sup of |p| on the unit circle."""
-    theta = 2 * np.pi * np.arange(nodes) / nodes
-    return float(np.abs(p.eval(np.exp(1j * theta))).max())
+    return float(np.abs(p.eval(unit_ring(nodes))).max())
 
 
 def von_neumann_check(spec: LargeFunctionSpec, p: TruncatedSeries,
@@ -233,8 +231,7 @@ def classical_bohr_check(f: TruncatedSeries, r: float = 1.0 / 3.0,
                          nodes: int = 4096) -> InequalityCheck:
     """Sanity check of the classical theorem: |f| < 1 forces M(f) <= 1 at
     r <= 1/3."""
-    theta = 2 * np.pi * np.arange(nodes) / nodes
-    sup = float(np.abs(f.eval(0.99 * np.exp(1j * theta))).max())
+    sup = float(np.abs(f.eval(0.99 * unit_ring(nodes))).max())
     m = bohr_operator(f, r)
     ok = (r <= 1.0 / 3.0 + 1e-15) and m <= 1.0 + BASE_SLACK
     return InequalityCheck("classical-bohr", m, 1.0, BASE_SLACK, bool(ok),

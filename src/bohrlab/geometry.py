@@ -17,6 +17,7 @@ import numpy as np
 from .errors import DomainError, SingularDerivative
 from .generators import LargeFunctionSpec
 from .modular import q_deriv, q_eval
+from .series import unit_ring
 
 
 @dataclass(frozen=True)
@@ -106,8 +107,7 @@ def boundary_distance(
     omitted = min(abs(f0 - spec.a), abs(f0 - spec.b))
     if spec.phi.is_inner:
         return DistanceEstimate(omitted, 0.0, "omitted-points-exact")
-    theta = 2 * np.pi * np.arange(nodes) / nodes
-    ring = np.exp(1j * theta)
+    ring = unit_ring(nodes)
     # Per-level minima: only the finest circle approximates the image
     # boundary (coarser circles are interior curves and would undershoot).
     history = []
@@ -156,7 +156,6 @@ def delta_diagnostic(spec: LargeFunctionSpec, radius: float = 0.9,
     f0 = spec.f0
     if abs(f0 - spec.b) < abs(f0 - spec.a):
         a_near, b_far = spec.b, spec.a
-    theta = 2 * np.pi * np.arange(nodes) / nodes
-    z = radius * np.exp(1j * theta)
+    z = radius * unit_ring(nodes)
     h = z * (spec.eval(z) - a_near) / (b_far - a_near)
     return float(np.abs(h).min())

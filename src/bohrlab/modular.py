@@ -6,7 +6,8 @@ provides its series expansion (float and exact-integer), the positive
 coefficient sequence A_n of -J(-z) = 16 z sum A_n z^n, pointwise evaluation
 of J and J' (modular reduction of the nome, then theta sums, in bounded
 blocks; non-finite results raise DomainError), the induced covering map
-Q(z) = J(exp(-alpha (1+z)/(1-z))), and probabilistic injectivity probes.
+Q(z) = J(exp(-alpha (1+z)/(1-z))), a randomized injectivity probe and a
+closed-form pair with J(z1) = J(z2) beyond the univalence radius.
 """
 
 from __future__ import annotations
@@ -16,10 +17,9 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy import optimize
 
 from .errors import DomainError, NonPositiveCoefficient
-from .series import TruncatedSeries, exp_series
+from .series import TruncatedSeries, exp_series, unit_ring
 
 #: The Bohr radius for functions omitting two values.
 E_PI = math.exp(-math.pi)
@@ -316,10 +316,9 @@ def j_max_modulus(r: float, samples: int = 4096) -> tuple[float, float]:
         raise DomainError("r must lie in (0, 1)")
     if samples < 64:
         raise DomainError("need at least 64 samples")
-    theta = 2 * np.pi * np.arange(samples) / samples
-    vals = np.abs(j_eval(r * np.exp(1j * theta)))
+    vals = np.abs(j_eval(r * unit_ring(samples)))
     k = int(np.argmax(vals))
-    return float(vals[k]), float(theta[k])
+    return float(vals[k]), 2 * math.pi * k / samples
 
 
 # ---------------------------------------------------------------------------
@@ -368,8 +367,7 @@ def q_deriv(alpha, z):
 def _q_series_cached(alpha: float, order: int, nodes: int) -> TruncatedSeries:
     w0 = math.exp(-alpha)
     rho = 0.5 * (1.0 - w0)
-    theta = 2 * np.pi * np.arange(nodes) / nodes
-    circle = w0 + rho * np.exp(1j * theta)
+    circle = w0 + rho * unit_ring(nodes)
     vals = j_eval(circle)
     # Taylor coefficients of J about w0 by discretized Cauchy integrals.
     taylor = (np.fft.fft(vals) / nodes)[: order + 1]
@@ -445,7 +443,7 @@ def univalence_probe(
 
 @dataclass(frozen=True)
 class CollisionReport:
-    """Outcome of a local search for a genuine pair J(z1) = J(z2)."""
+    """A candidate pair J(z1) = J(z2) in a disk, with its residuals."""
 
     r: float
     z1: complex
@@ -455,49 +453,25 @@ class CollisionReport:
     found: bool
 
 
-def collision_search(
-    r: float = 0.35, seed: int = 0, restarts: int = 24,
-    gap_target: float = 1e-8, min_separation: float = 0.02,
-) -> CollisionReport:
-    """Minimize |J(z1) - J(z2)| over well-separated pairs in |z| <= r.
+def collision_search(r: float = 0.35, gap_target: float = 1e-8,
+                     min_separation: float = 0.02) -> CollisionReport:
+    """A genuine pair J(z1) = J(z2) in |z| <= 0.999 r, in closed form.
 
-    For r above the univalence radius the infimum is 0, attained e.g. along
-    the family (-i e^{-pi t}, i e^{-pi/(4t)}); random multistart descent
-    recovers such a pair.
+    With w = e^{i pi tau}, J = lambda(tau) is invariant under Gamma(2), which
+    holds tau -> tau / (2 tau + 1).  It maps tau_1 = -1/2 + i t to
+    tau_2 = 1/2 + i / (4t), so J takes one value at z1 = -i e^{-pi t} and
+    z2 = i e^{-pi / (4t)}.  Both lie in |z| <= 0.999 r exactly when
+    l <= t <= 1 / (4l) with l = -log(0.999 r) / pi; such t exists iff
+    0.999 r >= e^{-pi/2}, the univalence radius.  The midpoint of that
+    interval is taken; ``found`` is false when it is empty.
     """
     if not 0 < r < 1:
         raise DomainError("r must lie in (0, 1)")
-    rng = np.random.default_rng(seed)
-    rmax = 0.999 * r
-
-    def clip(w: complex) -> complex:
-        return w if abs(w) <= rmax else w * rmax / abs(w)
-
-    def objective(x):
-        z1, z2 = complex(x[0], x[1]), complex(x[2], x[3])
-        pen = sum(100.0 * max(0.0, abs(w) - rmax) ** 2 for w in (z1, z2))
-        z1, z2 = clip(z1), clip(z2)
-        pen += 100.0 * max(0.0, min_separation - abs(z1 - z2)) ** 2
-        gap = abs(j_eval(z1) - j_eval(z2))
-        return gap * gap + pen
-
-    best = None
-    for _ in range(restarts):
-        x0 = rng.uniform(-rmax, rmax, size=4)
-        res = optimize.minimize(objective, x0, method="Nelder-Mead",
-                                options={"xatol": 1e-12, "fatol": 1e-24,
-                                         "maxiter": 4000})
-        if best is None or res.fun < best.fun:
-            best = res
-        if best.fun < gap_target ** 2 / 4:
-            break
-    x = best.x
-    z1, z2 = complex(x[0], x[1]), complex(x[2], x[3])
-    if abs(z1) > rmax:
-        z1 *= rmax / abs(z1)
-    if abs(z2) > rmax:
-        z2 *= rmax / abs(z2)
+    ell = -math.log(0.999 * r) / math.pi
+    t = 0.5 * (ell + 0.25 / ell)
+    z1 = complex(0.0, -math.exp(-math.pi * t))
+    z2 = complex(0.0, math.exp(-0.25 * math.pi / t))
     gap = float(abs(j_eval(z1) - j_eval(z2)))
     sep = float(abs(z1 - z2))
-    found = gap < gap_target and sep >= min_separation
+    found = ell <= 0.5 and gap < gap_target and sep >= min_separation
     return CollisionReport(r, z1, z2, gap, sep, found)

@@ -11,6 +11,7 @@ All values are immutable after construction; operations return new series.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -205,6 +206,15 @@ def _coerce(x) -> TruncatedSeries:
     if np.isscalar(x):
         return TruncatedSeries.constant(x)
     raise TypeError("cannot interpret %r as a series" % (x,))
+
+
+@lru_cache(maxsize=None)
+def unit_ring(nodes: int) -> np.ndarray:
+    """The read-only ring e^{2 pi i k / nodes}, k = 0..nodes-1, cached per
+    node count; every circle sample in the package scales or shifts it."""
+    ring = np.exp(1j * (2 * np.pi * np.arange(nodes) / nodes))
+    ring.setflags(write=False)
+    return ring
 
 
 def exp_series(f: TruncatedSeries, order: int) -> TruncatedSeries:

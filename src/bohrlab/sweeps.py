@@ -273,7 +273,7 @@ def run_univalence(seed: int = 7, trials: int = 100_000) -> SuiteResult:
                      "lhs": float(below.collision_count), "rhs": 0.0,
                      "slack": 0.0, "pass": bool(ok)})
     res.passed &= ok
-    above = collision_search(0.35, seed)
+    above = collision_search(0.35)
     res.rows.append({"check": "collision-above-radius",
                      "lhs": above.value_gap, "rhs": 0.0, "slack": 1e-8,
                      "pass": bool(above.found)})

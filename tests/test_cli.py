@@ -128,3 +128,21 @@ def test_eval_next_to_the_cusp_at_one():
     assert proc.returncode == 0
     assert proc.stderr == ""
     assert json.loads(proc.stdout)["value"] == [1.0, 0.0]
+
+
+def test_runtime_imports_only_numpy():
+    """Importing the CLI loads nothing beyond the standard library, numpy
+    and bohrlab itself; modules the interpreter loads at start-up are not
+    counted."""
+    code = ("import sys; before = set(sys.modules); import bohrlab.cli; "
+            "print(' '.join(sorted({m.partition('.')[0] for m in sys.modules"
+            " if m not in before})))")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert {"bohrlab", "numpy"} <= loaded
+    assert loaded - set(sys.stdlib_module_names) <= {"bohrlab", "numpy"}

@@ -1,6 +1,7 @@
 import math
 
 import numpy as np
+import numpy.polynomial.polynomial as P
 import pytest
 
 from bohrlab.bohr import main_theorem_check
@@ -79,6 +80,19 @@ def test_mg_integral_identity():
     assert rep.lhs < 1e-9
     # |mu| <= 1 forces M(g) <= M(h - a_0) termwise after integration.
     assert rep.extra["domination_margin"] >= -1e-12
+
+
+@pytest.mark.parametrize("order", [8, 32, 64])
+def test_gauss_legendre_matches_exact_antiderivative(order):
+    for seed in (1, 2, 3):
+        spec = random_large_function(seed, order)
+        pair = build_pair(spec, random_mobius_bounded(seed + 50, order))
+        gp_mags = np.abs(pair.g.differentiate().coeffs)
+        antiderivative = P.polyint(gp_mags)
+        for r in (0.2, 0.5, 0.9):
+            extra = mg_integral_identity_check(pair, r).extra
+            exact = P.polyval(r, antiderivative)
+            assert abs(extra["integral"] - exact) <= extra["quad_error"]
 
 
 def test_radius_guard():

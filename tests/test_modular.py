@@ -13,6 +13,7 @@ from bohrlab.modular import (E_HALF_PI, E_PI, CoveringParameter, a_coeffs,
                              j_eval, j_max_modulus, j_series,
                              minus_j_minus_series, q_argument, q_eval,
                              q_series, univalence_probe)
+from bohrlab.sweeps import run_suite
 
 # Degree <= 5 coefficients frozen from the exact integer computation.
 J_EXACT_PREFIX = (0, 16, -128, 704, -3072, 11488)
@@ -234,10 +235,10 @@ def test_array_shape_is_kept():
 
 
 def test_scalar_call_cost():
-    """collision_search makes thousands of scalar calls, so a scalar J must
-    stay cheap.  The cost is measured in units of one ufunc call on a
-    1-element array.  A 21-factor truncated product of J costs 215-330
-    units at |w| = 0.35 on a 2-core x86 host; the bound is 200."""
+    """A scalar J call, as `bohrlab eval` makes, must stay cheap.  The cost
+    is measured in units of one ufunc call on a 1-element array.  A
+    21-factor truncated product of J costs 215-330 units at |w| = 0.35 on a
+    2-core x86 host; the bound is 200."""
     x = np.array([0.35 + 0j])
     unit = call = math.inf
     for _ in range(5):          # interleaved, so both see the same core speed
@@ -319,7 +320,43 @@ def test_known_collision_pair():
 
 
 def test_collision_search_above_radius():
-    rep = collision_search(0.35, seed=3)
+    rep = collision_search(0.35)
     assert rep.found
     assert rep.value_gap < 1e-8
     assert rep.separation >= 0.02
+
+
+@pytest.mark.parametrize("r", [0.21, 0.25, 0.35, 0.5, 0.9])
+def test_closed_form_pair_fits_the_disk(r):
+    rep = collision_search(r)
+    assert rep.found
+    assert max(abs(rep.z1), abs(rep.z2)) <= 0.999 * r
+    assert rep.separation >= 0.02
+    assert rep.value_gap < 1e-13
+
+
+@pytest.mark.parametrize("r", [0.1, 0.2])
+def test_no_closed_form_pair_below_univalence_radius(r):
+    # 0.999 r < e^{-pi/2}: no member of the family fits in the disk.
+    assert not collision_search(r).found
+
+
+@pytest.mark.parametrize("t", ["0.4", "0.55", "0.7"])
+def test_closed_form_pair_is_a_genuine_identity(t):
+    """J(-i e^{-pi t}) = J(i e^{-pi/(4t)}) to 1e-45 in the theta oracle,
+    which sums the series without any modular reduction."""
+    with mpmath.workdps(120):
+        t = mpmath.mpf(t)
+        z1 = mpmath.mpc(0, -mpmath.exp(-mpmath.pi * t))
+        z2 = mpmath.mpc(0, mpmath.exp(-mpmath.pi / (4 * t)))
+    j1, j2 = mp_lambda_deriv(z1)[0], mp_lambda_deriv(z2)[0]
+    assert abs(j1 - j2) <= mpmath.mpf("1e-45") * abs(j1)
+    assert complex(j_eval(complex(z1))) == pytest.approx(complex(j1),
+                                                         rel=1e-13)
+
+
+def test_univalence_suite_at_seed_8():
+    # The pair is closed form, so no seed makes this suite slow.
+    res = run_suite("univalence", 8)
+    assert res.passed
+    assert res.summary["collision_gap"] < 1e-13
