@@ -31,16 +31,15 @@ def bohr_operator(f: TruncatedSeries, r: float, from_degree: int = 0) -> float:
     return float(np.dot(mags, powers))
 
 
-def cauchy_tail_bound(f_eval, rho: float, order: int, r: float,
-                      nodes: int = 4096, inflate: float = 1.01) -> float:
+def cauchy_tail_bound(f_eval, rho: float, order: int, r: float) -> float:
     """Upper bound on sum_{n > order} |a_n| r^n by Cauchy estimates.
 
-    |a_n| <= M_rho / rho^n with M_rho the sampled circle maximum of |f|,
-    inflated by 1% to absorb sampling of the maximum.
+    |a_n| <= M_rho / rho^n with M_rho the maximum of |f| sampled at 4096
+    nodes of |z| = rho, inflated by 1% to absorb sampling of the maximum.
     """
     if not 0 < r < rho < 1:
         raise DomainError("need 0 < r < rho < 1")
-    m_rho = float(np.abs(f_eval(rho * unit_ring(nodes))).max()) * inflate
+    m_rho = float(np.abs(f_eval(rho * unit_ring(4096))).max()) * 1.01
     q = r / rho
     return m_rho * q ** (order + 1) / (1.0 - q)
 

@@ -8,7 +8,6 @@ right-hand-side machinery of the main inequality check.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -66,9 +65,10 @@ class DistanceEstimate:
 
     ``omitted-points-exact``: ``value`` is the distance and ``error`` is 0.
     ``circle-sampling``: ``value`` is the sampled distance from F(0) to the
-    image of a circle near |z| = 1 and ``error`` a refinement spread; this
-    is not a bound.  When F is not univalent the image curve can pass close
-    to F(0) far inside F(U), so ``value`` can fall far below the true
+    image of the circle |z| = 1 - 2^-14 and ``error`` the spread of the
+    sampled distances over the circles |z| = 1 - 2^-k, k = 12, 13, 14;
+    this is not a bound.  When F is not univalent the image curve can pass
+    close to F(0) far inside F(U), so ``value`` can fall far below the true
     distance (seed-7 theorem4 trial 75: 0.00273 against about 0.065, with
     the curve winding three times about F(0)).  A distance that is too
     small only makes a majorant inequality harder to pass, so a
@@ -84,39 +84,41 @@ class DistanceEstimate:
             raise ValueError("distance and error must be nonnegative")
 
 
-def boundary_distance(
-    spec: LargeFunctionSpec,
-    nodes: int = 4096,
-    levels: range = range(4, 15),
-) -> DistanceEstimate:
+#: Nodes on each boundary circle and the exponents k of its radii
+#: 1 - 2^-k; the finest circle gives the distance, all three the spread.
+_BOUNDARY_NODES = 4096
+_BOUNDARY_LEVELS = (12, 13, 14)
+
+
+def boundary_distance(spec: LargeFunctionSpec) -> DistanceEstimate:
     """Distance from F(0) to the boundary of the image of F.
 
     When the inner Schwarz factor is a finite Blaschke product the image is
     the whole plane minus the two omitted points and the distance is exact.
-    Otherwise F(0) is compared with the images of circles |z| = 1 - 2^-k,
-    and the minimum on the finest one, capped by the distance to the
-    omitted points, is returned; the reported error is the spread over the
-    last three refinement levels.  That minimum measures the distance to
-    the image curve, not to the boundary of F(U): the two agree in the
-    limit only when F is univalent.  Otherwise the curve can come far
-    closer to F(0) than any boundary point does (see DistanceEstimate), so
-    a passing inequality check is conservative and a failing one is not
-    certified.
+    Otherwise F(0) is compared with the images of the three circles
+    |z| = 1 - 2^-k, k = 12, 13, 14, sampled at 4096 nodes each; the minimum
+    on the finest one, capped by the distance to the omitted points, is
+    returned, and the reported error is the spread of the three minima.
+    That minimum measures the distance to the image curve, not to the
+    boundary of F(U): the two agree in the limit only when F is univalent.
+    Otherwise the curve can come far closer to F(0) than any boundary
+    point does (see DistanceEstimate), so a passing inequality check is
+    conservative and a failing one is not certified.
     """
     f0 = spec.f0
     omitted = min(abs(f0 - spec.a), abs(f0 - spec.b))
     if spec.phi.is_inner:
         return DistanceEstimate(omitted, 0.0, "omitted-points-exact")
-    ring = unit_ring(nodes)
-    # Per-level minima: only the finest circle approximates the image
+    ring = unit_ring(_BOUNDARY_NODES)
+    # Per-circle minima: only the finest circle approximates the image
     # boundary (coarser circles are interior curves and would undershoot).
     history = []
-    for k in levels:
+    for k in _BOUNDARY_LEVELS:
         r = 1.0 - 2.0 ** (-k)
         vals = spec.eval(r * ring)
         history.append(float(np.abs(vals - f0).min()))
     value = min(omitted, history[-1])
-    spread = max(history[-3:]) - min(history[-3:])
+    spread = max(history) - min(history)
     return DistanceEstimate(value, spread, "circle-sampling")
 
 

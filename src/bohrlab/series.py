@@ -10,28 +10,12 @@ All values are immutable after construction; operations return new series.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import NonzeroInnerConstant, ZeroConstantTerm
-
-
-@dataclass(frozen=True)
-class EvalPoint:
-    """A point of the unit disk with its modulus cached."""
-
-    z: complex
-    r: float = field(default=None)  # type: ignore[assignment]
-
-    def __post_init__(self):
-        object.__setattr__(self, "z", complex(self.z))
-        if self.r is None:
-            object.__setattr__(self, "r", abs(self.z))
-        else:
-            if not np.isclose(self.r, abs(self.z), rtol=4e-16, atol=5e-324):
-                raise ValueError("cached modulus disagrees with |z|")
 
 
 @dataclass(frozen=True)
@@ -135,7 +119,9 @@ class TruncatedSeries:
 
         The inner series must vanish exactly at 0: only then does a degree-N
         prefix of the inner series determine the composite exactly to
-        degree N.
+        degree N.  Horner starts at the highest nonzero outer coefficient
+        of degree at most ``order`` (0 for an all-zero outer series); the
+        steps above it would only multiply an exact zero.
         """
         if inner[0] != 0:
             raise NonzeroInnerConstant(
@@ -144,13 +130,12 @@ class TruncatedSeries:
         inner = inner.truncated(order)
         # Horner on the outer coefficients.  Since the inner series has
         # valuation >= 1, outer degrees beyond `order` cannot reach back.
+        nonzero = np.flatnonzero(self.coeffs[: order + 1])
+        top = int(nonzero[-1]) if nonzero.size else 0
         acc = np.zeros(order + 1, dtype=complex)
-        top = min(self.order, order)
         acc[0] = self[top]
         for k in range(top - 1, -1, -1):
             acc = np.convolve(acc, inner.coeffs)[: order + 1]
-            if acc.size < order + 1:
-                acc = np.pad(acc, (0, order + 1 - acc.size))
             acc[0] += self[k]
         return TruncatedSeries(acc)
 
@@ -185,11 +170,9 @@ class TruncatedSeries:
     def eval(self, z):
         """Horner evaluation of the truncated polynomial.
 
-        Accepts a complex scalar, an :class:`EvalPoint`, or an ndarray of
-        points.  No tail estimate is applied here.
+        Accepts a complex scalar or an ndarray of points.  No tail
+        estimate is applied here.
         """
-        if isinstance(z, EvalPoint):
-            z = z.z
         z = np.asarray(z, dtype=complex)
         acc = np.full(z.shape, self.coeffs[-1], dtype=complex)
         for k in range(self.order - 1, -1, -1):
@@ -232,7 +215,3 @@ def exp_series(f: TruncatedSeries, order: int) -> TruncatedSeries:
         e[n] = np.dot(kf[1 : n + 1], e[n - 1 :: -1]) / n
     return TruncatedSeries(e * np.exp(f[0]))
 
-
-def geometric_series(order: int) -> TruncatedSeries:
-    """Prefix of 1/(1-z)."""
-    return TruncatedSeries(np.ones(order + 1, dtype=complex), "1/(1-z)")

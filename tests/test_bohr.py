@@ -15,7 +15,7 @@ from bohrlab.generators import (identity_schwarz, make_large_function,
                                 random_mobius_bounded, random_schwarz)
 from bohrlab.geometry import boundary_distance
 from bohrlab.modular import E_PI
-from bohrlab.series import TruncatedSeries, geometric_series
+from bohrlab.series import TruncatedSeries
 
 
 # -- majorant operator -------------------------------------------------------

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import bohrlab.modular
 from bohrlab.bohr import TheoremReport
 from bohrlab.errors import DomainError, SingularDerivative
 from bohrlab.generators import (Factor, SchwarzFunction, identity_schwarz,
@@ -11,7 +12,8 @@ from bohrlab.geometry import (Cover, boundary_distance, delta_diagnostic,
                               density_distance_check,
                               density_distance_products, disk_identity_cover,
                               hyperbolic_density, q_cover, spec_cover)
-from bohrlab.sweeps import run_theorem4, theorem4_spec
+from bohrlab.series import unit_ring
+from bohrlab.sweeps import _trial_seed, run_theorem4, theorem4_spec
 
 
 def test_disk_identity_closed_form():
@@ -76,6 +78,50 @@ def test_boundary_distance_sampled_for_contraction():
     # the image boundary is strictly below the omitted-point distance.
     assert d.value < omitted - 1e-6
     assert d.error < 0.05 * d.value
+
+
+def _eleven_circle_distance(spec):
+    """The distance and spread as sampled on all eleven circles
+    |z| = 1 - 2^-k, k = 4..14, of which only the last three are read."""
+    f0 = spec.f0
+    omitted = min(abs(f0 - spec.a), abs(f0 - spec.b))
+    history = []
+    for k in range(4, 15):
+        r = 1.0 - 2.0 ** (-k)
+        history.append(float(np.abs(spec.eval(r * unit_ring(4096)) - f0)
+                             .min()))
+    return min(omitted, history[-1]), max(history[-3:]) - min(history[-3:])
+
+
+def _sampled_specs():
+    specs = [theorem4_spec(_trial_seed(7, t), t) for t in (7, 9, 75)]
+    phi = SchwarzFunction((Factor("contraction", 0.5),))
+    specs.append(make_large_function(0.0, 1.0, math.pi, phi, 48))
+    return specs
+
+
+def test_boundary_distance_matches_eleven_circles():
+    for spec in _sampled_specs():
+        assert not spec.phi.is_inner
+        d = boundary_distance(spec)
+        assert (d.value, d.error) == _eleven_circle_distance(spec)
+
+
+def test_boundary_distance_evaluates_three_circles(monkeypatch):
+    points = []
+    j_eval = bohrlab.modular.j_eval
+
+    def counting(w):
+        points.append(np.size(w))
+        return j_eval(w)
+
+    monkeypatch.setattr(bohrlab.modular, "j_eval", counting)
+    boundary_distance(_sampled_specs()[0])
+    assert sum(points) == 3 * 4096
+    points.clear()
+    boundary_distance(
+        make_large_function(0.0, 1.0, math.pi, identity_schwarz(), 48))
+    assert points == []
 
 
 def test_spec_cover_distance():

@@ -6,8 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bohrlab.errors import NonzeroInnerConstant, ZeroConstantTerm
-from bohrlab.series import (EvalPoint, TruncatedSeries, exp_series,
-                            geometric_series)
+from bohrlab.series import TruncatedSeries, exp_series
 
 
 def coeff_lists(max_len=8):
@@ -46,13 +45,6 @@ def test_truncated_pads_and_cuts():
     assert f.truncated(1).order == 1
     g = f.truncated(4)
     assert g.order == 4 and g[3] == 0
-
-
-def test_eval_point_modulus_cache():
-    p = EvalPoint(0.3 + 0.4j)
-    assert p.r == pytest.approx(0.5)
-    with pytest.raises(ValueError):
-        EvalPoint(0.5, 0.9)
 
 
 # -- ring axioms -------------------------------------------------------------
@@ -107,6 +99,32 @@ def test_compose_oracle():
     assert np.allclose(got.coeffs, [1.0, 2.0, 3.0, 2.0, 1.0])
 
 
+def _full_horner(outer, inner, order):
+    """compose as a Horner loop over every outer coefficient up to
+    ``order``, zero or not."""
+    inner = inner.truncated(order)
+    acc = np.zeros(order + 1, dtype=complex)
+    acc[0] = outer[order]
+    for k in range(order - 1, -1, -1):
+        acc = np.convolve(acc, inner.coeffs)[: order + 1]
+        acc[0] += outer[k]
+    return acc
+
+
+@pytest.mark.parametrize("degree", [None, 0, 1, 2, 3])
+def test_compose_from_top_coefficient_matches_full_horner(degree):
+    rng = np.random.default_rng(11)
+    coeffs = np.zeros(65, dtype=complex)
+    if degree is not None:
+        coeffs[: degree + 1] = rng.standard_normal(degree + 1) \
+            + 1j * rng.standard_normal(degree + 1)
+    c = rng.standard_normal(65) + 1j * rng.standard_normal(65)
+    c[0] = 0
+    outer, inner = TruncatedSeries(coeffs), TruncatedSeries(c)
+    assert np.array_equal(outer.compose(inner, 64).coeffs,
+                          _full_horner(outer, inner, 64))
+
+
 def test_compose_requires_vanishing_inner():
     with pytest.raises(NonzeroInnerConstant):
         TruncatedSeries([1.0, 1.0]).compose(TruncatedSeries([0.5, 1.0]), 3)
@@ -155,11 +173,6 @@ def test_reciprocal_inverts(a, order):
     fp = np.finfo(float)
     tol = 4 * np.arange(1, order + 2) * fp.eps * scale + fp.tiny
     assert np.all(np.abs(prod.coeffs - expect) <= tol)
-
-
-def test_geometric_series_evaluates():
-    g = geometric_series(64)
-    assert complex(g.eval(0.5)) == pytest.approx(2.0, abs=1e-15)
 
 
 def test_eval_matches_polyval():
