@@ -3,7 +3,6 @@ inequality verifiers built on it."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from math import comb
 
@@ -31,15 +30,15 @@ def bohr_operator(f: TruncatedSeries, r: float, from_degree: int = 0) -> float:
     return float(np.dot(mags, powers))
 
 
-def cauchy_tail_bound(f_eval, rho: float, order: int, r: float) -> float:
+def cauchy_tail_bound(m_rho: float, rho: float, order: int, r: float) -> float:
     """Upper bound on sum_{n > order} |a_n| r^n by Cauchy estimates.
 
-    |a_n| <= M_rho / rho^n with M_rho the maximum of |f| sampled at 4096
-    nodes of |z| = rho, inflated by 1% to absorb sampling of the maximum.
+    |a_n| <= m_rho / rho^n for any upper bound m_rho on |f| over |z| = rho,
+    such as the closed form ``LargeFunctionSpec.modulus_bound(rho)``; the
+    geometric sum of (r/rho)^n past ``order`` is then exact.
     """
     if not 0 < r < rho < 1:
         raise DomainError("need 0 < r < rho < 1")
-    m_rho = float(np.abs(f_eval(rho * unit_ring(4096))).max()) * 1.01
     q = r / rho
     return m_rho * q ** (order + 1) / (1.0 - q)
 
@@ -112,7 +111,7 @@ class TheoremReport:
 
     lhs: float              # sum_{n>=1} |a_n| r^n over the prefix
     rhs: float              # boundary distance estimate
-    tail_bound: float
+    tail_bound: float       # upper bound from spec.modulus_bound(tail_rho)
     rhs_error: float        # distance-oracle error
     passed: bool
 
@@ -170,7 +169,8 @@ def main_theorem_check(spec: LargeFunctionSpec, r: float = E_PI,
     if order is None:
         order = spec.order
     lhs = bohr_operator(spec.series.truncated(order), r, from_degree=1)
-    tail = cauchy_tail_bound(spec.eval, tail_rho, order, r) if r > 0 else 0.0
+    tail = cauchy_tail_bound(spec.modulus_bound(tail_rho), tail_rho, order,
+                             r) if r > 0 else 0.0
     dist = boundary_distance(spec)
     passed = lhs + tail <= dist.value + dist.error + BASE_SLACK
     return TheoremReport(lhs, dist.value, tail, dist.error, passed)
@@ -195,19 +195,19 @@ def polynomial_sup(p: TruncatedSeries, nodes: int = 4096) -> float:
 
 
 def von_neumann_check(spec: LargeFunctionSpec, p: TruncatedSeries,
-                      r: float = E_PI, order: int | None = None
-                      ) -> InequalityCheck:
+                      distance: float, r: float = E_PI,
+                      order: int | None = None) -> InequalityCheck:
     """Check M(p(F))(r) <= sup of |p| on the unit circle.
 
-    Requires the boundary distance of F to be below 1.  Both sides are
-    reported whether or not the inequality holds.
+    Requires the boundary distance ``distance`` of F to be below 1.  The
+    tail uses |p(F)| <= sum_k |p_k| M^k, M = ``spec.modulus_bound(0.3)``.
+    Both sides are reported whether or not the inequality holds.
     """
     if order is None:
         order = spec.order
-    dist = boundary_distance(spec)
-    if dist.value >= 1.0:
+    if distance >= 1.0:
         raise HypothesisViolation(
-            "boundary distance %.6g is not < 1" % dist.value
+            "boundary distance %.6g is not < 1" % distance
         )
     f0 = spec.f0
     shifted = shift_polynomial(p, f0)
@@ -216,25 +216,25 @@ def von_neumann_check(spec: LargeFunctionSpec, p: TruncatedSeries,
     )
     composed = shifted.compose(centered, order)
     lhs = bohr_operator(composed, r, from_degree=0)
-    tail = cauchy_tail_bound(lambda z: p.eval(spec.eval(z)), 0.3, order, r)
+    m_p = float(np.polyval(np.abs(p.coeffs[::-1]), spec.modulus_bound(0.3)))
+    tail = cauchy_tail_bound(m_p, 0.3, order, r)
     rhs = polynomial_sup(p)
     return InequalityCheck(
         "von-neumann", lhs + tail, rhs, BASE_SLACK,
         bool(lhs + tail <= rhs + BASE_SLACK),
-        {"distance": dist.value, "tail_bound": tail,
+        {"distance": distance, "tail_bound": tail,
          "majorant_at_r": lhs},
     )
 
 
-def classical_bohr_check(f: TruncatedSeries, r: float = 1.0 / 3.0,
-                         nodes: int = 4096) -> InequalityCheck:
+def classical_bohr_check(f: TruncatedSeries, r: float = 1.0 / 3.0
+                         ) -> InequalityCheck:
     """Sanity check of the classical theorem: |f| < 1 forces M(f) <= 1 at
     r <= 1/3."""
-    sup = float(np.abs(f.eval(0.99 * unit_ring(nodes))).max())
     m = bohr_operator(f, r)
     ok = (r <= 1.0 / 3.0 + 1e-15) and m <= 1.0 + BASE_SLACK
     return InequalityCheck("classical-bohr", m, 1.0, BASE_SLACK, bool(ok),
-                           {"sup_sampled": sup, "r": r})
+                           {"r": r})
 
 
 def algebra_properties_check(f: TruncatedSeries, g: TruncatedSeries,

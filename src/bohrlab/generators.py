@@ -235,6 +235,22 @@ class LargeFunctionSpec:
     def f0(self) -> complex:
         return self.a + (self.b - self.a) * j_eval(math.exp(-self.alpha.alpha))
 
+    def modulus_bound(self, rho: float) -> float:
+        """Certified upper bound on |F| over |z| <= rho from one scalar J.
+
+        |phi| <= rho by Schwarz, so Re (1+phi)/(1-phi) and Re (1-phi)/(1+phi)
+        are >= c = (1-rho)/(1+rho).  As |J(w)| <= -J(-|w|) (positive
+        coefficients) and J(e^s) = 1 - J(e^{pi^2/s}), |J| is at most
+        -J(-e^{-alpha c}) and 1 - J(-e^{-pi^2 c/alpha}).  The nome used is
+        <= e^{-pi c} (0.184 at rho = 0.3), where j_eval is good to a few
+        ulps; the 1e-12 factor covers that rounding.
+        """
+        alpha, c = self.alpha.alpha, (1.0 - rho) / (1.0 + rho)
+        dual = alpha < math.pi
+        x = math.exp(-(math.pi ** 2 / alpha if dual else alpha) * c)
+        m = float(dual) - complex(j_eval(-x)).real
+        return (abs(self.a) + abs(self.b - self.a) * m) * (1.0 + 1e-12)
+
     def eval(self, z):
         return self.a + (self.b - self.a) * q_eval(self.alpha.alpha,
                                                    self.phi.eval(z))

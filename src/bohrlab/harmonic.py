@@ -7,8 +7,10 @@ a dilatation mu through g' = mu h', g(0) = 0.  The verified estimate is
 
 for r up to e^{-pi}.  The sup-of-mu reading is used for the right-hand side
 (a pointwise |mu(z)| does not give a single number); |mu(r)| on the positive
-axis is logged alongside.  The identity M(g)(r) = integral_0^r M(g')(t) dt is
-checked with a Gauss-Legendre rule, which is exact for the polynomial M(g').
+axis is logged alongside.  That sampled sup may undershoot, which only makes
+a pass harder; the tails of M(h) and M(g) are closed-form upper bounds from
+``LargeFunctionSpec.modulus_bound``.  The identity M(g)(r) = integral_0^r
+M(g')(t) dt is checked with a Gauss-Legendre rule, exact for M(g').
 """
 
 from __future__ import annotations
@@ -58,17 +60,18 @@ def _g_tail_bound(pair: HarmonicPair, r: float, rho: float = 0.3) -> float:
     """Tail of M(g) past the stored order.
 
     mu is an exact polynomial, so tail error in g comes from the tail of h:
-    |(mu h')_m| <= sup|mu| sum_{j<=m} (j+1) M_rho / rho^{j+1}, integrated
-    termwise.  The resulting majorant decays like (r/rho)^n and the finite
-    sum below overshoots the true tail.
+    |(mu h')_m| <= S sum_{j<=m} (j+1) M_rho / rho^{j+1}, integrated
+    termwise.  M_rho is the closed form ``spec.modulus_bound(rho)``, and
+    S = M(mu)(0.999) is at least sup|mu| on |z| <= 0.999 and at least
+    sum_k |mu_k| rho^k, so neither is sampled.  The resulting majorant
+    decays like (r/rho)^n and the finite sum below overshoots the true tail.
     """
     order = pair.g.order
-    m_rho = float(np.abs(pair.spec.eval(rho * unit_ring(1024))).max())
-    m_rho *= 1.01
-    sup_mu = _sup_on_circle(pair.mu, 0.999)
+    m_rho = pair.spec.modulus_bound(rho)
+    mu_bound = bohr_operator(pair.mu, 0.999)
     n = np.arange(order + 1, order + 200)
     terms = (n + 1.0) ** 2 / (1.0 - rho) * m_rho * (r / rho) ** n
-    return float(sup_mu * terms.sum())
+    return float(mu_bound * terms.sum())
 
 
 def harmonic_bohr_check(pair: HarmonicPair, r: float = E_PI
@@ -80,8 +83,8 @@ def harmonic_bohr_check(pair: HarmonicPair, r: float = E_PI
     a0 = h[0]
     mh = bohr_operator(h, r, from_degree=1)
     mg = bohr_operator(g, r, from_degree=1)
-    tail_h = cauchy_tail_bound(pair.spec.eval, 0.3, h.order, r) if r > 0 \
-        else 0.0
+    tail_h = cauchy_tail_bound(pair.spec.modulus_bound(0.3), 0.3, h.order,
+                               r) if r > 0 else 0.0
     tail_g = _g_tail_bound(pair, r) if r > 0 else 0.0
     sup_mu = _sup_on_circle(pair.mu, r) if r > 0 else abs(pair.mu[0])
     dist = boundary_distance(pair.spec)

@@ -109,14 +109,15 @@ def run_von_neumann(seed: int = 7, trials: int = 50,
         # boundary distance below one.  Both scale linearly.
         m_f = bohr.bohr_operator(spec.series, E_PI, 0)
         dist = geometry.boundary_distance(spec).value
-        spec = spec.scaled(0.3 / max(m_f, dist))
+        c = 0.3 / max(m_f, dist)
+        spec = spec.scaled(c)
         if t % 3 == 0:
             p = TruncatedSeries([0.0, 1.0], "w")           # identity
         elif t % 3 == 1:
             p = TruncatedSeries([0.0, 0.0, 1.0], "w^2")
         else:
             p = gen.random_polynomial(ts + 1, 2 + t % 5)
-        rep = bohr.von_neumann_check(spec, p, r=E_PI)
+        rep = bohr.von_neumann_check(spec, p, dist * c, r=E_PI)
         res.rows.append(rep.row() | {"trial": t})
         if not rep.passed:
             res.passed = False

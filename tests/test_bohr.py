@@ -5,6 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bohrlab.bohr
+import bohrlab.generators
+import bohrlab.geometry
+import bohrlab.modular
 from bohrlab.bohr import (BASE_SLACK, algebra_properties_check, bohr_operator,
                           bohr_radius_solve, cauchy_tail_bound,
                           classical_bohr_check, littlewood_check,
@@ -12,10 +16,13 @@ from bohrlab.bohr import (BASE_SLACK, algebra_properties_check, bohr_operator,
                           shift_polynomial, von_neumann_check)
 from bohrlab.errors import BracketError, DomainError, HypothesisViolation
 from bohrlab.generators import (identity_schwarz, make_large_function,
-                                random_mobius_bounded, random_schwarz)
+                                random_large_function, random_mobius_bounded,
+                                random_schwarz)
 from bohrlab.geometry import boundary_distance
+from bohrlab.harmonic import build_pair, harmonic_bohr_check
 from bohrlab.modular import E_PI
-from bohrlab.series import TruncatedSeries
+from bohrlab.series import TruncatedSeries, unit_ring
+from bohrlab.sweeps import run_von_neumann
 
 
 # -- majorant operator -------------------------------------------------------
@@ -43,21 +50,96 @@ def test_operator_monotone_in_r(r, coeffs):
 
 
 def test_tail_bound_dominates_geometric_tail():
-    # f = 1/(1-z): the degree->order tail at r is r^{order+1}/(1-r).
+    # f = 1/(1-z): the degree->order tail at r is r^{order+1}/(1-r), and
+    # 1/(1-rho) is the exact max of |f| on |z| = rho.
     order, r, rho = 10, 0.2, 0.5
-
-    def f_eval(z):
-        return 1.0 / (1.0 - z)
-
     true_tail = r ** (order + 1) / (1 - r)
-    bound = cauchy_tail_bound(f_eval, rho, order, r)
+    bound = cauchy_tail_bound(1.0 / (1.0 - rho), rho, order, r)
     assert true_tail <= bound
     assert bound < 1e-3
 
 
 def test_tail_bound_validation():
     with pytest.raises(DomainError):
-        cauchy_tail_bound(lambda z: z, 0.2, 4, 0.5)
+        cauchy_tail_bound(1.0, 0.2, 4, 0.5)
+
+
+def _sampled_max(spec, rho):
+    return float(np.abs(spec.eval(rho * unit_ring(4096))).max())
+
+
+def test_modulus_bound_dominates_sampled_max():
+    for s in range(200):
+        spec = random_large_function(s)
+        for rho in (0.1, 0.3, 0.6, 0.9):
+            assert spec.modulus_bound(rho) >= _sampled_max(spec, rho), \
+                (s, rho)
+    for alpha in (1e-3, 0.1, math.pi, 10.0, 50.0):
+        spec = make_large_function(0.0, 1.0, alpha, identity_schwarz(), 16)
+        for rho in (0.1, 0.3, 0.6, 0.9):
+            bound = spec.modulus_bound(rho)
+            assert np.isfinite(bound), (alpha, rho)
+            assert bound >= _sampled_max(spec, rho), (alpha, rho)
+
+
+def test_closed_form_tail_dominates_true_tail():
+    for seed in (3, 11):
+        spec = random_large_function(seed, order=200)
+        mags = np.abs(spec.series.coeffs[65:201])
+        true_tail = float(np.dot(mags, E_PI ** np.arange(65, 201)))
+        bound = cauchy_tail_bound(spec.modulus_bound(0.3), 0.3, 64, E_PI)
+        assert true_tail <= bound, seed
+
+
+def _count_j_points(monkeypatch):
+    points = []
+    j_eval = bohrlab.modular.j_eval
+
+    def counting(w):
+        points.append(np.size(w))
+        return j_eval(w)
+
+    monkeypatch.setattr(bohrlab.modular, "j_eval", counting)
+    monkeypatch.setattr(bohrlab.generators, "j_eval", counting)
+    return points
+
+
+def test_inner_checks_evaluate_a_few_j_points(monkeypatch):
+    spec = make_large_function(0.0, 1.0, math.pi, identity_schwarz(), 64)
+    small = spec.scaled(0.3)
+    pair = build_pair(spec, TruncatedSeries([0.25j]))
+    points = _count_j_points(monkeypatch)
+    main_theorem_check(spec)
+    assert 0 < sum(points) < 10
+    points.clear()
+    von_neumann_check(small, TruncatedSeries([0.0, 1.0]), 0.15)
+    assert 0 < sum(points) < 10
+    points.clear()
+    harmonic_bohr_check(pair)
+    assert 0 < sum(points) < 10
+
+
+def test_main_check_small_alpha_stays_finite():
+    for alpha in (1e-3, 0.02, 0.1):
+        spec = make_large_function(0.0, 1.0, alpha, identity_schwarz(), 64)
+        rep = main_theorem_check(spec)
+        assert np.isfinite([rep.lhs, rep.rhs, rep.tail_bound,
+                            rep.rhs_error]).all(), alpha
+        assert rep.passed, alpha
+
+
+def test_von_neumann_sweep_samples_each_distance_once(monkeypatch):
+    calls = []
+    original = bohrlab.geometry.boundary_distance
+
+    def counting(spec):
+        calls.append(spec)
+        return original(spec)
+
+    monkeypatch.setattr(bohrlab.geometry, "boundary_distance", counting)
+    monkeypatch.setattr(bohrlab.bohr, "boundary_distance", counting)
+    run_von_neumann(seed=7, trials=50)
+    assert len(calls) == 50
 
 
 # -- radius solver -----------------------------------------------------------
@@ -147,17 +229,20 @@ def test_von_neumann_normalized_spec():
     spec = make_large_function(0.0, 1.0, math.pi, identity_schwarz(), 64)
     m = bohr_operator(spec.series, E_PI)
     d = boundary_distance(spec).value
-    spec = spec.scaled(0.3 / max(m, d))
+    c = 0.3 / max(m, d)
+    spec = spec.scaled(c)
     for p in (TruncatedSeries([0.0, 1.0]), TruncatedSeries([0.0, 0.0, 1.0]),
               TruncatedSeries([0.5, -0.25, 0.125])):
-        rep = von_neumann_check(spec, p)
+        rep = von_neumann_check(spec, p, d * c)
         assert rep.passed, rep
 
 
 def test_von_neumann_hypothesis_guard():
     spec = make_large_function(0.0, 1.0, math.pi, identity_schwarz(), 64)
+    d = boundary_distance(spec).value
     with pytest.raises(HypothesisViolation):
-        von_neumann_check(spec.scaled(10.0), TruncatedSeries([0.0, 1.0]))
+        von_neumann_check(spec.scaled(10.0), TruncatedSeries([0.0, 1.0]),
+                          10.0 * d)
 
 
 # -- classical sanity and algebra -------------------------------------------

@@ -10,6 +10,7 @@ import pytest
 from bohrlab.cli import main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+REFERENCE = SRC.parent / "benchmarks" / "reference_seed7.json"
 
 
 def run(capsys, *argv):
@@ -146,3 +147,17 @@ def test_runtime_imports_only_numpy():
     loaded = set(proc.stdout.split())
     assert {"bohrlab", "numpy"} <= loaded
     assert loaded - set(sys.stdlib_module_names) <= {"bohrlab", "numpy"}
+
+
+def test_report_seed7_matches_reference(capsys):
+    ref = json.loads(REFERENCE.read_text())
+    code, out, _ = run(capsys, "report", "--all", "--seed", "7")
+    doc = json.loads(out)
+    assert code == ref["exit_code"] == 1
+    assert doc["pass"] is ref["pass"]
+    got = {s["suite"]: {"checks_run": s["checks_run"],
+                        "failed_trials": sorted(f["trial"]
+                                                for f in s["failures"]
+                                                if "trial" in f)}
+           for s in doc["suites"]}
+    assert got == ref["suites"]
