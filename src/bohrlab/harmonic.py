@@ -23,7 +23,7 @@ import numpy as np
 from .bohr import BASE_SLACK, InequalityCheck, bohr_operator, cauchy_tail_bound
 from .errors import HypothesisViolation
 from .generators import LargeFunctionSpec
-from .geometry import boundary_distance
+from .geometry import DistanceEstimate
 from .modular import E_PI
 from .series import TruncatedSeries, unit_ring
 
@@ -74,9 +74,13 @@ def _g_tail_bound(pair: HarmonicPair, r: float, rho: float = 0.3) -> float:
     return float(mu_bound * terms.sum())
 
 
-def harmonic_bohr_check(pair: HarmonicPair, r: float = E_PI
-                        ) -> InequalityCheck:
-    """Verify the (1 + sup|mu|) boundary-distance bound."""
+def harmonic_bohr_check(pair: HarmonicPair, distance: DistanceEstimate,
+                        r: float = E_PI) -> InequalityCheck:
+    """Verify the (1 + sup|mu|) boundary-distance bound.
+
+    ``distance`` is ``boundary_distance(pair.spec)``, passed in by the
+    caller so that a sweep sharing the spec samples its boundary once.
+    """
     if r > E_PI * (1.0 + 1e-12):
         raise HypothesisViolation("the bound is asserted for r <= e^-pi")
     h, g = pair.h, pair.g
@@ -87,10 +91,9 @@ def harmonic_bohr_check(pair: HarmonicPair, r: float = E_PI
                                r) if r > 0 else 0.0
     tail_g = _g_tail_bound(pair, r) if r > 0 else 0.0
     sup_mu = _sup_on_circle(pair.mu, r) if r > 0 else abs(pair.mu[0])
-    dist = boundary_distance(pair.spec)
     lhs = mh + mg + tail_h + tail_g
-    rhs = (1.0 + sup_mu) * dist.value
-    slack = (1.0 + sup_mu) * dist.error + BASE_SLACK
+    rhs = (1.0 + sup_mu) * distance.value
+    slack = (1.0 + sup_mu) * distance.error + BASE_SLACK
     return InequalityCheck(
         "harmonic-bohr", lhs, rhs, slack, bool(lhs <= rhs + slack),
         {
@@ -99,7 +102,7 @@ def harmonic_bohr_check(pair: HarmonicPair, r: float = E_PI
             "sup_mu": sup_mu,
             "mu_on_axis": abs(complex(pair.mu.eval(r))),
             "with_a0": mh + mg + abs(a0),
-            "distance": dist.value,
+            "distance": distance.value,
         },
     )
 

@@ -13,7 +13,7 @@ closed-form pair with J(z1) = J(z2) beyond the univalence radius.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -363,8 +363,19 @@ def q_deriv(alpha, z):
     return j_deriv(w) * w * (-2.0 * a / (1.0 - z) ** 2)
 
 
-@lru_cache(maxsize=64)
-def _q_series_cached(alpha: float, order: int, nodes: int) -> TruncatedSeries:
+def q_series(alpha, order: int, nodes: int = 2048) -> TruncatedSeries:
+    """Series of Q about 0.
+
+    J is recentred about w0 = e^{-alpha} by Cauchy integrals on a circle of
+    radius (1 - w0)/2, then composed with the series of
+    exp(-alpha (1+z)/(1-z)) - w0.  Not cached: random specs draw a fresh
+    alpha each, and the sweeps keep the specs they share instead.
+    """
+    if order < 1:
+        raise DomainError("order must be >= 1")
+    if nodes <= 2 * order:
+        raise DomainError("need more quadrature nodes than 2*order")
+    alpha = _alpha_value(alpha)
     w0 = math.exp(-alpha)
     rho = 0.5 * (1.0 - w0)
     circle = w0 + rho * unit_ring(nodes)
@@ -379,20 +390,6 @@ def _q_series_cached(alpha: float, order: int, nodes: int) -> TruncatedSeries:
     w = exp_series(TruncatedSeries(mob), order)
     u = w - TruncatedSeries.constant(w[0])  # exact zero constant term
     return recentred.compose(u, order)
-
-
-def q_series(alpha, order: int, nodes: int = 2048) -> TruncatedSeries:
-    """Series of Q about 0.
-
-    J is recentred about w0 = e^{-alpha} by Cauchy integrals on a circle of
-    radius (1 - w0)/2, then composed with the series of
-    exp(-alpha (1+z)/(1-z)) - w0.
-    """
-    if order < 1:
-        raise DomainError("order must be >= 1")
-    if nodes <= 2 * order:
-        raise DomainError("need more quadrature nodes than 2*order")
-    return _q_series_cached(_alpha_value(alpha), order, nodes)
 
 
 # ---------------------------------------------------------------------------

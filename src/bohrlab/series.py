@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import isqrt
 
 import numpy as np
 
@@ -117,26 +118,38 @@ class TruncatedSeries:
     def compose(self, inner: "TruncatedSeries", order: int) -> "TruncatedSeries":
         """Coefficients of self(inner(z)) up to ``order``.
 
-        The inner series must vanish exactly at 0: only then does a degree-N
-        prefix of the inner series determine the composite exactly to
-        degree N.  Horner starts at the highest nonzero outer coefficient
-        of degree at most ``order`` (0 for an all-zero outer series); the
-        steps above it would only multiply an exact zero.
+        The inner series u must vanish exactly at 0: only then does a
+        degree-N prefix of u determine the composite exactly to degree N,
+        and outer degrees beyond ``order`` cannot reach back.
+
+        Paterson-Stockmeyer with b = max(1, isqrt(top)), ``top`` the
+        highest nonzero outer degree <= ``order``: one matrix product with
+        u^0..u^{b-1} forms the blocks sum_{i<b} c_{jb+i} u^i, and Horner
+        runs over the blocks in g = u^b.  That is b - 1 + top // b
+        truncated products instead of top (15 instead of 64 at top = 64);
+        for top <= 3, b = 1 and it is Horner on the coefficients.
         """
         if inner[0] != 0:
             raise NonzeroInnerConstant(
                 "inner series has constant term %r" % inner[0]
             )
-        inner = inner.truncated(order)
-        # Horner on the outer coefficients.  Since the inner series has
-        # valuation >= 1, outer degrees beyond `order` cannot reach back.
+        u = inner.truncated(order).coeffs
         nonzero = np.flatnonzero(self.coeffs[: order + 1])
         top = int(nonzero[-1]) if nonzero.size else 0
-        acc = np.zeros(order + 1, dtype=complex)
-        acc[0] = self[top]
-        for k in range(top - 1, -1, -1):
-            acc = np.convolve(acc, inner.coeffs)[: order + 1]
-            acc[0] += self[k]
+        b = max(1, isqrt(top))
+        powers = np.zeros((b + 1, order + 1), dtype=complex)
+        powers[0, 0] = 1.0
+        powers[1] = u
+        for i in range(2, b + 1):
+            powers[i] = np.convolve(powers[i - 1], u)[: order + 1]
+        nblocks = top // b + 1
+        c = np.zeros(nblocks * b, dtype=complex)
+        c[: top + 1] = self.coeffs[: top + 1]
+        blocks = c.reshape(nblocks, b) @ powers[:b]
+        g = powers[b]
+        acc = blocks[-1]
+        for j in range(nblocks - 2, -1, -1):
+            acc = np.convolve(acc, g)[: order + 1] + blocks[j]
         return TruncatedSeries(acc)
 
     def reciprocal(self, order: int) -> "TruncatedSeries":

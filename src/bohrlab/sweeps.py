@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -98,18 +99,29 @@ def run_theorem4(seed: int = 7, trials: int = 100, order: int = 64,
     return res
 
 
+@lru_cache(maxsize=64)
+def _spec_and_distance(trial_seed: int, order: int
+                       ) -> tuple[gen.LargeFunctionSpec,
+                                  geometry.DistanceEstimate]:
+    """The spec of a von-neumann or harmonic trial and its boundary
+    distance.  Both suites draw ``random_large_function(trial_seed, order)``
+    for the same trial seeds, so a report builds and samples each spec once.
+    The cache holds more than the 50 default trials of a suite."""
+    spec = gen.random_large_function(trial_seed, order)
+    return spec, geometry.boundary_distance(spec)
+
+
 def run_von_neumann(seed: int = 7, trials: int = 50,
                     order: int = 64) -> SuiteResult:
     res = SuiteResult("von-neumann", trials, True)
     for t in range(trials):
         ts = _trial_seed(seed, t)
-        spec = gen.random_large_function(ts, order)
+        spec, dist = _spec_and_distance(ts, order)
         # Normalize: the Banach-algebra reading of the inequality concerns
         # elements of small majorant norm, and the hypothesis needs the
         # boundary distance below one.  Both scale linearly.
         m_f = bohr.bohr_operator(spec.series, E_PI, 0)
-        dist = geometry.boundary_distance(spec).value
-        c = 0.3 / max(m_f, dist)
+        c = 0.3 / max(m_f, dist.value)
         spec = spec.scaled(c)
         if t % 3 == 0:
             p = TruncatedSeries([0.0, 1.0], "w")           # identity
@@ -117,7 +129,7 @@ def run_von_neumann(seed: int = 7, trials: int = 50,
             p = TruncatedSeries([0.0, 0.0, 1.0], "w^2")
         else:
             p = gen.random_polynomial(ts + 1, 2 + t % 5)
-        rep = bohr.von_neumann_check(spec, p, dist * c, r=E_PI)
+        rep = bohr.von_neumann_check(spec, p, dist.value * c, r=E_PI)
         res.rows.append(rep.row() | {"trial": t})
         if not rep.passed:
             res.passed = False
@@ -147,8 +159,9 @@ def harmonic_trial(trial_seed: int, t: int, order: int = 64
     """The spec and dilatation of trial `t` of the harmonic sweep.
 
     mu cycles through zero, a constant and a Moebius map with the trial.
+    The spec is the von-neumann suite's spec of the same trial seed.
     """
-    return (gen.random_large_function(trial_seed, order),
+    return (_spec_and_distance(trial_seed, order)[0],
             _harmonic_mu(trial_seed + 17, t, order))
 
 
@@ -159,7 +172,8 @@ def run_harmonic(seed: int = 7, trials: int = 50,
         ts = _trial_seed(seed, t)
         spec, mu = harmonic_trial(ts, t, order)
         pair = harmonic.build_pair(spec, mu)
-        rep = harmonic.harmonic_bohr_check(pair)
+        rep = harmonic.harmonic_bohr_check(
+            pair, _spec_and_distance(ts, order)[1])
         ident = harmonic.mg_integral_identity_check(pair, 0.2)
         tags = {"trial": t, "seed": ts, "exact_distance": spec.phi.is_inner}
         res.rows.append(rep.row() | tags)

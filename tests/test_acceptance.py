@@ -24,6 +24,7 @@ import pytest
 
 from bohrlab.bohr import BASE_SLACK, bohr_radius_solve, main_theorem_check
 from bohrlab.generators import identity_schwarz, make_large_function
+from bohrlab.geometry import boundary_distance
 from bohrlab.harmonic import build_pair, harmonic_bohr_check
 from bohrlab.modular import E_PI, a_coeffs, j_coeffs_exact, j_eval
 from bohrlab.series import TruncatedSeries
@@ -289,7 +290,7 @@ def test_criterion_09_harmonic_extension():
     # Part 1: the mu = 0 reduction must reproduce the analytic check.
     spec = make_large_function(0.0, 1.0, math.pi, identity_schwarz(), 64)
     pair = build_pair(spec, TruncatedSeries([0.0]))
-    rep = harmonic_bohr_check(pair)
+    rep = harmonic_bohr_check(pair, boundary_distance(spec))
     base = main_theorem_check(spec)
     reduction_ok = (
         abs(rep.extra["analytic_majorant"] - base.lhs) < 1e-15
@@ -298,7 +299,8 @@ def test_criterion_09_harmonic_extension():
     )
     # Part 2: constant dilatation scales the bound by exactly (1 + |c|).
     c = 0.6
-    repc = harmonic_bohr_check(build_pair(spec, TruncatedSeries([c])))
+    repc = harmonic_bohr_check(build_pair(spec, TruncatedSeries([c])),
+                               boundary_distance(spec))
     constant_ok = (repc.passed
                    and abs(repc.rhs - (1 + c) * rep.rhs) < 1e-12
                    and abs(repc.extra["coanalytic_majorant"]
@@ -307,7 +309,8 @@ def test_criterion_09_harmonic_extension():
     # verdicts must replay and agree with the oracle.
     pytest.importorskip("mpmath")
     spec, base, readme_ok = readme_counterexample()
-    rep0 = harmonic_bohr_check(build_pair(spec, TruncatedSeries([0.0])))
+    rep0 = harmonic_bohr_check(build_pair(spec, TruncatedSeries([0.0])),
+                               boundary_distance(spec))
     readme_ok = (readme_ok and not rep0.passed
                  and abs(rep0.lhs / rep0.rhs / (base.lhs / base.rhs) - 1)
                  <= AGREE_RTOL)
@@ -315,7 +318,8 @@ def test_criterion_09_harmonic_extension():
     replay_ok, confirmed, refuted = True, [], []
     for rec in res.failures:
         spec, mu = harmonic_trial(rec["seed"], rec["trial"])
-        rep = harmonic_bohr_check(build_pair(spec, mu))
+        rep = harmonic_bohr_check(build_pair(spec, mu),
+                                  boundary_distance(spec))
         replay_ok &= (spec.text() == rec["spec"] and mu.label == rec["mu"]
                       and list(mu.coeffs) == rec["mu_coeffs"]
                       and rep.lhs == rec["lhs"] and rep.rhs == rec["rhs"])
@@ -325,7 +329,7 @@ def test_criterion_09_harmonic_extension():
             (confirmed if ok else refuted).append(rec["trial"])
     tight = tightest_exact_pass(res.rows, "harmonic-bohr")
     spec, mu = harmonic_trial(tight["seed"], tight["trial"])
-    rep = harmonic_bohr_check(build_pair(spec, mu))
+    rep = harmonic_bohr_check(build_pair(spec, mu), boundary_distance(spec))
     tight_ok = confirms(oracle(spec, mu.coeffs), rep.lhs, rep.rhs,
                         rep.slack, False, SUP_MU_RTOL)
     ok = (reduction_ok and constant_ok and readme_ok and replay_ok

@@ -9,6 +9,7 @@ import bohrlab.bohr
 import bohrlab.generators
 import bohrlab.geometry
 import bohrlab.modular
+import bohrlab.sweeps
 from bohrlab.bohr import (BASE_SLACK, algebra_properties_check, bohr_operator,
                           bohr_radius_solve, cauchy_tail_bound,
                           classical_bohr_check, littlewood_check,
@@ -115,7 +116,7 @@ def test_inner_checks_evaluate_a_few_j_points(monkeypatch):
     von_neumann_check(small, TruncatedSeries([0.0, 1.0]), 0.15)
     assert 0 < sum(points) < 10
     points.clear()
-    harmonic_bohr_check(pair)
+    harmonic_bohr_check(pair, boundary_distance(spec))
     assert 0 < sum(points) < 10
 
 
@@ -138,6 +139,7 @@ def test_von_neumann_sweep_samples_each_distance_once(monkeypatch):
 
     monkeypatch.setattr(bohrlab.geometry, "boundary_distance", counting)
     monkeypatch.setattr(bohrlab.bohr, "boundary_distance", counting)
+    bohrlab.sweeps._spec_and_distance.cache_clear()
     run_von_neumann(seed=7, trials=50)
     assert len(calls) == 50
 

@@ -110,17 +110,18 @@ def test_boundary_distance_matches_eleven_circles():
 def test_boundary_distance_evaluates_three_circles(monkeypatch):
     points = []
     j_eval = bohrlab.modular.j_eval
+    sampled = _sampled_specs()[0]
+    inner = make_large_function(0.0, 1.0, math.pi, identity_schwarz(), 48)
 
     def counting(w):
         points.append(np.size(w))
         return j_eval(w)
 
     monkeypatch.setattr(bohrlab.modular, "j_eval", counting)
-    boundary_distance(_sampled_specs()[0])
+    boundary_distance(sampled)
     assert sum(points) == 3 * 4096
     points.clear()
-    boundary_distance(
-        make_large_function(0.0, 1.0, math.pi, identity_schwarz(), 48))
+    boundary_distance(inner)
     assert points == []
 
 

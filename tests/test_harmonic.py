@@ -4,13 +4,18 @@ import numpy as np
 import numpy.polynomial.polynomial as P
 import pytest
 
+import bohrlab.generators
+import bohrlab.geometry
+import bohrlab.sweeps
 from bohrlab.bohr import main_theorem_check
 from bohrlab.errors import HypothesisViolation
 from bohrlab.generators import (identity_schwarz, make_large_function,
                                 random_large_function, random_mobius_bounded)
+from bohrlab.geometry import boundary_distance
 from bohrlab.harmonic import (HarmonicPair, build_pair, harmonic_bohr_check,
                               mg_integral_identity_check)
 from bohrlab.series import TruncatedSeries
+from bohrlab.sweeps import run_suite
 
 
 def central_spec(order=64):
@@ -37,7 +42,7 @@ def test_pair_requires_vanishing_g():
 def test_zero_dilatation_reduces_to_analytic_case():
     spec = central_spec()
     pair = build_pair(spec, TruncatedSeries([0.0]))
-    rep = harmonic_bohr_check(pair)
+    rep = harmonic_bohr_check(pair, boundary_distance(spec))
     base = main_theorem_check(spec)
     assert rep.passed
     assert rep.extra["coanalytic_majorant"] == 0.0
@@ -49,8 +54,10 @@ def test_zero_dilatation_reduces_to_analytic_case():
 def test_constant_dilatation_scales_the_bound():
     spec = central_spec()
     c = 0.6
-    rep0 = harmonic_bohr_check(build_pair(spec, TruncatedSeries([0.0])))
-    rep = harmonic_bohr_check(build_pair(spec, TruncatedSeries([c])))
+    rep0 = harmonic_bohr_check(build_pair(spec, TruncatedSeries([0.0])),
+                               boundary_distance(spec))
+    rep = harmonic_bohr_check(build_pair(spec, TruncatedSeries([c])),
+                              boundary_distance(spec))
     assert rep.passed
     assert rep.extra["sup_mu"] == pytest.approx(c, abs=1e-12)
     assert rep.rhs == pytest.approx((1 + c) * rep0.rhs, rel=1e-12)
@@ -67,7 +74,8 @@ def test_mobius_dilatation_passes_for_good_specs():
         if not base.passed:
             continue  # inherits the genuine counterexample of the base case
         mu = random_mobius_bounded(seed + 50, order=64)
-        rep = harmonic_bohr_check(build_pair(spec, mu))
+        rep = harmonic_bohr_check(build_pair(spec, mu),
+                                  boundary_distance(spec))
         assert rep.passed, (seed, rep)
 
 
@@ -98,4 +106,24 @@ def test_gauss_legendre_matches_exact_antiderivative(order):
 def test_radius_guard():
     pair = build_pair(central_spec(), TruncatedSeries([0.0]))
     with pytest.raises(HypothesisViolation):
-        harmonic_bohr_check(pair, r=0.5)
+        harmonic_bohr_check(pair, boundary_distance(pair.spec), r=0.5)
+
+
+def test_harmonic_sweep_reuses_von_neumann_trials(monkeypatch):
+    """Both sweeps draw the same spec per trial seed: after von-neumann,
+    harmonic builds and samples nothing again, and its rows are those of a
+    cold run."""
+    bohrlab.sweeps._spec_and_distance.cache_clear()
+    cold = run_suite("harmonic", 7).rows
+    bohrlab.sweeps._spec_and_distance.cache_clear()
+    run_suite("von-neumann", 7)
+    calls = []
+    for module, name in ((bohrlab.geometry, "boundary_distance"),
+                         (bohrlab.generators, "make_large_function")):
+        def counting(*args, _original=getattr(module, name), _name=name):
+            calls.append(_name)
+            return _original(*args)
+        monkeypatch.setattr(module, name, counting)
+    warm = run_suite("harmonic", 7).rows
+    assert calls == []
+    assert warm == cold

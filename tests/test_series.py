@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -123,6 +124,86 @@ def test_compose_from_top_coefficient_matches_full_horner(degree):
     outer, inner = TruncatedSeries(coeffs), TruncatedSeries(c)
     assert np.array_equal(outer.compose(inner, 64).coeffs,
                           _full_horner(outer, inner, 64))
+
+
+def _dyadic(values):
+    """Gaussian integers (re, im) and an exponent e with values = . / 2^e,
+    exactly (every finite float is a dyadic rational)."""
+    parts = [Fraction(x) for v in values for x in (v.real, v.imag)]
+    e = max(q.denominator.bit_length() - 1 for q in parts)
+    ints = [int(q * 2**e) for q in parts]
+    return list(zip(ints[::2], ints[1::2])), e
+
+
+def _exact_compose(outer, inner, top, order):
+    """outer(inner(z)) to degree ``order`` as exact Fraction pairs: Horner
+    in Gaussian integers over the common denominators of the floats."""
+    c, t = _dyadic(outer[: top + 1])
+    u, s = _dyadic(inner[: order + 1])
+    acc = [c[top]] + [(0, 0)] * order        # denominator 2^(t + k s)
+    for k in range(top - 1, -1, -1):
+        nxt = [(0, 0)] * (order + 1)
+        for i, (ar, ai) in enumerate(acc):
+            if ar or ai:
+                for n in range(i + 1, order + 1):
+                    br, bi = u[n - i]
+                    xr, xi = nxt[n]
+                    nxt[n] = (xr + ar * br - ai * bi, xi + ar * bi + ai * br)
+        shift = 2 ** ((top - k) * s)
+        nxt[0] = (nxt[0][0] + c[k][0] * shift, nxt[0][1] + c[k][1] * shift)
+        acc = nxt
+    den = 2 ** (t + top * s)
+    return [(Fraction(re, den), Fraction(im, den)) for re, im in acc]
+
+
+@pytest.mark.parametrize("top", [4, 8, 9, 15, 16, 17, 63, 64])
+def test_compose_within_rounding_budget_of_exact(top):
+    """Paterson-Stockmeyer against exact rational arithmetic on the same
+    float inputs, coefficient by coefficient, at order N = 64.
+
+    Budget.  Let u = eps/2 and theta = sqrt(2) gamma_{2(N+1)}, with
+    gamma_m = m u / (1 - m u).  Every step of compose (a truncated
+    product, a row of the block matrix product) is a complex sum of at most
+    N + 1 products; evaluated in any order, by complex or by separate real
+    and imaginary accumulation, its error is at most theta sum |a_k||b_k|.
+    If inputs are within (F_a - 1) and (F_b - 1) of their majorants A, B
+    (A_k >= |a_k|), that sum of products is within ((1 + theta) F_a F_b - 1)
+    of the majorant sum A * B, and an addition turns max(F) into
+    (1 + u) max(F).  So u^i is within (1 + theta)^(i-1), g = u^b and each
+    block within (1 + theta)^b, and after the J = top // b Horner steps
+    the result is within F = (1 + u)^J (1 + theta)^(b (J + 1)) of the
+    majorant (|outer| o |inner|)_n.  With b (J + 1) + J <= top + b +
+    top / b <= 2 top + 1, F - 1 <= (2 top + 1) theta / (1 - (2 top + 1)
+    theta) <= 2 sqrt(2) (1 + 1e-11) (N + 1)(top + 1) eps at N = 64.  The
+    test allows gamma (top + 1) eps (|outer| o |inner|)_n with
+    gamma = 3 (N + 1), which also covers the rounding of the float
+    majorant (all its terms are positive).  The error is one-sided: it is
+    an upper bound on |computed - exact|, never an estimate of it.
+    """
+    order = 64
+    rng = np.random.default_rng(top)
+    outer = np.zeros(order + 1, dtype=complex)
+    outer[: top + 1] = rng.standard_normal(top + 1) \
+        + 1j * rng.standard_normal(top + 1)
+    # |u_1| = 1 keeps u^top visible in the top coefficients, so a lost or
+    # misplaced block shows there too.
+    inner = (rng.standard_normal(order + 1)
+             + 1j * rng.standard_normal(order + 1)) \
+        * 0.5 ** np.arange(order + 1)
+    inner[0], inner[1] = 0, np.exp(2j * np.pi * rng.random())
+    got = TruncatedSeries(outer).compose(TruncatedSeries(inner), order)
+    exact = _exact_compose(outer, inner, top, order)
+    majorant = np.zeros(order + 1)
+    majorant[0] = abs(outer[top])
+    for k in range(top - 1, -1, -1):
+        majorant = np.convolve(majorant, np.abs(inner))[: order + 1]
+        majorant[0] += abs(outer[k])
+    budget = 3 * (order + 1) * (top + 1) * np.finfo(float).eps * majorant
+    for n, (re, im) in enumerate(exact):
+        c = complex(got.coeffs[n])
+        err = math.hypot(float(Fraction(c.real) - re),
+                         float(Fraction(c.imag) - im))
+        assert err <= budget[n], (n, err, budget[n])
 
 
 def test_compose_requires_vanishing_inner():
