@@ -12,11 +12,15 @@ from .errors import (BracketError, DomainError, HypothesisViolation)
 from .generators import LargeFunctionSpec, SchwarzFunction
 from .geometry import boundary_distance
 from .modular import E_PI, a_coeffs, j_eval, minus_j_minus_series
-from .series import TruncatedSeries, unit_ring
+from .series import TruncatedSeries, circle_sup
 
 #: Fixed absolute slack added to every inequality check on top of any
 #: explicit tail bound and distance-oracle error.
 BASE_SLACK = 1e-9
+
+#: Radius of the circle whose closed-form modulus bound gives every Cauchy
+#: tail bound of the inequality checks.
+TAIL_RHO = 0.3
 
 
 def bohr_operator(f: TruncatedSeries, r: float, from_degree: int = 0) -> float:
@@ -111,7 +115,7 @@ class TheoremReport:
 
     lhs: float              # sum_{n>=1} |a_n| r^n over the prefix
     rhs: float              # boundary distance estimate
-    tail_bound: float       # upper bound from spec.modulus_bound(tail_rho)
+    tail_bound: float       # upper bound from spec.modulus_bound(TAIL_RHO)
     rhs_error: float        # distance-oracle error
     passed: bool
 
@@ -160,17 +164,14 @@ def littlewood_check(phi: SchwarzFunction, order: int,
     )
 
 
-def main_theorem_check(spec: LargeFunctionSpec, r: float = E_PI,
-                       order: int | None = None,
-                       tail_rho: float = 0.3) -> TheoremReport:
+def main_theorem_check(spec: LargeFunctionSpec,
+                       r: float = E_PI) -> TheoremReport:
     """Verify sum_{n>=1} |a_n| r^n <= dist(F(0), boundary of F(U))."""
     if r > E_PI * (1.0 + 1e-12):
         raise DomainError("the inequality is asserted for r <= e^-pi")
-    if order is None:
-        order = spec.order
-    lhs = bohr_operator(spec.series.truncated(order), r, from_degree=1)
-    tail = cauchy_tail_bound(spec.modulus_bound(tail_rho), tail_rho, order,
-                             r) if r > 0 else 0.0
+    lhs = bohr_operator(spec.series.truncated(spec.order), r, from_degree=1)
+    tail = cauchy_tail_bound(spec.modulus_bound(TAIL_RHO), TAIL_RHO,
+                             spec.order, r) if r > 0 else 0.0
     dist = boundary_distance(spec)
     passed = lhs + tail <= dist.value + dist.error + BASE_SLACK
     return TheoremReport(lhs, dist.value, tail, dist.error, passed)
@@ -189,19 +190,15 @@ def shift_polynomial(p: TruncatedSeries, c: complex) -> TruncatedSeries:
     return TruncatedSeries(out)
 
 
-def polynomial_sup(p: TruncatedSeries, nodes: int = 4096) -> float:
-    """Sampled sup of |p| on the unit circle."""
-    return float(np.abs(p.eval(unit_ring(nodes))).max())
-
-
 def von_neumann_check(spec: LargeFunctionSpec, p: TruncatedSeries,
                       distance: float, r: float = E_PI,
                       order: int | None = None) -> InequalityCheck:
     """Check M(p(F))(r) <= sup of |p| on the unit circle.
 
     Requires the boundary distance ``distance`` of F to be below 1.  The
-    tail uses |p(F)| <= sum_k |p_k| M^k, M = ``spec.modulus_bound(0.3)``.
-    Both sides are reported whether or not the inequality holds.
+    tail uses |p(F)| <= sum_k |p_k| M^k, M = ``spec.modulus_bound(TAIL_RHO)``,
+    and the right side samples |p| at 4096 points.  Both sides are reported
+    whether or not the inequality holds.
     """
     if order is None:
         order = spec.order
@@ -216,9 +213,10 @@ def von_neumann_check(spec: LargeFunctionSpec, p: TruncatedSeries,
     )
     composed = shifted.compose(centered, order)
     lhs = bohr_operator(composed, r, from_degree=0)
-    m_p = float(np.polyval(np.abs(p.coeffs[::-1]), spec.modulus_bound(0.3)))
-    tail = cauchy_tail_bound(m_p, 0.3, order, r)
-    rhs = polynomial_sup(p)
+    m_p = float(np.polyval(np.abs(p.coeffs[::-1]),
+                           spec.modulus_bound(TAIL_RHO)))
+    tail = cauchy_tail_bound(m_p, TAIL_RHO, order, r)
+    rhs = circle_sup(p, 1.0, 4096)
     return InequalityCheck(
         "von-neumann", lhs + tail, rhs, BASE_SLACK,
         bool(lhs + tail <= rhs + BASE_SLACK),

@@ -121,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("coeffs", help="series coefficients A_n")
     p.add_argument("--order", type=int, default=20)
     p.add_argument("--exact", action="store_true",
-                   help="integer arithmetic (small orders only)")
+                   help="exact integers instead of doubles")
     p.set_defaults(func=_cmd_coeffs)
 
     p = sub.add_parser("eval", help="evaluate J or Q at a point")

@@ -315,13 +315,13 @@ def random_large_function(
     return make_large_function(a, b, alpha, phi, order)
 
 
-def random_polynomial(seed: int, degree: int,
-                      coeff_bound: float = 1.0) -> TruncatedSeries:
-    """Polynomial with coefficients uniform in a disk; deterministic."""
+def random_polynomial(seed: int, degree: int) -> TruncatedSeries:
+    """Polynomial with coefficients uniform in the unit disk;
+    deterministic."""
     if degree > 16:
         raise DomainError("degree is capped at 16")
     rng = np.random.default_rng(seed)
-    rad = coeff_bound * np.sqrt(rng.random(degree + 1))
+    rad = np.sqrt(rng.random(degree + 1))
     ang = 2 * np.pi * rng.random(degree + 1)
     return TruncatedSeries(rad * np.exp(1j * ang), "random polynomial")
 

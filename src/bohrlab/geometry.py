@@ -147,17 +147,3 @@ def density_distance_check(
         "points": int(products.size),
     }
 
-
-def delta_diagnostic(spec: LargeFunctionSpec, radius: float = 0.9,
-                     nodes: int = 512) -> float:
-    """Coarse estimate of dist(0, boundary of the image of z (F-a)/(b-a)).
-
-    Diagnostic only; sampled on a single interior circle.
-    """
-    a_near, b_far = spec.a, spec.b
-    f0 = spec.f0
-    if abs(f0 - spec.b) < abs(f0 - spec.a):
-        a_near, b_far = spec.b, spec.a
-    z = radius * unit_ring(nodes)
-    h = z * (spec.eval(z) - a_near) / (b_far - a_near)
-    return float(np.abs(h).min())

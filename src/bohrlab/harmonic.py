@@ -20,12 +20,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bohr import BASE_SLACK, InequalityCheck, bohr_operator, cauchy_tail_bound
+from .bohr import (BASE_SLACK, TAIL_RHO, InequalityCheck, bohr_operator,
+                   cauchy_tail_bound)
 from .errors import HypothesisViolation
 from .generators import LargeFunctionSpec
 from .geometry import DistanceEstimate
 from .modular import E_PI
-from .series import TruncatedSeries, unit_ring
+from .series import TruncatedSeries, circle_sup
 
 
 @dataclass(frozen=True)
@@ -52,21 +53,22 @@ def build_pair(spec: LargeFunctionSpec, mu: TruncatedSeries,
     return HarmonicPair(spec, h, gprime.integrate(), mu)
 
 
-def _sup_on_circle(f: TruncatedSeries, r: float, nodes: int = 1024) -> float:
-    return float(np.abs(f.eval(r * unit_ring(nodes))).max())
+#: Points of each circle on which sup|mu| is sampled.
+_MU_NODES = 1024
 
 
-def _g_tail_bound(pair: HarmonicPair, r: float, rho: float = 0.3) -> float:
+def _g_tail_bound(pair: HarmonicPair, r: float) -> float:
     """Tail of M(g) past the stored order.
 
     mu is an exact polynomial, so tail error in g comes from the tail of h:
     |(mu h')_m| <= S sum_{j<=m} (j+1) M_rho / rho^{j+1}, integrated
-    termwise.  M_rho is the closed form ``spec.modulus_bound(rho)``, and
-    S = M(mu)(0.999) is at least sup|mu| on |z| <= 0.999 and at least
-    sum_k |mu_k| rho^k, so neither is sampled.  The resulting majorant
-    decays like (r/rho)^n and the finite sum below overshoots the true tail.
+    termwise, with rho = TAIL_RHO.  M_rho is the closed form
+    ``spec.modulus_bound(rho)``, and S = M(mu)(0.999) is at least sup|mu|
+    on |z| <= 0.999 and at least sum_k |mu_k| rho^k, so neither is sampled.
+    The resulting majorant decays like (r/rho)^n and the finite sum below
+    overshoots the true tail.
     """
-    order = pair.g.order
+    order, rho = pair.g.order, TAIL_RHO
     m_rho = pair.spec.modulus_bound(rho)
     mu_bound = bohr_operator(pair.mu, 0.999)
     n = np.arange(order + 1, order + 200)
@@ -87,10 +89,10 @@ def harmonic_bohr_check(pair: HarmonicPair, distance: DistanceEstimate,
     a0 = h[0]
     mh = bohr_operator(h, r, from_degree=1)
     mg = bohr_operator(g, r, from_degree=1)
-    tail_h = cauchy_tail_bound(pair.spec.modulus_bound(0.3), 0.3, h.order,
-                               r) if r > 0 else 0.0
+    tail_h = cauchy_tail_bound(pair.spec.modulus_bound(TAIL_RHO), TAIL_RHO,
+                               h.order, r) if r > 0 else 0.0
     tail_g = _g_tail_bound(pair, r) if r > 0 else 0.0
-    sup_mu = _sup_on_circle(pair.mu, r) if r > 0 else abs(pair.mu[0])
+    sup_mu = circle_sup(pair.mu, r, _MU_NODES) if r > 0 else abs(pair.mu[0])
     lhs = mh + mg + tail_h + tail_g
     rhs = (1.0 + sup_mu) * distance.value
     slack = (1.0 + sup_mu) * distance.error + BASE_SLACK
@@ -137,7 +139,7 @@ def mg_integral_identity_check(pair: HarmonicPair, r: float,
     gap = abs(integral - direct)
     passed = gap <= tol + quad_err and gp_mags.size == max(g.order, 1)
     extra = {"integral": integral, "direct": direct, "quad_error": quad_err}
-    sup_mu = _sup_on_circle(pair.mu, 0.999)
+    sup_mu = circle_sup(pair.mu, 0.999, _MU_NODES)
     if sup_mu <= 1.0 + 1e-12:
         mh_shifted = bohr_operator(pair.h, r, from_degree=1)
         extra["domination_margin"] = mh_shifted - direct

@@ -2,12 +2,13 @@
 
 J(z) = 16 z prod_{n>=1} [(1 + z^{2n}) / (1 + z^{2n-1})]^8 covers the
 twice-punctured plane C \\ {0, 1} from the punctured unit disk.  This module
-provides its series expansion (float and exact-integer), the positive
-coefficient sequence A_n of -J(-z) = 16 z sum A_n z^n, pointwise evaluation
-of J and J' (modular reduction of the nome, then theta sums, in bounded
-blocks; non-finite results raise DomainError), the induced covering map
-Q(z) = J(exp(-alpha (1+z)/(1-z))), a randomized injectivity probe and a
-closed-form pair with J(z1) = J(z2) beyond the univalence radius.
+provides its series expansion (exact integers and their nearest doubles),
+the positive coefficient sequence A_n of -J(-z) = 16 z sum A_n z^n,
+pointwise evaluation of J and J' (modular reduction of the nome, then
+theta sums, in bounded blocks; non-finite results raise DomainError), the
+induced covering map Q(z) = J(exp(-alpha (1+z)/(1-z))), a randomized
+injectivity probe and a closed-form pair with J(z1) = J(z2) beyond the
+univalence radius.
 """
 
 from __future__ import annotations
@@ -27,96 +28,51 @@ E_PI = math.exp(-math.pi)
 #: Radius of univalence of J.
 E_HALF_PI = math.exp(-math.pi / 2)
 
+#: Points of each circle on which ``j_max_modulus`` samples |J|.
+MAX_MODULUS_SAMPLES = 4096
+
 # ---------------------------------------------------------------------------
 # Series expansions
 
 
-def _int_mul(a: list[int], b: list[int], top: int) -> list[int]:
-    out = [0] * (min(top, len(a) + len(b) - 2) + 1)
-    for i, ai in enumerate(a):
-        if ai == 0 or i > top:
-            continue
-        for j, bj in enumerate(b):
-            if i + j > top:
-                break
-            out[i + j] += ai * bj
-    return out
-
-
-def _int_factor_pow8(n: int, top: int) -> list[int]:
-    """((1 + z^{2n}) / (1 + z^{2n-1}))^8 as an exact integer prefix."""
-    m = 2 * n - 1
-    inv = [0] * (top + 1)
-    for k in range(0, top // m + 1):
-        inv[k * m] = (-1) ** k
-    num = [0] * (top + 1)
-    num[0] = 1
-    if 2 * n <= top:
-        num[2 * n] = 1
-    base = _int_mul(num, inv, top)
-    out = [1]
-    for _ in range(8):
-        out = _int_mul(out, base, top)
-    return out
-
-
 @lru_cache(maxsize=None)
 def j_coeffs_exact(order: int) -> tuple[int, ...]:
-    """Exact integer coefficients of J up to the given degree (<= 21).
+    """Exact integer coefficients of J up to the given degree, at any order.
 
-    The cap keeps every intermediate value well inside 64-bit range; the
-    guard below certifies that at run time.
+    The product is 16 z exp(L) with k L_k = 8 sum_{m|k} eps(m)
+    (-1)^{k/m+1} m, eps(m) = +1 for even m and -1 for odd m (the log of
+    (1 + z^m)^{8 eps(m)}); e = exp(L) follows from n e_n = sum_k k L_k
+    e_{n-k} in Python ints.
     """
     if order < 1:
         raise DomainError("order must be >= 1")
-    if order > 21:
-        raise DomainError("exact mode is capped at degree 21")
     top = order - 1
-    prod = [1] + [0] * top
-    n = 1
-    while 2 * n - 1 <= top:
-        prod = _int_mul(prod, _int_factor_pow8(n, top), top)
-        n += 1
-    coeffs = [0] + [16 * c for c in prod]
-    if any(abs(c) >= 2**63 for c in coeffs):
-        raise OverflowError("exact J coefficients left the 64-bit range")
-    return tuple(coeffs[: order + 1])
+    kl = [0] * (top + 1)
+    for m in range(1, top + 1):
+        term = 8 * m if m % 2 == 0 else -8 * m
+        for k in range(m, top + 1, m):
+            kl[k] += term if (k // m) % 2 == 1 else -term
+    e = [1] + [0] * top
+    for n in range(1, top + 1):
+        e[n] = sum(kl[k] * e[n - k] for k in range(1, n + 1)) // n
+    return (0,) + tuple(16 * c for c in e)
 
 
 @lru_cache(maxsize=None)
 def j_series(order: int) -> TruncatedSeries:
-    """Float series of J to the given degree."""
-    if order < 1:
-        raise DomainError("order must be >= 1")
-    top = order - 1
-    prod = np.zeros(top + 1)
-    prod[0] = 1.0
-    n = 1
-    while 2 * n - 1 <= top:
-        m = 2 * n - 1
-        inv = np.zeros(top + 1)
-        inv[::m][: top // m + 1] = [(-1) ** k for k in range(top // m + 1)]
-        num = np.zeros(top + 1)
-        num[0] = 1.0
-        if 2 * n <= top:
-            num[2 * n] = 1.0
-        factor = np.convolve(num, inv)[: top + 1]
-        for _ in range(3):  # factor^8 via three squarings
-            factor = np.convolve(factor, factor)[: top + 1]
-        prod = np.convolve(prod, factor)[: top + 1]
-        n += 1
-    coeffs = np.concatenate([[0.0], 16.0 * prod])
-    return TruncatedSeries(coeffs, "J")
+    """Float series of J to the given degree: each coefficient is the
+    double nearest to its exact integer from ``j_coeffs_exact``."""
+    return TruncatedSeries([float(c) for c in j_coeffs_exact(order)], "J")
 
 
 @dataclass(frozen=True)
 class ModularCoefficients:
     """The positive sequence A_n with -J(-z) = 16 z sum A_n z^n.
 
-    ``a_exact`` holds the integer values for small n (degree <= 20 of J);
-    ``a_float`` extends to ``order`` in double precision.  Positivity,
-    monotonicity and convexity are structural facts about J, so violations
-    signal an implementation bug and are rejected at construction.
+    ``a_exact`` holds the integers A_0..A_order and ``a_float`` the
+    nearest doubles.  Positivity, monotonicity and convexity are
+    structural facts about J, so violations signal an implementation bug
+    and are rejected at construction.
     """
 
     a_exact: tuple[int, ...]
@@ -138,24 +94,15 @@ class ModularCoefficients:
             raise NonPositiveCoefficient("A_n must be nondecreasing")
         if a.size >= 3 and np.any(np.diff(a, 2) < 0):
             raise NonPositiveCoefficient("A_n must be convex")
-        for n, v in enumerate(self.a_exact):
-            if v != a[n]:
-                raise ValueError("exact and float A_%d disagree" % n)
 
 
 def a_coeffs(order: int) -> ModularCoefficients:
-    """Compute A_0..A_order from the series of J."""
+    """A_0..A_order from the exact series of J."""
     if order < 2:
         raise DomainError("order must be >= 2")
-    js = j_series(order + 1)
-    signs = (-1.0) ** np.arange(order + 1)
-    a_float = signs * js.coeffs[1:].real / 16.0
-    n_exact = min(order, 19)
-    exact = j_coeffs_exact(n_exact + 2)
-    a_exact = tuple(
-        (-1) ** n * exact[n + 1] // 16 for n in range(n_exact + 1)
-    )
-    return ModularCoefficients(a_exact, a_float, order)
+    exact = j_coeffs_exact(order + 1)
+    a_exact = tuple((-1) ** n * exact[n + 1] // 16 for n in range(order + 1))
+    return ModularCoefficients(a_exact, [float(a) for a in a_exact], order)
 
 
 def minus_j_minus_series(order: int) -> TruncatedSeries:
@@ -306,19 +253,17 @@ def j_deriv(z):
     return _evaluate(z, deriv=True)
 
 
-def j_max_modulus(r: float, samples: int = 4096) -> tuple[float, float]:
-    """Sampled circle maximum of |J| with its angle.
+def j_max_modulus(r: float) -> tuple[float, float]:
+    """Circle maximum of |J| at MAX_MODULUS_SAMPLES points, with its angle.
 
     The maximum of |J| on |z| = r sits on the negative real axis, so the
     returned angle should land within one grid step of pi.
     """
     if not 0 < r < 1:
         raise DomainError("r must lie in (0, 1)")
-    if samples < 64:
-        raise DomainError("need at least 64 samples")
-    vals = np.abs(j_eval(r * unit_ring(samples)))
+    vals = np.abs(j_eval(r * unit_ring(MAX_MODULUS_SAMPLES)))
     k = int(np.argmax(vals))
-    return float(vals[k]), 2 * math.pi * k / samples
+    return float(vals[k]), 2 * math.pi * k / MAX_MODULUS_SAMPLES
 
 
 # ---------------------------------------------------------------------------
@@ -411,9 +356,11 @@ class ProbeReport:
         return len(self.collisions)
 
 
-def univalence_probe(
-    r: float, trials: int, seed: int, threshold: float = 1e-12
-) -> ProbeReport:
+#: A pair is a collision when |J(z1) - J(z2)| / |z1 - z2| falls below this.
+_COLLISION_RATIO = 1e-12
+
+
+def univalence_probe(r: float, trials: int, seed: int) -> ProbeReport:
     """Search random pairs in |z| <= r for near-equal J values.
 
     Zero collisions are expected for r below the univalence radius
@@ -430,7 +377,7 @@ def univalence_probe(
     keep = dz > 1e-14
     z1, z2, dz = z[0][keep], z[1][keep], dz[keep]
     ratio = np.abs(j_eval(z1) - j_eval(z2)) / dz
-    hits = np.nonzero(ratio < threshold)[0]
+    hits = np.nonzero(ratio < _COLLISION_RATIO)[0]
     collisions = tuple(
         (complex(z1[i]), complex(z2[i])) for i in hits[:32]
     )
@@ -450,8 +397,13 @@ class CollisionReport:
     found: bool
 
 
-def collision_search(r: float = 0.35, gap_target: float = 1e-8,
-                     min_separation: float = 0.02) -> CollisionReport:
+#: A closed-form pair counts as found when its value gap is below
+#: _GAP_TARGET and its points are at least _MIN_SEPARATION apart.
+_GAP_TARGET = 1e-8
+_MIN_SEPARATION = 0.02
+
+
+def collision_search(r: float = 0.35) -> CollisionReport:
     """A genuine pair J(z1) = J(z2) in |z| <= 0.999 r, in closed form.
 
     With w = e^{i pi tau}, J = lambda(tau) is invariant under Gamma(2), which
@@ -470,5 +422,5 @@ def collision_search(r: float = 0.35, gap_target: float = 1e-8,
     z2 = complex(0.0, math.exp(-0.25 * math.pi / t))
     gap = float(abs(j_eval(z1) - j_eval(z2)))
     sep = float(abs(z1 - z2))
-    found = ell <= 0.5 and gap < gap_target and sep >= min_separation
+    found = ell <= 0.5 and gap < _GAP_TARGET and sep >= _MIN_SEPARATION
     return CollisionReport(r, z1, z2, gap, sep, found)

@@ -213,6 +213,11 @@ def unit_ring(nodes: int) -> np.ndarray:
     return ring
 
 
+def circle_sup(f: TruncatedSeries, r: float, nodes: int) -> float:
+    """Sampled max of |f| at ``nodes`` equally spaced points of |z| = r."""
+    return float(np.abs(f.eval(r * unit_ring(nodes))).max())
+
+
 def exp_series(f: TruncatedSeries, order: int) -> TruncatedSeries:
     """Exponential of a series prefix.
 

@@ -17,8 +17,9 @@ import numpy as np
 from . import bohr, geometry, harmonic
 from . import generators as gen
 from .errors import DomainError
-from .modular import (E_HALF_PI, E_PI, collision_search, j_eval,
-                      j_max_modulus, univalence_probe)
+from .modular import (E_HALF_PI, E_PI, MAX_MODULUS_SAMPLES,
+                      collision_search, j_eval, j_max_modulus,
+                      univalence_probe)
 from .series import TruncatedSeries
 
 SUITE_NAMES = (
@@ -92,7 +93,6 @@ def run_theorem4(seed: int = 7, trials: int = 100, order: int = 64,
                 "trial": t, "seed": ts, "spec": spec.text(),
                 "lhs": rep.lhs, "tail_bound": rep.tail_bound,
                 "rhs": rep.rhs, "rhs_error": rep.rhs_error,
-                "delta_diag": geometry.delta_diagnostic(spec),
             })
     res.summary = {"r": r, "order": order, "min_margin": min_margin,
                    "exact_distance_trials": exact_trials}
@@ -227,13 +227,13 @@ def run_algebra(seed: int = 7, trials: int = 100, order: int = 8,
     return res
 
 
-def run_max_modulus(trials: int = 20, samples: int = 4096) -> SuiteResult:
+def run_max_modulus(trials: int = 20) -> SuiteResult:
     """Circle maxima of |J| against |J(-r)| on a ladder of radii."""
     res = SuiteResult("max-modulus", trials, True)
     radii = np.linspace(0.5 / trials, 0.5, trials)
-    step = 2 * np.pi / samples
+    step = 2 * np.pi / MAX_MODULUS_SAMPLES
     for t, r in enumerate(radii):
-        max_sampled, angle = j_max_modulus(float(r), samples)
+        max_sampled, angle = j_max_modulus(float(r))
         bound = abs(complex(j_eval(-float(r)))) * (1.0 + 1e-12)
         ok = max_sampled <= bound and abs(angle - np.pi) <= step * 1.0001
         res.rows.append({"check": "max-modulus", "lhs": max_sampled,
@@ -243,7 +243,7 @@ def run_max_modulus(trials: int = 20, samples: int = 4096) -> SuiteResult:
             res.passed = False
             res.failures.append({"trial": t, "r": float(r),
                                  "max": max_sampled, "angle": angle})
-    max_at_bohr, angle = j_max_modulus(E_PI, samples)
+    max_at_bohr, angle = j_max_modulus(E_PI)
     ok = abs(max_at_bohr - 1.0) <= 1e-10
     res.rows.append({"check": "max-modulus-at-bohr-radius",
                      "lhs": max_at_bohr, "rhs": 1.0, "slack": 1e-10,
@@ -251,7 +251,7 @@ def run_max_modulus(trials: int = 20, samples: int = 4096) -> SuiteResult:
     if not ok:
         res.passed = False
         res.failures.append({"r": E_PI, "max": max_at_bohr})
-    res.summary = {"samples": samples}
+    res.summary = {"samples": MAX_MODULUS_SAMPLES}
     return res
 
 

@@ -13,8 +13,8 @@ import bohrlab.sweeps
 from bohrlab.bohr import (BASE_SLACK, algebra_properties_check, bohr_operator,
                           bohr_radius_solve, cauchy_tail_bound,
                           classical_bohr_check, littlewood_check,
-                          main_theorem_check, polynomial_sup,
-                          shift_polynomial, von_neumann_check)
+                          main_theorem_check, shift_polynomial,
+                          von_neumann_check)
 from bohrlab.errors import BracketError, DomainError, HypothesisViolation
 from bohrlab.generators import (identity_schwarz, make_large_function,
                                 random_large_function, random_mobius_bounded,
@@ -22,7 +22,7 @@ from bohrlab.generators import (identity_schwarz, make_large_function,
 from bohrlab.geometry import boundary_distance
 from bohrlab.harmonic import build_pair, harmonic_bohr_check
 from bohrlab.modular import E_PI
-from bohrlab.series import TruncatedSeries, unit_ring
+from bohrlab.series import TruncatedSeries, circle_sup, unit_ring
 from bohrlab.sweeps import run_von_neumann
 
 
@@ -224,7 +224,7 @@ def test_shift_polynomial_oracle():
 
 def test_polynomial_sup_oracle():
     p = TruncatedSeries([1.0, 1.0])
-    assert polynomial_sup(p) == pytest.approx(2.0, rel=1e-6)
+    assert circle_sup(p, 1.0, 4096) == pytest.approx(2.0, rel=1e-6)
 
 
 def test_von_neumann_normalized_spec():

@@ -27,6 +27,17 @@ def test_coeffs_exact(capsys):
     assert doc["schema"] == 1
 
 
+def test_coeffs_order_200_floats_are_the_exact_integers(capsys):
+    code, out, _ = run(capsys, "coeffs", "--order", "200", "--exact")
+    assert code == 0
+    exact = json.loads(out)["a"]
+    code, out, _ = run(capsys, "coeffs", "--order", "200")
+    assert code == 0
+    floats = json.loads(out)["a"]
+    assert len(exact) == 201
+    assert floats == [float(a) for a in exact]
+
+
 def test_coeffs_float(capsys):
     code, out, _ = run(capsys, "coeffs", "--order", "30")
     doc = json.loads(out)

@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 import bohrlab.modular
-from bohrlab.bohr import TheoremReport
 from bohrlab.errors import DomainError, SingularDerivative
 from bohrlab.generators import (Factor, SchwarzFunction, identity_schwarz,
                                 make_large_function, random_large_function)
-from bohrlab.geometry import (Cover, boundary_distance, delta_diagnostic,
+from bohrlab.geometry import (Cover, boundary_distance,
                               density_distance_check,
                               density_distance_products, disk_identity_cover,
                               hyperbolic_density, q_cover, spec_cover)
@@ -133,16 +132,7 @@ def test_spec_cover_distance():
         min(abs(w - spec.a), abs(w - spec.b)), abs=1e-15)
 
 
-def test_delta_diagnostic_finite():
-    spec = random_large_function(4, order=48)
-    v = delta_diagnostic(spec)
-    assert np.isfinite(v) and v >= 0
-
-
-def test_delta_diagnostic_only_in_theorem4_failures():
-    assert "delta_diag" not in TheoremReport.__dataclass_fields__
+def test_theorem4_failure_record_has_no_delta_diag():
     res = run_theorem4(seed=7, trials=3)       # trial 2 fails at seed 7
     assert [f["trial"] for f in res.failures] == [2]
-    fail = res.failures[0]
-    assert fail["delta_diag"] == delta_diagnostic(
-        theorem4_spec(fail["seed"], 2))
+    assert "delta_diag" not in res.failures[0]

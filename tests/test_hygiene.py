@@ -9,6 +9,44 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "bohrlab"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
+def _private_definitions(source: str) -> set[str]:
+    """Top-level private names (``_x``, not dunders) that a module binds
+    with ``def``, ``class`` or an assignment."""
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, ast.Assign):
+            names += [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target,
+                                                            ast.Name):
+            names.append(node.target.id)
+    return {n for n in names if n.startswith("_") and not n.startswith("__")}
+
+
+def _references(source: str) -> set[str]:
+    """Names a module reads, as a name, an attribute or an import."""
+    refs = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            refs.update(alias.name for alias in node.names)
+    return refs
+
+
+def _unreferenced_private_names(sources: dict[str, str]) -> list[str]:
+    """``module: name`` for each top-level private name that no module of
+    ``sources`` (file name -> source) reads."""
+    refs = set().union(*map(_references, sources.values()))
+    return sorted("%s: %s" % (module, name)
+                  for module, source in sources.items()
+                  for name in _private_definitions(source)
+                  if name not in refs)
+
+
 def _unused_imports(source: str) -> list[str]:
     """Names bound by a top-level import that the module never reads.
 
@@ -39,3 +77,16 @@ def test_unused_import_is_found():
               "import numpy as np\n\n"
               "@lru_cache\ndef f():\n    return np.pi\n")
     assert _unused_imports(source) == ["line 1: cached_property"]
+
+
+def test_every_private_name_is_referenced():
+    sources = {p.name: p.read_text(encoding="utf-8")
+               for p in SRC.glob("*.py")}
+    assert _unreferenced_private_names(sources) == []
+
+
+def test_unreferenced_private_name_is_found():
+    sources = {"a.py": ("_LIMIT = 3\n\ndef _mul(x):\n    return x\n\n"
+                        "def _pow(x):\n    return x * _LIMIT\n"),
+               "b.py": "from .a import _pow\n\nY = _pow(2)\n"}
+    assert _unreferenced_private_names(sources) == ["a.py: _mul"]

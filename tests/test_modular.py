@@ -27,7 +27,48 @@ def mp_lambda(z):
     return complex((mpmath.jtheta(2, 0, q) / mpmath.jtheta(3, 0, q)) ** 4)
 
 
+def theta_lambda_coeffs(order):
+    """Independent oracle: the coefficients of
+    lambda = 16 q (sum_{n>=0} q^{n(n+1)})^4 / (1 + 2 sum_{n>=1} q^{n^2})^4
+    to degree ``order``, by exact integer series division (the divisor has
+    constant term 1)."""
+    top = order - 1
+
+    def mul(a, b):
+        return [sum(a[i] * b[k - i] for i in range(k + 1))
+                for k in range(top + 1)]
+
+    num = [0] * (top + 1)
+    den = [0] * (top + 1)
+    den[0] = 1
+    for n in range(top + 1):
+        if n * (n + 1) <= top:
+            num[n * (n + 1)] = 1
+        if 0 < n * n <= top:
+            den[n * n] = 2
+    num, den = mul(num, num), mul(den, den)
+    num, den = mul(num, num), mul(den, den)
+    quot = []
+    for k in range(top + 1):
+        quot.append(num[k] - sum(den[i] * quot[k - i]
+                                 for i in range(1, k + 1)))
+    return (0,) + tuple(16 * c for c in quot)
+
+
 # -- coefficients ------------------------------------------------------------
+
+
+def test_exact_matches_theta_quotient():
+    oracle = theta_lambda_coeffs(80)
+    for n in range(1, 81):
+        assert j_coeffs_exact(n) == oracle[: n + 1]
+
+
+def test_exact_at_high_order():
+    c = j_coeffs_exact(401)
+    assert len(c) == 402
+    assert c[:81] == j_coeffs_exact(80)
+    assert all((-1) ** (n + 1) * c[n] > 0 for n in range(1, 402))
 
 
 def test_exact_prefix():
@@ -43,20 +84,24 @@ def test_exact_sign_alternation():
 
 def test_exact_caps():
     with pytest.raises(DomainError):
-        j_coeffs_exact(22)
-    with pytest.raises(DomainError):
         j_coeffs_exact(0)
 
 
 def test_float_series_matches_exact():
-    js = j_series(21)
-    assert np.allclose(js.coeffs.real, j_coeffs_exact(21), rtol=1e-13)
-    assert np.all(js.coeffs.imag == 0)
+    """Each float coefficient is the double nearest its exact integer."""
+    for n in (21, 201):
+        js = j_series(n)
+        exact = j_coeffs_exact(n)
+        assert all(js.coeffs.real[k] == float(exact[k])
+                   for k in range(n + 1))
+        assert np.all(js.coeffs.imag == 0)
 
 
 def test_a_prefix_and_shape():
     ac = a_coeffs(100)
     assert ac.a_exact[:5] == A_EXACT_PREFIX
+    assert len(ac.a_exact) == 101
+    assert list(ac.a_float) == [float(v) for v in ac.a_exact]
     a = ac.a_float
     assert np.all(a > 0)
     assert np.all(np.diff(a) > 0)
@@ -255,7 +300,7 @@ def test_scalar_call_cost():
 
 def test_max_modulus_on_negative_axis():
     for r in (0.1, 0.3, E_PI):
-        m, angle = j_max_modulus(r, 4096)
+        m, angle = j_max_modulus(r)
         assert angle == pytest.approx(np.pi, abs=2 * np.pi / 4096 * 1.001)
         assert m == pytest.approx(abs(complex(j_eval(-r))), rel=1e-9)
 
