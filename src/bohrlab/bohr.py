@@ -95,7 +95,8 @@ def bohr_radius_solve(order: int = 200,
 
 @dataclass(frozen=True)
 class InequalityCheck:
-    """One verified inequality lhs <= rhs + slack."""
+    """One verified inequality lhs <= rhs + slack.  ``row()`` is its report
+    row; every row of ``bohr`` and ``sweeps`` is built by it."""
 
     name: str
     lhs: float
@@ -120,9 +121,9 @@ class TheoremReport:
     passed: bool
 
     def row(self) -> dict:
-        return {"check": "theorem-main", "lhs": self.lhs + self.tail_bound,
-                "rhs": self.rhs + self.rhs_error,
-                "slack": BASE_SLACK, "pass": self.passed}
+        return InequalityCheck("theorem-main", self.lhs + self.tail_bound,
+                               self.rhs + self.rhs_error, BASE_SLACK,
+                               self.passed).row()
 
 
 @dataclass(frozen=True)
@@ -135,8 +136,8 @@ class LittlewoodReport:
     passed: bool
 
     def row(self) -> dict:
-        return {"check": "littlewood", "lhs": self.max_ratio, "rhs": 1.0,
-                "slack": BASE_SLACK, "pass": self.passed}
+        return InequalityCheck("littlewood", self.max_ratio, 1.0, BASE_SLACK,
+                               self.passed).row()
 
 
 def littlewood_check(phi: SchwarzFunction, order: int,

@@ -14,22 +14,17 @@ import time
 from . import __version__, reporting, sweeps
 from .bohr import bohr_radius_solve
 from .errors import BohrlabError
-from .modular import a_coeffs, j_coeffs_exact, j_eval, q_eval
+from .modular import a_coeffs, j_eval, q_eval
 from .reporting import eprint, render_json
 
 
 def _cmd_coeffs(args) -> int:
-    doc = {"schema": reporting.SCHEMA, "version": __version__,
-           "order": args.order}
-    if args.exact:
-        j_exact = j_coeffs_exact(args.order + 1)
-        doc["exact"] = True
-        doc["a"] = [(-1) ** n * j_exact[n + 1] // 16
-                    for n in range(args.order + 1)]
-    else:
-        doc["exact"] = False
-        doc["a"] = list(a_coeffs(args.order).a_float)
-    print(render_json(doc))
+    coeffs = a_coeffs(args.order)
+    print(render_json({
+        "schema": reporting.SCHEMA, "version": __version__,
+        "order": args.order, "exact": args.exact,
+        "a": list(coeffs.a_exact if args.exact else coeffs.a_float),
+    }))
     return 0
 
 
@@ -57,13 +52,21 @@ def _cmd_bohr_radius(args) -> int:
     return 0
 
 
-def _cmd_verify(args) -> int:
+def _run_suite(name: str, seed: int, trials: int | None = None,
+               tolerance: float | None = None) -> sweeps.SuiteResult:
+    """Run a suite, re-judge its rows at ``tolerance`` if one is given, and
+    print its check count, failures and time to stderr."""
     t0 = time.perf_counter()
-    result = sweeps.run_suite(args.suite, args.seed, args.trials)
-    elapsed = time.perf_counter() - t0
+    result = sweeps.run_suite(name, seed, trials)
+    if tolerance is not None:
+        reporting.apply_tolerance_override(result, tolerance)
     eprint("suite %s: %d checks, %d failed, %.2fs" % (
-        result.name, len(result.rows),
-        sum(1 for r in result.rows if not r["pass"]), elapsed))
+        name, len(result.rows), result.failed, time.perf_counter() - t0))
+    return result
+
+
+def _cmd_verify(args) -> int:
+    result = _run_suite(args.suite, args.seed, args.trials)
     print(render_json(
         reporting.suite_document(result, args.seed, __version__)))
     return 0 if result.passed else 1
@@ -89,17 +92,8 @@ def _cmd_report(args) -> int:
     if not names:
         raise BohrlabError("report needs --all or at least one --suite")
     overrides = _parse_overrides(args.tolerance)
-    results = []
-    for name in names:
-        t0 = time.perf_counter()
-        res = sweeps.run_suite(name, args.seed)
-        if name in overrides:
-            reporting.apply_tolerance_override(res, overrides[name])
-        eprint("suite %s: %d checks, %d failed, %.2fs" % (
-            name, len(res.rows),
-            sum(1 for r in res.rows if not r["pass"]),
-            time.perf_counter() - t0))
-        results.append(res)
+    results = [_run_suite(name, args.seed, tolerance=overrides.get(name))
+               for name in names]
     if args.csv:
         rows = [row for res in results for row in res.rows]
         n = reporting.write_csv(rows, args.csv)

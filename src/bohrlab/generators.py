@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateSpec, DomainError
-from .modular import CoveringParameter, j_eval, q_deriv, q_eval, q_series
+from .modular import CoveringParameter, j_eval, q_eval, q_series
 from .series import TruncatedSeries
 
 
@@ -73,23 +73,6 @@ class Factor:
             return self.param.real * z
         c = self.param
         return z * (z + c) / (1.0 + np.conj(c) * z)
-
-    def deriv(self, z):
-        if self.kind == "identity":
-            return np.ones_like(np.asarray(z, dtype=complex))
-        if self.kind == "rotation":
-            return np.full_like(np.asarray(z, dtype=complex),
-                                np.exp(1j * self.param.real))
-        if self.kind == "power":
-            k = int(self.param.real)
-            return k * z ** (k - 1)
-        if self.kind == "contraction":
-            return np.full_like(np.asarray(z, dtype=complex),
-                                self.param.real)
-        c = self.param
-        mob = (z + c) / (1.0 + np.conj(c) * z)
-        mob_d = (1.0 - abs(c) ** 2) / (1.0 + np.conj(c) * z) ** 2
-        return mob + z * mob_d
 
     def series(self, order: int) -> TruncatedSeries:
         coeffs = np.zeros(order + 1, dtype=complex)
@@ -154,14 +137,6 @@ class SchwarzFunction:
         for f in self.factors:
             z = f.eval(z)
         return z
-
-    def deriv(self, z):
-        z = np.asarray(z, dtype=complex)
-        d = np.ones_like(z)
-        for f in self.factors:
-            d = d * f.deriv(z)
-            z = f.eval(z)
-        return d
 
     def series(self, order: int) -> TruncatedSeries:
         s = self.factors[0].series(order)
@@ -253,17 +228,6 @@ class LargeFunctionSpec:
     def eval(self, z):
         return self.a + (self.b - self.a) * q_eval(self.alpha.alpha,
                                                    self.phi.eval(z))
-
-    def deriv(self, z):
-        w = self.phi.eval(z)
-        return (self.b - self.a) * q_deriv(self.alpha.alpha, w) \
-            * self.phi.deriv(z)
-
-    def translated(self, c: complex) -> "LargeFunctionSpec":
-        return LargeFunctionSpec(
-            self.a + c, self.b + c, self.alpha, self.phi, self.order,
-            self.series + TruncatedSeries.constant(c),
-        )
 
     def scaled(self, c: complex) -> "LargeFunctionSpec":
         if c == 0:

@@ -41,13 +41,6 @@ def q_cover(alpha) -> Cover:
                  lambda w: min(abs(w), abs(w - 1.0)), "Q cover")
 
 
-def spec_cover(spec: LargeFunctionSpec) -> Cover:
-    """A large-function spec viewed as a parameterization of its image."""
-    return Cover(spec.eval, spec.deriv,
-                 lambda w: min(abs(w - spec.a), abs(w - spec.b)),
-                 spec.text())
-
-
 def hyperbolic_density(cover: Cover, z) -> float:
     """1 / (|G'(z)| (1 - |z|^2)) at a point of the disk."""
     z = complex(z)

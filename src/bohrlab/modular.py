@@ -31,13 +31,18 @@ E_HALF_PI = math.exp(-math.pi / 2)
 #: Points of each circle on which ``j_max_modulus`` samples |J|.
 MAX_MODULUS_SAMPLES = 4096
 
+#: Highest degree of J's series: the exact recurrence is quadratic in the
+#: order, and ``coeffs --order 4096`` (degree 4097) takes about 2 s.
+MAX_SERIES_ORDER = 4097
+
 # ---------------------------------------------------------------------------
 # Series expansions
 
 
 @lru_cache(maxsize=None)
 def j_coeffs_exact(order: int) -> tuple[int, ...]:
-    """Exact integer coefficients of J up to the given degree, at any order.
+    """Exact integer coefficients of J up to the given degree, at most
+    ``MAX_SERIES_ORDER``.
 
     The product is 16 z exp(L) with k L_k = 8 sum_{m|k} eps(m)
     (-1)^{k/m+1} m, eps(m) = +1 for even m and -1 for odd m (the log of
@@ -46,6 +51,9 @@ def j_coeffs_exact(order: int) -> tuple[int, ...]:
     """
     if order < 1:
         raise DomainError("order must be >= 1")
+    if order > MAX_SERIES_ORDER:
+        raise DomainError("degree %d of J's series is above the limit %d"
+                          % (order, MAX_SERIES_ORDER))
     top = order - 1
     kl = [0] * (top + 1)
     for m in range(1, top + 1):

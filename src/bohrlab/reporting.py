@@ -61,7 +61,7 @@ def suite_document(result, seed: int, version: str) -> dict:
         "summary": result.summary,
         "failures": result.failures,
         "checks_run": len(result.rows),
-        "checks_failed": sum(1 for r in result.rows if not r["pass"]),
+        "checks_failed": result.failed,
     }
 
 
@@ -102,12 +102,9 @@ def apply_tolerance_override(result, tol: float) -> None:
     Used by the report command to demonstrate that an impossible tolerance
     is reported as a failure rather than silently absorbed.
     """
-    failed = False
     for row in result.rows:
         row["slack"] = tol
         row["pass"] = bool(float(row["lhs"]) <= float(row["rhs"]) + tol)
-        failed |= not row["pass"]
-    result.passed = not failed
 
 
 def eprint(*args) -> None:

@@ -1,9 +1,11 @@
 """Seeded verification sweeps behind the `verify` and `report` commands.
 
-Each suite runs independent trials derived deterministically from a base
-seed, collects one row per executed check, and preserves every failing
-trial with its full reproduction recipe.  A failing trial is a result, not
-a crash: the suite completes and reports it.
+``SUITES`` maps each suite name to its runner, ``run_<suite>(seed, trials)``,
+whose signature holds the suite's default trial count.  Each suite runs
+independent trials derived deterministically from a base seed, collects one
+row per executed check, and preserves every failing trial with its full
+reproduction recipe.  The rows alone decide a suite's verdict.  A failing
+trial is a result, not a crash: the suite completes and reports it.
 """
 
 from __future__ import annotations
@@ -22,47 +24,51 @@ from .modular import (E_HALF_PI, E_PI, MAX_MODULUS_SAMPLES,
                       univalence_probe)
 from .series import TruncatedSeries
 
-SUITE_NAMES = (
-    "littlewood", "theorem4", "von-neumann", "harmonic", "classical-bohr",
-    "algebra", "max-modulus", "density-distance", "univalence",
-)
+ORDER = 64      # series order of the specs and maps the suites draw
 
 
 @dataclass
 class SuiteResult:
     name: str
     trials: int
-    passed: bool
     rows: list = field(default_factory=list)
     failures: list = field(default_factory=list)
     summary: dict = field(default_factory=dict)
+
+    @property
+    def failed(self) -> int:
+        """Rows whose check failed."""
+        return sum(1 for row in self.rows if not row["pass"])
+
+    @property
+    def passed(self) -> bool:
+        return self.failed == 0
 
 
 def _trial_seed(seed: int, t: int) -> int:
     return (seed * 1_000_003 + t) % 2**63
 
 
-def run_littlewood(seed: int = 7, trials: int = 100, order: int = 64,
-                   kmax: int = 40) -> SuiteResult:
-    res = SuiteResult("littlewood", trials, True)
+def run_littlewood(seed: int = 7, trials: int = 100) -> SuiteResult:
+    res = SuiteResult("littlewood", trials)
+    kmax = 40
     worst = 0.0
     for t in range(trials):
         ts = _trial_seed(seed, t)
         phi = gen.random_schwarz(ts, 1 + t % 4)
-        rep = bohr.littlewood_check(phi, order, kmax)
+        rep = bohr.littlewood_check(phi, ORDER, kmax)
         worst = max(worst, rep.max_ratio)
         res.rows.append(rep.row() | {"trial": t})
         if not rep.passed:
-            res.passed = False
             res.failures.append({"trial": t, "seed": ts,
                                  "phi": phi.text(),
                                  "max_ratio": rep.max_ratio})
-    res.summary = {"max_ratio": worst, "kmax": kmax, "order": order}
+    res.summary = {"max_ratio": worst, "kmax": kmax, "order": ORDER}
     return res
 
 
 def theorem4_spec(trial_seed: int, t: int,
-                  order: int = 64) -> gen.LargeFunctionSpec:
+                  order: int = ORDER) -> gen.LargeFunctionSpec:
     """The spec of trial `t` of the theorem4 sweep, from its trial seed.
 
     Even trials draw an inner phi, so at least half of the trials have an
@@ -72,29 +78,27 @@ def theorem4_spec(trial_seed: int, t: int,
                                      inner_only=(t % 2 == 0))
 
 
-def run_theorem4(seed: int = 7, trials: int = 100, order: int = 64,
-                 r: float = E_PI) -> SuiteResult:
-    res = SuiteResult("theorem4", trials, True)
+def run_theorem4(seed: int = 7, trials: int = 100) -> SuiteResult:
+    res = SuiteResult("theorem4", trials)
     exact_trials = 0
     min_margin = math.inf
     for t in range(trials):
         ts = _trial_seed(seed, t)
-        spec = theorem4_spec(ts, t, order)
+        spec = theorem4_spec(ts, t)
         if spec.phi.is_inner:
             exact_trials += 1
-        rep = bohr.main_theorem_check(spec, r=r)
+        rep = bohr.main_theorem_check(spec, r=E_PI)
         margin = (rep.rhs + rep.rhs_error) - (rep.lhs + rep.tail_bound)
         min_margin = min(min_margin, margin)
         res.rows.append(rep.row() | {"trial": t, "seed": ts,
                                      "exact_distance": spec.phi.is_inner})
         if not rep.passed:
-            res.passed = False
             res.failures.append({
                 "trial": t, "seed": ts, "spec": spec.text(),
                 "lhs": rep.lhs, "tail_bound": rep.tail_bound,
                 "rhs": rep.rhs, "rhs_error": rep.rhs_error,
             })
-    res.summary = {"r": r, "order": order, "min_margin": min_margin,
+    res.summary = {"r": E_PI, "order": ORDER, "min_margin": min_margin,
                    "exact_distance_trials": exact_trials}
     return res
 
@@ -111,12 +115,11 @@ def _spec_and_distance(trial_seed: int, order: int
     return spec, geometry.boundary_distance(spec)
 
 
-def run_von_neumann(seed: int = 7, trials: int = 50,
-                    order: int = 64) -> SuiteResult:
-    res = SuiteResult("von-neumann", trials, True)
+def run_von_neumann(seed: int = 7, trials: int = 50) -> SuiteResult:
+    res = SuiteResult("von-neumann", trials)
     for t in range(trials):
         ts = _trial_seed(seed, t)
-        spec, dist = _spec_and_distance(ts, order)
+        spec, dist = _spec_and_distance(ts, ORDER)
         # Normalize: the Banach-algebra reading of the inequality concerns
         # elements of small majorant norm, and the hypothesis needs the
         # boundary distance below one.  Both scale linearly.
@@ -132,13 +135,12 @@ def run_von_neumann(seed: int = 7, trials: int = 50,
         rep = bohr.von_neumann_check(spec, p, dist.value * c, r=E_PI)
         res.rows.append(rep.row() | {"trial": t})
         if not rep.passed:
-            res.passed = False
             res.failures.append({"trial": t, "seed": ts,
                                  "spec": spec.text(),
                                  "poly": [[c.real, c.imag]
                                           for c in p.coeffs],
                                  "lhs": rep.lhs, "rhs": rep.rhs})
-    res.summary = {"r": E_PI, "order": order}
+    res.summary = {"r": E_PI, "order": ORDER}
     return res
 
 
@@ -154,7 +156,7 @@ def _harmonic_mu(ts: int, t: int, order: int) -> TruncatedSeries:
     return TruncatedSeries(mu.coeffs, "mu=" + mu.label)
 
 
-def harmonic_trial(trial_seed: int, t: int, order: int = 64
+def harmonic_trial(trial_seed: int, t: int, order: int = ORDER
                    ) -> tuple[gen.LargeFunctionSpec, TruncatedSeries]:
     """The spec and dilatation of trial `t` of the harmonic sweep.
 
@@ -165,50 +167,46 @@ def harmonic_trial(trial_seed: int, t: int, order: int = 64
             _harmonic_mu(trial_seed + 17, t, order))
 
 
-def run_harmonic(seed: int = 7, trials: int = 50,
-                 order: int = 64) -> SuiteResult:
-    res = SuiteResult("harmonic", trials, True)
+def run_harmonic(seed: int = 7, trials: int = 50) -> SuiteResult:
+    res = SuiteResult("harmonic", trials)
     for t in range(trials):
         ts = _trial_seed(seed, t)
-        spec, mu = harmonic_trial(ts, t, order)
+        spec, mu = harmonic_trial(ts, t)
         pair = harmonic.build_pair(spec, mu)
         rep = harmonic.harmonic_bohr_check(
-            pair, _spec_and_distance(ts, order)[1])
+            pair, _spec_and_distance(ts, ORDER)[1])
         ident = harmonic.mg_integral_identity_check(pair, 0.2)
         tags = {"trial": t, "seed": ts, "exact_distance": spec.phi.is_inner}
         res.rows.append(rep.row() | tags)
         res.rows.append(ident.row() | tags)
         if not (rep.passed and ident.passed):
-            res.passed = False
             res.failures.append({"trial": t, "seed": ts,
                                  "spec": spec.text(), "mu": mu.label,
                                  "mu_coeffs": [complex(c) for c in mu.coeffs],
                                  "lhs": rep.lhs, "rhs": rep.rhs,
                                  "identity_gap": ident.lhs})
-    res.summary = {"r": E_PI, "order": order}
+    res.summary = {"r": E_PI, "order": ORDER}
     return res
 
 
-def run_classical_bohr(seed: int = 7, trials: int = 100,
-                       order: int = 64) -> SuiteResult:
-    res = SuiteResult("classical-bohr", trials, True)
+def run_classical_bohr(seed: int = 7, trials: int = 100) -> SuiteResult:
+    res = SuiteResult("classical-bohr", trials)
     worst = 0.0
     for t in range(trials):
         ts = _trial_seed(seed, t)
-        f = gen.random_mobius_bounded(ts, order)
+        f = gen.random_mobius_bounded(ts, ORDER)
         rep = bohr.classical_bohr_check(f)
         worst = max(worst, rep.lhs)
         res.rows.append(rep.row() | {"trial": t})
         if not rep.passed:
-            res.passed = False
             res.failures.append({"trial": t, "seed": ts, "m": rep.lhs})
     res.summary = {"max_majorant": worst, "r": 1.0 / 3.0}
     return res
 
 
-def run_algebra(seed: int = 7, trials: int = 100, order: int = 8,
-                r: float = 0.5) -> SuiteResult:
-    res = SuiteResult("algebra", trials, True)
+def run_algebra(seed: int = 7, trials: int = 100) -> SuiteResult:
+    res = SuiteResult("algebra", trials)
+    order, r = 8, 0.5
     for t in range(trials):
         ts = _trial_seed(seed, t)
         rng = np.random.default_rng(ts)
@@ -219,7 +217,6 @@ def run_algebra(seed: int = 7, trials: int = 100, order: int = 8,
         for rep in bohr.algebra_properties_check(f, g, r):
             res.rows.append(rep.row() | {"trial": t})
             if not rep.passed:
-                res.passed = False
                 res.failures.append({"trial": t, "seed": ts,
                                      "check": rep.name, "lhs": rep.lhs,
                                      "rhs": rep.rhs})
@@ -227,52 +224,49 @@ def run_algebra(seed: int = 7, trials: int = 100, order: int = 8,
     return res
 
 
-def run_max_modulus(trials: int = 20) -> SuiteResult:
-    """Circle maxima of |J| against |J(-r)| on a ladder of radii."""
-    res = SuiteResult("max-modulus", trials, True)
+def run_max_modulus(seed: int = 7, trials: int = 20) -> SuiteResult:
+    """Circle maxima of |J| against |J(-r)| on a ladder of radii.  The
+    ladder is fixed: ``seed`` is taken like every runner's and not read."""
+    res = SuiteResult("max-modulus", trials)
     radii = np.linspace(0.5 / trials, 0.5, trials)
     step = 2 * np.pi / MAX_MODULUS_SAMPLES
     for t, r in enumerate(radii):
         max_sampled, angle = j_max_modulus(float(r))
         bound = abs(complex(j_eval(-float(r)))) * (1.0 + 1e-12)
         ok = max_sampled <= bound and abs(angle - np.pi) <= step * 1.0001
-        res.rows.append({"check": "max-modulus", "lhs": max_sampled,
-                         "rhs": bound, "slack": 0.0, "pass": bool(ok),
-                         "trial": t})
+        res.rows.append(bohr.InequalityCheck(
+            "max-modulus", max_sampled, bound, 0.0, bool(ok)).row()
+            | {"trial": t})
         if not ok:
-            res.passed = False
             res.failures.append({"trial": t, "r": float(r),
                                  "max": max_sampled, "angle": angle})
     max_at_bohr, angle = j_max_modulus(E_PI)
     ok = abs(max_at_bohr - 1.0) <= 1e-10
-    res.rows.append({"check": "max-modulus-at-bohr-radius",
-                     "lhs": max_at_bohr, "rhs": 1.0, "slack": 1e-10,
-                     "pass": bool(ok), "trial": trials})
+    res.rows.append(bohr.InequalityCheck(
+        "max-modulus-at-bohr-radius", max_at_bohr, 1.0, 1e-10,
+        bool(ok)).row() | {"trial": trials})
     if not ok:
-        res.passed = False
         res.failures.append({"r": E_PI, "max": max_at_bohr})
     res.summary = {"samples": MAX_MODULUS_SAMPLES}
     return res
 
 
-def run_density_distance(seed: int = 7, points: int = 200) -> SuiteResult:
-    res = SuiteResult("density-distance", points, True)
+def run_density_distance(seed: int = 7, trials: int = 200) -> SuiteResult:
+    """lambda * d on the disk identity and at ``trials`` Q-cover points."""
+    res = SuiteResult("density-distance", trials)
     rng = np.random.default_rng(seed)
     # Exact identity on the disk: lambda * d = 1/(1+|w|).
     w = 0.98 * np.sqrt(rng.random(100)) * np.exp(2j * np.pi * rng.random(100))
     ident = geometry.disk_identity_cover()
     prods = geometry.density_distance_products(ident, w)
     gap = float(np.abs(prods - 1.0 / (1.0 + np.abs(w))).max())
-    ok = gap <= 1e-14
-    res.rows.append({"check": "disk-identity-product", "lhs": gap,
-                     "rhs": 0.0, "slack": 1e-14, "pass": bool(ok)})
-    res.passed &= ok
+    res.rows.append(bohr.InequalityCheck(
+        "disk-identity-product", gap, 0.0, 1e-14, gap <= 1e-14).row())
     # The Q cover of the twice-punctured plane.
-    z = 0.8 * np.sqrt(rng.random(points)) * np.exp(
-        2j * np.pi * rng.random(points))
+    z = 0.8 * np.sqrt(rng.random(trials)) * np.exp(
+        2j * np.pi * rng.random(trials))
     rep = geometry.density_distance_check(geometry.q_cover(math.pi), z)
     res.rows.append(rep)
-    res.passed &= rep["pass"]
     if not res.passed:
         res.failures.append({"identity_gap": gap,
                              "q_cover_worst": rep["lhs"]})
@@ -281,60 +275,50 @@ def run_density_distance(seed: int = 7, points: int = 200) -> SuiteResult:
 
 
 def run_univalence(seed: int = 7, trials: int = 100_000) -> SuiteResult:
-    res = SuiteResult("univalence", trials, True)
+    res = SuiteResult("univalence", trials)
     below = univalence_probe(0.9 * E_HALF_PI, trials, seed)
-    ok = below.collision_count == 0
-    res.rows.append({"check": "univalence-below-radius",
-                     "lhs": float(below.collision_count), "rhs": 0.0,
-                     "slack": 0.0, "pass": bool(ok)})
-    res.passed &= ok
+    res.rows.append(bohr.InequalityCheck(
+        "univalence-below-radius", float(below.collision_count), 0.0, 0.0,
+        below.collision_count == 0).row())
     above = collision_search(0.35)
-    res.rows.append({"check": "collision-above-radius",
-                     "lhs": above.value_gap, "rhs": 0.0, "slack": 1e-8,
-                     "pass": bool(above.found)})
-    res.passed &= above.found
+    res.rows.append(bohr.InequalityCheck(
+        "collision-above-radius", above.value_gap, 0.0, 1e-8,
+        bool(above.found)).row())
+    pair = [[above.z1.real, above.z1.imag], [above.z2.real, above.z2.imag]]
     if not res.passed:
-        res.failures.append({
-            "collisions_below": below.collision_count,
-            "min_ratio_below": below.min_ratio,
-            "pair": [[above.z1.real, above.z1.imag],
-                     [above.z2.real, above.z2.imag]],
-            "gap": above.value_gap,
-        })
+        res.failures.append({"collisions_below": below.collision_count,
+                             "min_ratio_below": below.min_ratio,
+                             "pair": pair, "gap": above.value_gap})
     res.summary = {"min_ratio_below": below.min_ratio,
                    "collision_gap": above.value_gap,
-                   "collision_pair": [[above.z1.real, above.z1.imag],
-                                      [above.z2.real, above.z2.imag]]}
+                   "collision_pair": pair}
     return res
 
 
-_RUNNERS = {
+SUITES = {
     "littlewood": run_littlewood,
     "theorem4": run_theorem4,
     "von-neumann": run_von_neumann,
     "harmonic": run_harmonic,
     "classical-bohr": run_classical_bohr,
     "algebra": run_algebra,
-    "max-modulus": lambda seed=7, trials=20: run_max_modulus(trials),
-    "density-distance":
-        lambda seed=7, trials=200: run_density_distance(seed, trials),
+    "max-modulus": run_max_modulus,
+    "density-distance": run_density_distance,
     "univalence": run_univalence,
 }
 
-_DEFAULT_TRIALS = {
-    "littlewood": 100, "theorem4": 100, "von-neumann": 50, "harmonic": 50,
-    "classical-bohr": 100, "algebra": 100, "max-modulus": 20,
-    "density-distance": 200, "univalence": 100_000,
-}
+#: Suite names in report order.
+SUITE_NAMES = tuple(SUITES)
 
 
 def run_suite(name: str, seed: int = 7,
               trials: int | None = None) -> SuiteResult:
-    if name not in _RUNNERS:
+    """Run a suite of ``SUITES``; ``trials=None`` is the runner's default."""
+    if name not in SUITES:
         raise DomainError("unknown suite %r (choose from %s)"
                           % (name, ", ".join(SUITE_NAMES)))
     if trials is None:
-        trials = _DEFAULT_TRIALS[name]
+        return SUITES[name](seed)
     if trials < 1:
         raise DomainError("trials must be >= 1")
-    return _RUNNERS[name](seed=seed, trials=trials)
+    return SUITES[name](seed, trials)

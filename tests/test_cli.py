@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -36,6 +37,26 @@ def test_coeffs_order_200_floats_are_the_exact_integers(capsys):
     floats = json.loads(out)["a"]
     assert len(exact) == 201
     assert floats == [float(a) for a in exact]
+
+
+def test_coeffs_order_1_is_refused_with_and_without_exact(capsys):
+    for argv in (("coeffs", "--order", "1"),
+                 ("coeffs", "--order", "1", "--exact")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "order must be >= 2" in err
+
+
+def test_order_above_the_series_limit_is_refused_at_once(capsys):
+    for argv in (("coeffs", "--order", "100000"),
+                 ("bohr-radius", "--order", "100000")):
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 2
+        assert out == ""
+        assert "above the limit 4097" in err
 
 
 def test_coeffs_float(capsys):

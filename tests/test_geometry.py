@@ -6,11 +6,11 @@ import pytest
 import bohrlab.modular
 from bohrlab.errors import DomainError, SingularDerivative
 from bohrlab.generators import (Factor, SchwarzFunction, identity_schwarz,
-                                make_large_function, random_large_function)
+                                make_large_function)
 from bohrlab.geometry import (Cover, boundary_distance,
                               density_distance_check,
                               density_distance_products, disk_identity_cover,
-                              hyperbolic_density, q_cover, spec_cover)
+                              hyperbolic_density, q_cover)
 from bohrlab.series import unit_ring
 from bohrlab.sweeps import _trial_seed, run_theorem4, theorem4_spec
 
@@ -122,14 +122,6 @@ def test_boundary_distance_evaluates_three_circles(monkeypatch):
     points.clear()
     boundary_distance(inner)
     assert points == []
-
-
-def test_spec_cover_distance():
-    spec = random_large_function(4, order=48)
-    cover = spec_cover(spec)
-    w = complex(spec.eval(0.1))
-    assert cover.boundary_dist(w) == pytest.approx(
-        min(abs(w - spec.a), abs(w - spec.b)), abs=1e-15)
 
 
 def test_theorem4_failure_record_has_no_delta_diag():

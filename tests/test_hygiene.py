@@ -90,3 +90,45 @@ def test_unreferenced_private_name_is_found():
                         "def _pow(x):\n    return x * _LIMIT\n"),
                "b.py": "from .a import _pow\n\nY = _pow(2)\n"}
     assert _unreferenced_private_names(sources) == ["a.py: _mul"]
+
+
+def _runner_problems(source: str) -> list[str]:
+    """Top-level ``run_*`` functions of a sweeps source that are not values
+    of its ``SUITES`` dict or whose parameters are not ``(seed, trials)``.
+    ``run_suite``, the dispatcher over ``SUITES``, is left out."""
+    tree = ast.parse(source)
+    suites = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "SUITES"
+                for t in node.targets) and isinstance(node.value, ast.Dict):
+            suites |= {v.id for v in node.value.values
+                       if isinstance(v, ast.Name)}
+    problems = []
+    for node in tree.body:
+        if not isinstance(node, ast.FunctionDef) or \
+                not node.name.startswith("run_") or node.name == "run_suite":
+            continue
+        if node.name not in suites:
+            problems.append("%s: not in SUITES" % node.name)
+        a = node.args
+        params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs]
+        if params != ["seed", "trials"] or a.vararg or a.kwarg:
+            problems.append("%s: parameters %s" % (node.name, params))
+    return problems
+
+
+def test_every_runner_is_a_suite_taking_seed_and_trials():
+    assert _runner_problems((SRC / "sweeps.py").read_text(
+        encoding="utf-8")) == []
+
+
+def test_runner_problems_are_found():
+    source = ("def run_a(seed=7, trials=5):\n    pass\n\n"
+              "def run_b(seed=7, trials=5, order=8):\n    pass\n\n"
+              "def run_c(seed=7, trials=5):\n    pass\n\n"
+              "def run_suite(name, seed=7, trials=None):\n    pass\n\n"
+              "SUITES = {'a': run_a, 'b': run_b}\n")
+    assert _runner_problems(source) == ["run_b: parameters "
+                                        "['seed', 'trials', 'order']",
+                                        "run_c: not in SUITES"]

@@ -85,6 +85,10 @@ def test_exact_sign_alternation():
 def test_exact_caps():
     with pytest.raises(DomainError):
         j_coeffs_exact(0)
+    with pytest.raises(DomainError, match="4097"):
+        j_coeffs_exact(modular.MAX_SERIES_ORDER + 1)
+    with pytest.raises(DomainError, match="4097"):
+        minus_j_minus_series(10**6)
 
 
 def test_float_series_matches_exact():
