@@ -15,7 +15,7 @@ from .modular import E_PI, a_coeffs, j_eval, minus_j_minus_series
 from .series import TruncatedSeries, circle_sup
 
 #: Fixed absolute slack added to every inequality check on top of any
-#: explicit tail bound and distance-oracle error.
+#: explicit tail bound.
 BASE_SLACK = 1e-9
 
 #: Radius of the circle whose closed-form modulus bound gives every Cauchy
@@ -115,15 +115,13 @@ class TheoremReport:
     """Main-inequality check: majorant sum against boundary distance."""
 
     lhs: float              # sum_{n>=1} |a_n| r^n over the prefix
-    rhs: float              # boundary distance estimate
+    rhs: float              # boundary_distance(spec)
     tail_bound: float       # upper bound from spec.modulus_bound(TAIL_RHO)
-    rhs_error: float        # distance-oracle error
     passed: bool
 
     def row(self) -> dict:
         return InequalityCheck("theorem-main", self.lhs + self.tail_bound,
-                               self.rhs + self.rhs_error, BASE_SLACK,
-                               self.passed).row()
+                               self.rhs, BASE_SLACK, self.passed).row()
 
 
 @dataclass(frozen=True)
@@ -131,8 +129,6 @@ class LittlewoodReport:
     """Coefficient domination of a subordinate to -J(-z)."""
 
     max_ratio: float            # max_k |a_k| / (degree-k majorant coeff)
-    argmax_degree: int
-    literal_max_ratio: float    # |a_k| / (16 A_k), one index later
     passed: bool
 
     def row(self) -> dict:
@@ -145,9 +141,7 @@ def littlewood_check(phi: SchwarzFunction, order: int,
     """Build f = -J(-phi(z)) and compare |a_k| with the majorant coefficient.
 
     The degree-k coefficient of -J(-z) is 16 A_{k-1}; the comparison at
-    matching degree is the form Littlewood's theorem supports.  The ratio
-    against 16 A_k (one index later, as in the source inequality chain) is
-    reported as a secondary column.
+    matching degree is the form Littlewood's theorem supports.
     """
     if kmax is None:
         kmax = order
@@ -156,13 +150,8 @@ def littlewood_check(phi: SchwarzFunction, order: int,
     f = major.compose(phi.series(order), order)
     mags = np.abs(f.coeffs[1 : kmax + 1])
     ratios = mags / major.coeffs[1 : kmax + 1].real
-    k = int(np.argmax(ratios)) + 1
-    literal = mags[:-1] / major.coeffs[2 : kmax + 1].real
-    return LittlewoodReport(
-        float(ratios.max()), k,
-        float(literal.max(initial=0.0)),
-        bool(ratios.max() <= 1.0 + BASE_SLACK),
-    )
+    return LittlewoodReport(float(ratios.max()),
+                            bool(ratios.max() <= 1.0 + BASE_SLACK))
 
 
 def main_theorem_check(spec: LargeFunctionSpec,
@@ -174,8 +163,7 @@ def main_theorem_check(spec: LargeFunctionSpec,
     tail = cauchy_tail_bound(spec.modulus_bound(TAIL_RHO), TAIL_RHO,
                              spec.order, r) if r > 0 else 0.0
     dist = boundary_distance(spec)
-    passed = lhs + tail <= dist.value + dist.error + BASE_SLACK
-    return TheoremReport(lhs, dist.value, tail, dist.error, passed)
+    return TheoremReport(lhs, dist, tail, lhs + tail <= dist + BASE_SLACK)
 
 
 def shift_polynomial(p: TruncatedSeries, c: complex) -> TruncatedSeries:
@@ -218,12 +206,8 @@ def von_neumann_check(spec: LargeFunctionSpec, p: TruncatedSeries,
                            spec.modulus_bound(TAIL_RHO)))
     tail = cauchy_tail_bound(m_p, TAIL_RHO, order, r)
     rhs = circle_sup(p, 1.0, 4096)
-    return InequalityCheck(
-        "von-neumann", lhs + tail, rhs, BASE_SLACK,
-        bool(lhs + tail <= rhs + BASE_SLACK),
-        {"distance": distance, "tail_bound": tail,
-         "majorant_at_r": lhs},
-    )
+    return InequalityCheck("von-neumann", lhs + tail, rhs, BASE_SLACK,
+                           bool(lhs + tail <= rhs + BASE_SLACK))
 
 
 def classical_bohr_check(f: TruncatedSeries, r: float = 1.0 / 3.0

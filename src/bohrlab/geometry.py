@@ -1,9 +1,10 @@
-"""Hyperbolic density of covering maps and boundary-distance estimation.
+"""Hyperbolic density of covering maps and the boundary distance.
 
 A covering parameterization G of a hyperbolic domain induces the density
 lambda(G(z)) = 1 / (|G'(z)| (1 - |z|^2)); together with the distance to the
-domain boundary it satisfies lambda(w) d(w, boundary) <= 1, which is the
-right-hand-side machinery of the main inequality check.
+domain boundary it satisfies lambda(w) d(w, boundary) <= 1.  The right side
+of the main inequality is one number, ``boundary_distance(spec)``: exact
+for an inner phi, otherwise sampled on one circle close to |z| = 1.
 """
 
 from __future__ import annotations
@@ -52,67 +53,33 @@ def hyperbolic_density(cover: Cover, z) -> float:
     return 1.0 / (d * (1.0 - abs(z) ** 2))
 
 
-@dataclass(frozen=True)
-class DistanceEstimate:
-    """Estimate of dist(F(0), boundary of F(U)) with an error term.
-
-    ``omitted-points-exact``: ``value`` is the distance and ``error`` is 0.
-    ``circle-sampling``: ``value`` is the sampled distance from F(0) to the
-    image of the circle |z| = 1 - 2^-14 and ``error`` the spread of the
-    sampled distances over the circles |z| = 1 - 2^-k, k = 12, 13, 14;
-    this is not a bound.  When F is not univalent the image curve can pass
-    close to F(0) far inside F(U), so ``value`` can fall far below the true
-    distance (seed-7 theorem4 trial 75: 0.00273 against about 0.065, with
-    the curve winding three times about F(0)).  A distance that is too
-    small only makes a majorant inequality harder to pass, so a
-    circle-sampled value certifies a pass and does not certify a fail.
-    """
-
-    value: float
-    error: float
-    method: str
-
-    def __post_init__(self):
-        if self.value < 0 or self.error < 0:
-            raise ValueError("distance and error must be nonnegative")
-
-
-#: Nodes on each boundary circle and the exponents k of its radii
-#: 1 - 2^-k; the finest circle gives the distance, all three the spread.
+#: Radius and node count of the circle whose image gives a sampled distance.
+_BOUNDARY_RADIUS = 1.0 - 2.0 ** -14
 _BOUNDARY_NODES = 4096
-_BOUNDARY_LEVELS = (12, 13, 14)
 
 
-def boundary_distance(spec: LargeFunctionSpec) -> DistanceEstimate:
+def boundary_distance(spec: LargeFunctionSpec) -> float:
     """Distance from F(0) to the boundary of the image of F.
 
     When the inner Schwarz factor is a finite Blaschke product the image is
     the whole plane minus the two omitted points and the distance is exact.
-    Otherwise F(0) is compared with the images of the three circles
-    |z| = 1 - 2^-k, k = 12, 13, 14, sampled at 4096 nodes each; the minimum
-    on the finest one, capped by the distance to the omitted points, is
-    returned, and the reported error is the spread of the three minima.
-    That minimum measures the distance to the image curve, not to the
-    boundary of F(U): the two agree in the limit only when F is univalent.
-    Otherwise the curve can come far closer to F(0) than any boundary
-    point does (see DistanceEstimate), so a passing inequality check is
-    conservative and a failing one is not certified.
+    Otherwise F(0) is compared with the image of the circle
+    |z| = 1 - 2^-14, sampled at 4096 nodes; the minimum, capped by the
+    distance to the omitted points, is returned.  That minimum measures the
+    distance to the image curve, not to the boundary of F(U): the two agree
+    in the limit only when F is univalent.  Otherwise the curve can pass
+    close to F(0) far inside F(U), so the sampled distance can fall far
+    below the true one (seed-7 theorem4 trial 75: 0.00273 against about
+    0.065, with the curve winding three times about F(0)).  A distance that
+    is too small only makes a majorant inequality harder to pass, so a
+    circle-sampled distance certifies a pass and does not certify a fail.
     """
     f0 = spec.f0
     omitted = min(abs(f0 - spec.a), abs(f0 - spec.b))
     if spec.phi.is_inner:
-        return DistanceEstimate(omitted, 0.0, "omitted-points-exact")
-    ring = unit_ring(_BOUNDARY_NODES)
-    # Per-circle minima: only the finest circle approximates the image
-    # boundary (coarser circles are interior curves and would undershoot).
-    history = []
-    for k in _BOUNDARY_LEVELS:
-        r = 1.0 - 2.0 ** (-k)
-        vals = spec.eval(r * ring)
-        history.append(float(np.abs(vals - f0).min()))
-    value = min(omitted, history[-1])
-    spread = max(history) - min(history)
-    return DistanceEstimate(value, spread, "circle-sampling")
+        return omitted
+    vals = spec.eval(_BOUNDARY_RADIUS * unit_ring(_BOUNDARY_NODES))
+    return min(omitted, float(np.abs(vals - f0).min()))
 
 
 def density_distance_products(cover: Cover, points) -> np.ndarray:

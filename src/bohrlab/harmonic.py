@@ -5,12 +5,13 @@ a dilatation mu through g' = mu h', g(0) = 0.  The verified estimate is
 
     M(h - h(0))(r) + M(g)(r) <= (1 + sup_{|z|<=r} |mu|) d(h(0), boundary)
 
-for r up to e^{-pi}.  The sup-of-mu reading is used for the right-hand side
-(a pointwise |mu(z)| does not give a single number); |mu(r)| on the positive
-axis is logged alongside.  That sampled sup may undershoot, which only makes
-a pass harder; the tails of M(h) and M(g) are closed-form upper bounds from
-``LargeFunctionSpec.modulus_bound``.  The identity M(g)(r) = integral_0^r
-M(g')(t) dt is checked with a Gauss-Legendre rule, exact for M(g').
+for r up to e^{-pi}, where d is ``geometry.boundary_distance`` of the
+analytic part.  The sup-of-mu reading is used for the right-hand side (a
+pointwise |mu(z)| does not give a single number).  That sampled sup may
+undershoot, which only makes a pass harder; the tails of M(h) and M(g) are
+closed-form upper bounds from ``LargeFunctionSpec.modulus_bound``.  The
+identity M(g)(r) = integral_0^r M(g')(t) dt is checked with a
+Gauss-Legendre rule, exact for M(g').
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from .bohr import (BASE_SLACK, TAIL_RHO, InequalityCheck, bohr_operator,
                    cauchy_tail_bound)
 from .errors import HypothesisViolation
 from .generators import LargeFunctionSpec
-from .geometry import DistanceEstimate
 from .modular import E_PI
 from .series import TruncatedSeries, circle_sup
 
@@ -76,7 +76,7 @@ def _g_tail_bound(pair: HarmonicPair, r: float) -> float:
     return float(mu_bound * terms.sum())
 
 
-def harmonic_bohr_check(pair: HarmonicPair, distance: DistanceEstimate,
+def harmonic_bohr_check(pair: HarmonicPair, distance: float,
                         r: float = E_PI) -> InequalityCheck:
     """Verify the (1 + sup|mu|) boundary-distance bound.
 
@@ -86,7 +86,6 @@ def harmonic_bohr_check(pair: HarmonicPair, distance: DistanceEstimate,
     if r > E_PI * (1.0 + 1e-12):
         raise HypothesisViolation("the bound is asserted for r <= e^-pi")
     h, g = pair.h, pair.g
-    a0 = h[0]
     mh = bohr_operator(h, r, from_degree=1)
     mg = bohr_operator(g, r, from_degree=1)
     tail_h = cauchy_tail_bound(pair.spec.modulus_bound(TAIL_RHO), TAIL_RHO,
@@ -94,18 +93,11 @@ def harmonic_bohr_check(pair: HarmonicPair, distance: DistanceEstimate,
     tail_g = _g_tail_bound(pair, r) if r > 0 else 0.0
     sup_mu = circle_sup(pair.mu, r, _MU_NODES) if r > 0 else abs(pair.mu[0])
     lhs = mh + mg + tail_h + tail_g
-    rhs = (1.0 + sup_mu) * distance.value
-    slack = (1.0 + sup_mu) * distance.error + BASE_SLACK
+    rhs = (1.0 + sup_mu) * distance
     return InequalityCheck(
-        "harmonic-bohr", lhs, rhs, slack, bool(lhs <= rhs + slack),
-        {
-            "analytic_majorant": mh,
-            "coanalytic_majorant": mg,
-            "sup_mu": sup_mu,
-            "mu_on_axis": abs(complex(pair.mu.eval(r))),
-            "with_a0": mh + mg + abs(a0),
-            "distance": distance.value,
-        },
+        "harmonic-bohr", lhs, rhs, BASE_SLACK, bool(lhs <= rhs + BASE_SLACK),
+        {"analytic_majorant": mh, "coanalytic_majorant": mg,
+         "sup_mu": sup_mu},
     )
 
 
@@ -138,7 +130,7 @@ def mg_integral_identity_check(pair: HarmonicPair, r: float,
     direct = bohr_operator(g, r, from_degree=1)
     gap = abs(integral - direct)
     passed = gap <= tol + quad_err and gp_mags.size == max(g.order, 1)
-    extra = {"integral": integral, "direct": direct, "quad_error": quad_err}
+    extra = {"integral": integral, "quad_error": quad_err}
     sup_mu = circle_sup(pair.mu, 0.999, _MU_NODES)
     if sup_mu <= 1.0 + 1e-12:
         mh_shifted = bohr_operator(pair.h, r, from_degree=1)

@@ -97,7 +97,8 @@ def write_csv(rows, path: str) -> int:
 
 
 def apply_tolerance_override(result, tol: float) -> None:
-    """Re-judge every row of a suite as lhs <= rhs + tol.
+    """Re-judge every row of a suite as lhs <= rhs + tol; the failing rows
+    become the suite's failure records.
 
     Used by the report command to demonstrate that an impossible tolerance
     is reported as a failure rather than silently absorbed.
@@ -105,6 +106,7 @@ def apply_tolerance_override(result, tol: float) -> None:
     for row in result.rows:
         row["slack"] = tol
         row["pass"] = bool(float(row["lhs"]) <= float(row["rhs"]) + tol)
+    result.failures = [row for row in result.rows if not row["pass"]]
 
 
 def eprint(*args) -> None:

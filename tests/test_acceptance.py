@@ -161,7 +161,7 @@ def readme_counterexample():
           and abs(o.lhs / o.rhs - README_RATIO) <= 5e-11
           and abs(rep.lhs / rep.rhs / (o.lhs / o.rhs) - 1) <= AGREE_RTOL
           and confirms(o, rep.lhs, rep.rhs,
-                       rep.tail_bound + rep.rhs_error + BASE_SLACK, True))
+                       rep.tail_bound + BASE_SLACK, True))
     return spec, rep, ok
 
 
@@ -254,14 +254,14 @@ def test_criterion_06_main_inequality_sweep():
         replay_ok &= (spec.text() == rec["spec"] and rep.lhs == rec["lhs"]
                       and rep.rhs == rec["rhs"])
         if spec.phi.is_inner:
-            budget = rec["tail_bound"] + rec["rhs_error"] + BASE_SLACK
+            budget = rec["tail_bound"] + BASE_SLACK
             ok = confirms(oracle(spec), rec["lhs"], rec["rhs"], budget, True)
             (confirmed if ok else refuted).append(rec["trial"])
     tight = tightest_exact_pass(res.rows, "theorem-main")
     spec = theorem4_spec(tight["seed"], tight["trial"])
     rep = main_theorem_check(spec)
     tight_ok = confirms(oracle(spec), rep.lhs, rep.rhs,
-                        rep.tail_bound + rep.rhs_error + BASE_SLACK, False)
+                        rep.tail_bound + BASE_SLACK, False)
     ok = (readme_ok and enough_exact and replay_ok and not refuted
           and tight_ok)
     detail = "README %s, replay %s, %d exact-distance trials; %s" % (

@@ -124,6 +124,20 @@ def test_report_impossible_tolerance_fails(capsys):
     assert doc["tolerance_overrides"]["algebra"] == -10
 
 
+@pytest.mark.parametrize("suite, tolerance, passed",
+                         [("algebra", "-1", False), ("theorem4", "1", True)])
+def test_report_tolerance_failures_are_the_failing_rows(capsys, suite,
+                                                        tolerance, passed):
+    code, out, _ = run(capsys, "report", "--suite", suite,
+                       "--tolerance", "%s=%s" % (suite, tolerance))
+    doc = json.loads(out)["suites"][0]
+    assert code == (0 if passed else 1)
+    assert doc["pass"] is passed
+    assert (doc["checks_failed"] == 0) is passed
+    assert len(doc["failures"]) == doc["checks_failed"]
+    assert all("trial" in rec for rec in doc["failures"])
+
+
 def test_usage_errors(capsys):
     assert run(capsys, "frobnicate")[0] == 2
     assert run(capsys, "eval", "--re", "2.0")[0] == 2

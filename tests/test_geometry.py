@@ -60,36 +60,35 @@ def test_density_distance_bound_on_q_cover():
 def test_boundary_distance_exact_for_inner():
     spec = make_large_function(0.0, 1.0, math.pi, identity_schwarz(), 48)
     d = boundary_distance(spec)
-    assert d.method == "omitted-points-exact"
-    assert d.error == 0.0
-    assert d.value == pytest.approx(
-        min(abs(spec.f0), abs(spec.f0 - 1.0)), abs=1e-15)
+    assert type(d) is float
+    assert d == min(abs(spec.f0), abs(spec.f0 - 1.0))
+
+
+def _circle_distance(spec, k):
+    """min |F - F(0)| on |z| = 1 - 2^-k at 4096 nodes."""
+    r = 1.0 - 2.0 ** (-k)
+    return float(np.abs(spec.eval(r * unit_ring(4096)) - spec.f0).min())
 
 
 def test_boundary_distance_sampled_for_contraction():
     phi = SchwarzFunction((Factor("contraction", 0.5),))
     spec = make_large_function(0.0, 1.0, math.pi, phi, 48)
     d = boundary_distance(spec)
-    assert d.method == "circle-sampling"
     omitted = min(abs(spec.f0), abs(spec.f0 - 1.0))
-    assert 0 < d.value <= omitted
+    assert 0 < d <= omitted
     # A strict contraction shrinks the image, so the distance from F(0) to
     # the image boundary is strictly below the omitted-point distance.
-    assert d.value < omitted - 1e-6
-    assert d.error < 0.05 * d.value
+    assert d < omitted - 1e-6
+    # The circle |z| = 1 - 2^-12 gives nearly the same distance.
+    assert abs(d - _circle_distance(spec, 12)) < 0.05 * d
 
 
 def _eleven_circle_distance(spec):
-    """The distance and spread as sampled on all eleven circles
-    |z| = 1 - 2^-k, k = 4..14, of which only the last three are read."""
-    f0 = spec.f0
-    omitted = min(abs(f0 - spec.a), abs(f0 - spec.b))
-    history = []
-    for k in range(4, 15):
-        r = 1.0 - 2.0 ** (-k)
-        history.append(float(np.abs(spec.eval(r * unit_ring(4096)) - f0)
-                             .min()))
-    return min(omitted, history[-1]), max(history[-3:]) - min(history[-3:])
+    """The distance as sampled on all eleven circles |z| = 1 - 2^-k,
+    k = 4..14, of which only the finest is read."""
+    omitted = min(abs(spec.f0 - spec.a), abs(spec.f0 - spec.b))
+    history = [_circle_distance(spec, k) for k in range(4, 15)]
+    return min(omitted, history[-1])
 
 
 def _sampled_specs():
@@ -102,11 +101,10 @@ def _sampled_specs():
 def test_boundary_distance_matches_eleven_circles():
     for spec in _sampled_specs():
         assert not spec.phi.is_inner
-        d = boundary_distance(spec)
-        assert (d.value, d.error) == _eleven_circle_distance(spec)
+        assert boundary_distance(spec) == _eleven_circle_distance(spec)
 
 
-def test_boundary_distance_evaluates_three_circles(monkeypatch):
+def test_boundary_distance_evaluates_one_circle(monkeypatch):
     points = []
     j_eval = bohrlab.modular.j_eval
     sampled = _sampled_specs()[0]
@@ -118,7 +116,7 @@ def test_boundary_distance_evaluates_three_circles(monkeypatch):
 
     monkeypatch.setattr(bohrlab.modular, "j_eval", counting)
     boundary_distance(sampled)
-    assert sum(points) == 3 * 4096
+    assert sum(points) == 4096
     points.clear()
     boundary_distance(inner)
     assert points == []

@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "bohrlab"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "bohrlab"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -132,3 +133,63 @@ def test_runner_problems_are_found():
     assert _runner_problems(source) == ["run_b: parameters "
                                         "['seed', 'trials', 'order']",
                                         "run_c: not in SUITES"]
+
+
+def _dataclass_fields(source: str) -> list[tuple[str, str]]:
+    """(class, field) for each annotated field of a top-level class
+    decorated with ``@dataclass`` or ``@dataclass(...)``."""
+    fields = []
+    for node in ast.parse(source).body:
+        if not isinstance(node, ast.ClassDef) or not any(
+                isinstance(d, ast.Name) and d.id == "dataclass"
+                or isinstance(d, ast.Call) and isinstance(d.func, ast.Name)
+                and d.func.id == "dataclass" for d in node.decorator_list):
+            continue
+        fields += [(node.name, stmt.target.id) for stmt in node.body
+                   if isinstance(stmt, ast.AnnAssign)
+                   and isinstance(stmt.target, ast.Name)]
+    return fields
+
+
+def _field_reads(source: str) -> set[str]:
+    """Attribute names a source loads, and its string constants."""
+    reads = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            reads.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            reads.add(node.value)
+    return reads
+
+
+def _unread_dataclass_fields(defining: dict[str, str],
+                             readers: list[str]) -> list[str]:
+    """``module: Class.field`` for each dataclass field of ``defining``
+    (file name -> source) that no source of ``readers`` loads as an
+    attribute or names in a string constant."""
+    reads = set().union(*map(_field_reads, readers))
+    return sorted("%s: %s.%s" % (module, cls, name)
+                  for module, source in defining.items()
+                  for cls, name in _dataclass_fields(source)
+                  if name not in reads)
+
+
+def test_every_dataclass_field_is_read():
+    defining = {p.name: p.read_text(encoding="utf-8")
+                for p in SRC.glob("*.py")}
+    readers = [p.read_text(encoding="utf-8")
+               for folder in (SRC, ROOT / "tests", ROOT / "benchmarks")
+               for p in folder.glob("*.py")]
+    assert _unread_dataclass_fields(defining, readers) == []
+
+
+def test_unread_dataclass_field_is_found():
+    defining = {"a.py": ("from dataclasses import dataclass\n\n"
+                         "@dataclass(frozen=True)\nclass R:\n"
+                         "    seen: int\n    keyed: int\n    unread: int\n\n"
+                         "@dataclass\nclass S:\n    bare: int\n\n"
+                         "class T:\n    plain: int\n")}
+    readers = [defining["a.py"],
+               "def f(r):\n    r.unread = 1\n    return r.seen, r['keyed']\n"]
+    assert _unread_dataclass_fields(defining, readers) == ["a.py: R.unread",
+                                                           "a.py: S.bare"]

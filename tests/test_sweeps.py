@@ -1,7 +1,10 @@
 import pytest
 
+from bohrlab.bohr import BASE_SLACK
 from bohrlab.errors import DomainError
-from bohrlab.sweeps import SUITE_NAMES, SUITES, run_suite
+from bohrlab.geometry import boundary_distance
+from bohrlab.sweeps import (SUITE_NAMES, SUITES, run_harmonic, run_suite,
+                            run_theorem4, theorem4_spec)
 
 
 def test_suite_names_keep_report_order():
@@ -34,3 +37,17 @@ def test_forced_failing_row_fails_the_suite():
 def test_unknown_suite():
     with pytest.raises(DomainError):
         run_suite("frobnicate")
+
+
+def test_rows_compare_with_the_boundary_distance_itself():
+    """No distance error is added to a right side or a slack."""
+    rows = [row for row in run_theorem4(7, 20).rows
+            if row["check"] == "theorem-main"]
+    assert len(rows) == 20
+    for row in rows:
+        spec = theorem4_spec(row["seed"], row["trial"])
+        assert row["rhs"] == boundary_distance(spec), row["trial"]
+    rows = [row for row in run_harmonic(7, 20).rows
+            if row["check"] == "harmonic-bohr"]
+    assert len(rows) == 20
+    assert all(row["slack"] == BASE_SLACK for row in rows)
