@@ -23,5 +23,5 @@ from .modular import (E_HALF_PI, E_PI, CoveringParameter, a_coeffs,
                       collision_search, j_coeffs_exact, j_eval, j_deriv,
                       j_max_modulus, j_series, q_eval, q_series,
                       univalence_probe)
-from .series import TruncatedSeries, exp_series
+from .series import TruncatedSeries
 from .sweeps import SUITE_NAMES, run_suite

@@ -76,28 +76,18 @@ class Factor:
 
     def series(self, order: int) -> TruncatedSeries:
         coeffs = np.zeros(order + 1, dtype=complex)
-        if self.kind == "identity":
-            coeffs[1] = 1.0
-        elif self.kind == "rotation":
-            coeffs[1] = np.exp(1j * self.param.real)
+        if self.kind in ("identity", "rotation", "contraction"):
+            coeffs[1] = self.eval(1.0)              # z -> eval(1) z
         elif self.kind == "power":
             k = int(self.param.real)
             if k <= order:
                 coeffs[k] = 1.0
-        elif self.kind == "contraction":
-            coeffs[1] = self.param.real
-        else:
+        elif order >= 1:
+            # z (z + c) sum_n g_n z^n with g_n = (-conj(c))^n.
             c = self.param
-            num = np.zeros(order + 1, dtype=complex)
-            num[1] = c
-            if order >= 2:
-                num[2] = 1.0
-            denom = np.zeros(order + 1, dtype=complex)
-            denom[0] = 1.0
-            if order >= 1:
-                denom[1] = np.conj(c)
-            inv = TruncatedSeries(denom).reciprocal(order)
-            return TruncatedSeries(num).mul(inv, order)
+            g = np.cumprod(np.r_[1.0, np.full(order - 1, -np.conj(c))])
+            coeffs[1:] = c * g
+            coeffs[2:] += g[:-1]
         return TruncatedSeries(coeffs)
 
     def text(self) -> str:
@@ -299,12 +289,8 @@ def random_mobius_bounded(seed: int, order: int = 64) -> TruncatedSeries:
     rad = 0.9 * math.sqrt(rng.random())
     c = rad * np.exp(2j * np.pi * rng.random())
     u = np.exp(2j * np.pi * rng.random())
-    num = np.zeros(order + 1, dtype=complex)
-    num[0], num[1] = c, u
-    den = np.zeros(order + 1, dtype=complex)
-    den[0], den[1] = 1.0, np.conj(c) * u
-    prod = TruncatedSeries(num).mul(
-        TruncatedSeries(den).reciprocal(order), order
-    )
-    return TruncatedSeries(prod.coeffs,
-                           "mobius(c=%s, u=%s)" % (_fmt(c), _fmt(u)))
+    # (c + u z) sum_n h_n z^n with h_n = (-conj(c) u)^n.
+    h = np.cumprod(np.r_[1.0, np.full(order, -np.conj(c) * u)])
+    coeffs = c * h
+    coeffs[1:] += u * h[:-1]
+    return TruncatedSeries(coeffs, "mobius(c=%s, u=%s)" % (_fmt(c), _fmt(u)))

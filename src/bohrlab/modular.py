@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError, NonPositiveCoefficient
-from .series import TruncatedSeries, exp_series, unit_ring
+from .series import TruncatedSeries, unit_ring
 
 #: The Bohr radius for functions omitting two values.
 E_PI = math.exp(-math.pi)
@@ -169,17 +169,20 @@ def _reduce(w: np.ndarray, deriv: bool):
     sigma = np.log(np.where(neg, -w, w))           # i pi tau
     g = np.where(neg, _SHIFT, 0)
     dtau = np.ones_like(w) if deriv else None
+    live = np.arange(w.size)         # a point not inverted is done
     while True:
-        flip = np.abs(sigma) < math.pi * _FLIP_BELOW
+        s = sigma[live]
+        flip = np.abs(s) < math.pi * _FLIP_BELOW
         if not flip.any():
             return np.exp(sigma), g, dtau
-        sigma = np.where(flip, _PI_SQ / sigma, sigma)
-        g = np.where(flip, _AFTER_INVERT[g], g)
+        live, s = live[flip], _PI_SQ / s[flip]
+        gl = _AFTER_INVERT[g[live]]
         if deriv:              # d(-1/tau)/d tau = (-1/tau)^2 = -sigma^2/pi^2
-            dtau = np.where(flip, dtau * sigma * sigma / -_PI_SQ, dtau)
-        shift = np.rint(sigma.imag / math.pi)     # lambda has period 2
-        sigma.imag -= math.pi * shift
-        g = np.where(shift % 2 == 0, g, _AFTER_SHIFT[g])
+            dtau[live] = dtau[live] * s * s / -_PI_SQ
+        shift = np.rint(s.imag / math.pi)         # lambda has period 2
+        s.imag -= math.pi * shift
+        sigma[live] = s
+        g[live] = np.where(shift % 2 == 0, gl, _AFTER_SHIFT[gl])
 
 
 def _theta_terms(w: np.ndarray):
@@ -316,33 +319,57 @@ def q_deriv(alpha, z):
     return j_deriv(w) * w * (-2.0 * a / (1.0 - z) ** 2)
 
 
-def q_series(alpha, order: int, nodes: int = 2048) -> TruncatedSeries:
-    """Series of Q about 0.
+def _nome_powers(beta: float, ks: np.ndarray, order: int) -> np.ndarray:
+    """[z^j] q^k = e^{-k beta} L_j^{(-1)}(x), x = 2 k beta, for
+    q = e^{-beta (1+z)/(1-z)} (DLMF 18.12.13), in row j and column k, by
+    (j+1) L_{j+1} = (2j - x) L_j - (j-1) L_{j-1} (DLMF 18.9.13) for all k.
+    Started from e^{-k beta}, the values are coefficients of a function
+    bounded by 1; where e^{-k beta} would underflow, 2^-shift is kept aside.
+    """
+    t = beta * ks
+    shift = np.floor(np.maximum(t - 700.0, 0.0) / math.log(2.0))
+    watch = shift.any()
+    out = np.zeros((order + 2, ks.size))            # out[j + 1] = [z^j]
+    out[1] = np.exp(shift * math.log(2.0) - t)
+    j = np.arange(order)[:, None]
+    a, b = (2.0 * j - 2.0 * t) / (j + 1), ((j - 1) / (j + 1)).ravel().tolist()
+    for i in range(order):
+        out[i + 2] = a[i] * out[i + 1] - b[i] * out[i]
+        if watch and (big := np.abs(out[i + 2]) > 2.0 ** 600).any():
+            out[:, big] *= 2.0 ** -600
+            shift[big] -= 600
+    return np.ldexp(out[1:], -shift.astype(int))
 
-    J is recentred about w0 = e^{-alpha} by Cauchy integrals on a circle of
-    radius (1 - w0)/2, then composed with the series of
-    exp(-alpha (1+z)/(1-z)) - w0.  Not cached: random specs draw a fresh
-    alpha each, and the sweeps keep the specs they share instead.
+
+def q_series(alpha, order: int) -> TruncatedSeries:
+    """Series of Q about 0 from theta sums in the nome; no J point.
+
+    lambda = 16 q (sum_{n>=0} q^{n(n+1)})^4 / (1 + 2 sum_{n>=1} q^{n^2})^4
+    with q = e^{-beta (1+z)/(1-z)}: Q = lambda at beta = alpha >= pi, else
+    Q(z) = 1 - lambda(-z) at beta = pi^2 / alpha (tau -> -1/tau).  The sums
+    stop at n = ceil(sqrt((2 order + 40) / beta)) + 1: by Cauchy on
+    |z| = rho, an omitted q^k moves [z^j] by at most
+    e^{-k beta (1 - rho)/(1 + rho)} rho^{-j}, below e^{-105} for q^100 at
+    beta = pi and j = 64.  Not cached: each random spec draws a new alpha.
     """
     if order < 1:
         raise DomainError("order must be >= 1")
-    if nodes <= 2 * order:
-        raise DomainError("need more quadrature nodes than 2*order")
     alpha = _alpha_value(alpha)
-    w0 = math.exp(-alpha)
-    rho = 0.5 * (1.0 - w0)
-    circle = w0 + rho * unit_ring(nodes)
-    vals = j_eval(circle)
-    # Taylor coefficients of J about w0 by discretized Cauchy integrals.
-    taylor = (np.fft.fft(vals) / nodes)[: order + 1]
-    taylor /= rho ** np.arange(order + 1)
-    recentred = TruncatedSeries(taylor, "J about e^-alpha")
-    # (1+z)/(1-z) = 1 + 2z + 2z^2 + ...
-    mob = np.full(order + 1, -2.0 * alpha, dtype=complex)
-    mob[0] = -alpha
-    w = exp_series(TruncatedSeries(mob), order)
-    u = w - TruncatedSeries.constant(w[0])  # exact zero constant term
-    return recentred.compose(u, order)
+    dual = alpha < math.pi
+    beta = _PI_SQ / alpha if dual else alpha
+    n = np.arange(1, math.ceil(math.sqrt((2 * order + 40) / beta)) + 2)
+    powers = _nome_powers(beta, np.concatenate([n * n, n * (n + 1)]), order)
+    sums = powers.reshape(order + 1, 2, n.size).sum(axis=2) * (2.0, 1.0)
+    sums[0] += 1.0                          # theta_3 and sum q^{n(n+1)}
+    ratio = TruncatedSeries(sums[:, 1]).mul(
+        TruncatedSeries(sums[:, 0]).reciprocal(order), order)
+    square = ratio.mul(ratio, order)
+    lam = square.mul(square, order).mul(TruncatedSeries(16.0 * powers[:, 0]),
+                                       order).coeffs
+    if dual:
+        lam = -lam * (-1.0) ** np.arange(order + 1)
+        lam[0] += 1.0
+    return TruncatedSeries(lam)
 
 
 # ---------------------------------------------------------------------------

@@ -217,19 +217,3 @@ def circle_sup(f: TruncatedSeries, r: float, nodes: int) -> float:
     """Sampled max of |f| at ``nodes`` equally spaced points of |z| = r."""
     return float(np.abs(f.eval(r * unit_ring(nodes))).max())
 
-
-def exp_series(f: TruncatedSeries, order: int) -> TruncatedSeries:
-    """Exponential of a series prefix.
-
-    Uses the recurrence n e_n = sum_{k=1..n} k f_k e_{n-k}; a nonzero
-    constant term is shifted out and restored as an overall factor
-    exp(f_0).
-    """
-    f = f.truncated(order)
-    e = np.zeros(order + 1, dtype=complex)
-    e[0] = 1.0
-    kf = f.coeffs * np.arange(order + 1)
-    for n in range(1, order + 1):
-        e[n] = np.dot(kf[1 : n + 1], e[n - 1 :: -1]) / n
-    return TruncatedSeries(e * np.exp(f[0]))
-

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from bohrlab.generators import (Factor, SchwarzFunction, identity_schwarz,
                                 make_large_function, random_large_function,
                                 random_mobius_bounded, random_polynomial,
                                 random_schwarz)
+from bohrlab.series import TruncatedSeries
 
 
 def disk_points(seed, n=200, rmax=0.95):
@@ -33,6 +36,51 @@ def test_factor_series_matches_eval():
               Factor("contraction", 0.5), Factor("blaschke", 0.3 + 0.2j)):
         s = f.series(24)
         assert np.allclose(s.eval(z), f.eval(z), atol=1e-9), f.kind
+
+
+def _over_degree_one(num, den1, order):
+    """num / (1 + den1 z) to ``order`` by the series reciprocal: the
+    route the closed forms replaced."""
+    n = np.zeros(order + 1, dtype=complex)
+    n[: len(num)] = num
+    d = np.zeros(order + 1, dtype=complex)
+    d[0], d[1] = 1.0, den1
+    return TruncatedSeries(n).mul(TruncatedSeries(d).reciprocal(order),
+                                  order).coeffs
+
+
+def test_blaschke_series_is_the_geometric_closed_form():
+    eps = np.finfo(float).eps
+    z = disk_points(3, 64, 0.5)
+    for c in (0.3 + 0.2j, -0.79j, 0.5, -0.7 + 0.1j, 0j):
+        f = Factor("blaschke", c)
+        got = f.series(64).coeffs
+        old = _over_degree_one([0, c, 1], np.conj(c), 64)
+        # Each coefficient is c g_{j-1} + g_{j-2}; a few ulps of its terms.
+        g = np.abs(c) ** np.arange(65.0)
+        scale = np.zeros(65)
+        scale[1:] += np.abs(c) * g[:-1]
+        scale[2:] += g[:-2]
+        assert np.all(np.abs(got - old) <= 4 * eps * scale), c
+        assert np.abs(f.series(64).eval(z) - f.eval(z)).max() <= 1e-15, c
+    assert Factor("blaschke", 0.3j).series(0).coeffs.tolist() == [0]
+    assert np.array_equal(Factor("blaschke", 0.3j).series(1).coeffs,
+                          [0, 0.3j])
+
+
+def test_mobius_series_is_the_geometric_closed_form():
+    eps = np.finfo(float).eps
+    for seed in range(6):
+        f = random_mobius_bounded(seed, order=64)
+        c, u = (complex(v) for v in re.findall(r"=([^,)]+)", f.label))
+        old = _over_degree_one([c, u], np.conj(c) * u, 64)
+        h = np.abs(c) ** np.arange(65.0)
+        scale = np.abs(c) * h
+        scale[1:] += h[:-1]
+        assert np.all(np.abs(f.coeffs - old) <= 4 * eps * scale), seed
+        z = disk_points(seed, 64, 0.5)
+        direct = (c + u * z) / (1 + np.conj(c) * u * z)
+        assert np.abs(f.eval(z) - direct).max() <= 1e-15, seed
 
 
 # -- Schwarz compositions ----------------------------------------------------

@@ -11,8 +11,9 @@ from bohrlab.errors import DomainError
 from bohrlab.modular import (E_HALF_PI, E_PI, CoveringParameter, a_coeffs,
                              collision_search, j_coeffs_exact, j_deriv,
                              j_eval, j_max_modulus, j_series,
-                             minus_j_minus_series, q_argument, q_eval,
-                             q_series, univalence_probe)
+                             minus_j_minus_series, q_argument, q_deriv,
+                             q_eval, q_series, univalence_probe)
+from bohrlab.series import TruncatedSeries
 from bohrlab.sweeps import run_suite
 
 # Degree <= 5 coefficients frozen from the exact integer computation.
@@ -274,6 +275,42 @@ def test_blocks_match_scalar_calls_bit_for_bit():
         assert np.array_equal(whole, single)
 
 
+def _reduce_every_point(w, deriv):
+    """The reduction as it was before it skipped finished points: every
+    pass tests, inverts and shifts all of them."""
+    neg = w.real < 0
+    sigma = np.log(np.where(neg, -w, w))
+    g = np.where(neg, modular._SHIFT, 0)
+    dtau = np.ones_like(w) if deriv else None
+    while True:
+        flip = np.abs(sigma) < math.pi * modular._FLIP_BELOW
+        if not flip.any():
+            return np.exp(sigma), g, dtau
+        sigma = np.where(flip, modular._PI_SQ / sigma, sigma)
+        g = np.where(flip, modular._AFTER_INVERT[g], g)
+        if deriv:
+            dtau = np.where(flip, dtau * sigma * sigma / -modular._PI_SQ,
+                            dtau)
+        shift = np.rint(sigma.imag / math.pi)
+        sigma.imag -= math.pi * shift
+        g = np.where(shift % 2 == 0, g, modular._AFTER_SHIFT[g])
+
+
+def test_reduction_of_live_points_is_bit_identical(monkeypatch):
+    rng = np.random.default_rng(21)
+    # Each band of |w| the benchmark traces, in both half-planes, and
+    # deep reductions up to |w| = 0.97.
+    bands = [(0.0, 0.5), (0.5, 0.9), (0.9, 0.97)]
+    r = np.concatenate([rng.uniform(lo, hi, 3000) for lo, hi in bands])
+    w = r * np.exp(2j * np.pi * rng.random(r.size))
+    assert (w.real < 0).sum() > 4000 and (w.real > 0).sum() > 4000
+    assert max(reduction_steps(x) for x in w[-100:]) >= 3
+    new = (j_eval(w), j_deriv(w))
+    monkeypatch.setattr(modular, "_reduce", _reduce_every_point)
+    assert np.array_equal(new[0], j_eval(w))
+    assert np.array_equal(new[1], j_deriv(w))
+
+
 def test_array_shape_is_kept():
     z = _disk_sample(12, seed=12).reshape(3, 4)
     for fn in (j_eval, j_deriv):
@@ -348,8 +385,96 @@ def test_q_series_matches_pointwise():
 def test_q_series_validation():
     with pytest.raises(DomainError):
         q_series(1.0, 0)
-    with pytest.raises(DomainError):
-        q_series(1.0, 64, nodes=100)
+
+
+def mp_q_coeffs(alpha, order, nodes=512):
+    """Independent oracle: Q's coefficients to degree ``order`` at 60
+    digits, from theta functions and a Cauchy sum on |z| = 1/2.  Q is real
+    on the real axis, so the upper half circle suffices."""
+    with mpmath.workdps(60):
+        rho = mpmath.mpf(1) / 2
+        vals = []
+        for k in range(nodes // 2 + 1):
+            z = rho * mpmath.expjpi(mpmath.mpf(2 * k) / nodes)
+            q = mpmath.exp(-alpha * (1 + z) / (1 - z))
+            vals.append((mpmath.jtheta(2, 0, q) / mpmath.jtheta(3, 0, q)) ** 4)
+        coeffs = []
+        for j in range(order + 1):
+            total = vals[0] + (-1) ** j * vals[-1] + 2 * sum(
+                (vals[k] * mpmath.expjpi(-mpmath.mpf(2 * j * k) / nodes)).real
+                for k in range(1, nodes // 2))
+            coeffs.append(total.real / nodes / rho ** j)
+        return coeffs
+
+
+@pytest.mark.parametrize("alpha", [0.8, math.pi, 3.5])
+def test_q_series_matches_theta_oracle(alpha):
+    # The sampled Cauchy recentring this replaced gave 6.5e9 + 3.1e9i for
+    # the degree-64 coefficient at alpha = 0.8, where the oracle gives
+    # 4.275e5.
+    oracle = mp_q_coeffs(mpmath.mpf(alpha), 64)
+    got = q_series(alpha, 64).coeffs
+    scale = max(abs(float(c)) for c in oracle)
+    assert not np.any(got.imag)
+    for j in (48, 64):
+        assert abs(got[j] - float(oracle[j])) <= 2e-14 * scale, j
+    assert np.abs(got - np.array([float(c) for c in oracle])).max() <= \
+        2e-14 * scale
+
+
+def test_q_series_odd_symmetry_at_pi():
+    # At alpha = pi, tau -> -1/tau is z -> -z, so Q(-z) = 1 - Q(z): Q(0) is
+    # 1/2 and every other even coefficient vanishes.
+    c = q_series(math.pi, 64).coeffs
+    sign = (-1.0) ** np.arange(c.size)
+    residual = c * sign + c
+    residual[0] -= 1.0
+    assert np.abs(residual).max() <= 1e-14 * np.abs(c).max()
+
+
+@pytest.mark.parametrize("alpha", [0.8, 2.0, math.pi, 3.5, 12.0])
+def test_q_series_slope_is_q_deriv(alpha):
+    assert q_series(alpha, 64)[1] == pytest.approx(
+        complex(q_deriv(alpha, 0.0)), rel=1e-12)
+
+
+def test_q_series_evaluates_no_j_point(monkeypatch):
+    def refuse(z):
+        raise AssertionError("q_series evaluated J")
+
+    monkeypatch.setattr(modular, "j_eval", refuse)
+    monkeypatch.setattr(modular, "j_deriv", refuse)
+    assert q_series(1.3, 64).order == 64
+
+
+@pytest.mark.parametrize("order", [64, 1000])
+@pytest.mark.parametrize("alpha", [1e-3, 0.05, 50.0, 700.0, 1e4])
+def test_q_series_far_from_the_sweep_range(alpha, order):
+    qs = q_series(alpha, order)
+    assert np.isfinite(qs.coeffs).all()
+    z = np.array([0.0, 0.05, -0.05, 0.05j, 0.03 - 0.04j, -0.02 + 0.01j])
+    # The rounding scale of the truncated sum is its majorant at |z|.  Its
+    # tail beyond ``order`` is at most M (1/10)^(order+1) / (9/10) by Cauchy
+    # on |z| = 1/2, with M = max |Q| there (sampled, times 2).  At
+    # alpha = 700 and order 64 the tail is the larger term.
+    majorant = TruncatedSeries(np.abs(qs.coeffs)).eval(np.abs(z)).real
+    m = 2 * np.abs(q_eval(alpha, 0.5 * np.exp(2j * np.pi *
+                                              np.arange(256) / 256))).max()
+    tail = m * 0.1 ** (order + 1) / 0.9
+    assert np.all(np.abs(qs.eval(z) - q_eval(alpha, z))
+                  <= 1e-13 * majorant + tail + 1e-300)
+
+
+@pytest.mark.parametrize("alpha,rho,nodes", [(50.0, 0.98, 16384),
+                                             (700.0, 0.99, 32768)])
+def test_q_series_top_coefficients_at_order_1000(alpha, rho, nodes):
+    # Here e^{-k beta} underflows for powers q^k that still reach degree
+    # 1000; a Cauchy sum of Q itself on |z| = rho checks those degrees.
+    got = q_series(alpha, 1000).coeffs
+    z = rho * np.exp(2j * np.pi * np.arange(nodes) / nodes)
+    cauchy = np.fft.fft(q_eval(alpha, z))[:1001] / nodes
+    cauchy /= rho ** np.arange(1001)
+    assert np.abs(got - cauchy).max() <= 1e-11 * np.abs(got).max()
 
 
 # -- injectivity -------------------------------------------------------------

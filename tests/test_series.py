@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bohrlab.errors import NonzeroInnerConstant, ZeroConstantTerm
-from bohrlab.series import TruncatedSeries, exp_series
+from bohrlab.series import TruncatedSeries
 
 
 def coeff_lists(max_len=8):
@@ -209,21 +209,6 @@ def test_compose_within_rounding_budget_of_exact(top):
 def test_compose_requires_vanishing_inner():
     with pytest.raises(NonzeroInnerConstant):
         TruncatedSeries([1.0, 1.0]).compose(TruncatedSeries([0.5, 1.0]), 3)
-
-
-def test_exp_oracle():
-    # exp(2z): coefficients 2^n / n!
-    f = TruncatedSeries([0.0, 2.0])
-    e = exp_series(f, 6)
-    expect = [2.0 ** n / math.factorial(n) for n in range(7)]
-    assert np.allclose(e.coeffs, expect, rtol=1e-14)
-
-
-def test_exp_constant_shift():
-    # exp(1 + z) = e * exp(z)
-    e = exp_series(TruncatedSeries([1.0, 1.0]), 5)
-    plain = exp_series(TruncatedSeries([0.0, 1.0]), 5)
-    assert np.allclose(e.coeffs, np.e * plain.coeffs)
 
 
 def test_reciprocal_oracle():
