@@ -16,12 +16,11 @@ from .generators import (Factor, LargeFunctionSpec, SchwarzFunction,
                          identity_schwarz, make_large_function,
                          random_large_function, random_mobius_bounded,
                          random_polynomial, random_schwarz)
-from .geometry import (Cover, boundary_distance, density_distance_check,
-                       disk_identity_cover, hyperbolic_density, q_cover)
+from .geometry import boundary_distance, density_distance_products
 from .harmonic import HarmonicPair, build_pair, harmonic_bohr_check
 from .modular import (E_HALF_PI, E_PI, CoveringParameter, a_coeffs,
                       collision_search, j_coeffs_exact, j_eval, j_deriv,
                       j_max_modulus, j_series, q_eval, q_series,
-                      univalence_probe)
+                      starlike_certificate)
 from .series import TruncatedSeries
 from .sweeps import SUITE_NAMES, run_suite

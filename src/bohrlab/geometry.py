@@ -9,48 +9,12 @@ for an inner phi, otherwise sampled on one circle close to |z| = 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
-
 import numpy as np
 
 from .errors import DomainError, SingularDerivative
 from .generators import LargeFunctionSpec
 from .modular import q_deriv, q_eval
 from .series import unit_ring
-
-
-@dataclass(frozen=True)
-class Cover:
-    """A covering map given by pointwise value and derivative evaluators,
-    plus the distance from an image point to the domain boundary."""
-
-    value: Callable
-    deriv: Callable
-    boundary_dist: Callable
-    label: str = ""
-
-
-def disk_identity_cover() -> Cover:
-    return Cover(lambda z: z, lambda z: np.ones_like(np.asarray(z, complex)),
-                 lambda w: 1.0 - abs(w), "identity on the disk")
-
-
-def q_cover(alpha) -> Cover:
-    """Q_alpha as a cover of the twice-punctured plane C \\ {0, 1}."""
-    return Cover(lambda z: q_eval(alpha, z), lambda z: q_deriv(alpha, z),
-                 lambda w: min(abs(w), abs(w - 1.0)), "Q cover")
-
-
-def hyperbolic_density(cover: Cover, z) -> float:
-    """1 / (|G'(z)| (1 - |z|^2)) at a point of the disk."""
-    z = complex(z)
-    if abs(z) >= 1:
-        raise DomainError("density is defined for |z| < 1")
-    d = abs(complex(cover.deriv(z)))
-    if d < 1e-300:
-        raise SingularDerivative("covering derivative vanished at %r" % z)
-    return 1.0 / (d * (1.0 - abs(z) ** 2))
 
 
 #: Radius and node count of the circle whose image gives a sampled distance.
@@ -82,28 +46,25 @@ def boundary_distance(spec: LargeFunctionSpec) -> float:
     return min(omitted, float(np.abs(vals - f0).min()))
 
 
-def density_distance_products(cover: Cover, points) -> np.ndarray:
-    """lambda(G(z)) * d(G(z), boundary) for each sample point."""
-    out = []
-    for z in np.atleast_1d(np.asarray(points, dtype=complex)):
-        lam = hyperbolic_density(cover, z)
-        w = complex(cover.value(complex(z)))
-        out.append(lam * cover.boundary_dist(w))
-    return np.array(out)
+def density_distance_products(points, alpha=None) -> np.ndarray:
+    """lambda(G(z)) d(G(z), boundary) = d / (|G'(z)| (1 - |z|^2)) at each
+    point of the disk.
 
-
-def density_distance_check(
-    cover: Cover, points, tol: float = 1e-6
-) -> dict:
-    """Assert lambda * distance <= 1 at every sample point."""
-    products = density_distance_products(cover, points)
-    worst = float(products.max(initial=0.0))
-    return {
-        "check": "density-distance",
-        "lhs": worst,
-        "rhs": 1.0,
-        "slack": tol,
-        "pass": bool(worst <= 1.0 + tol),
-        "points": int(products.size),
-    }
-
+    G is the cover Q_alpha of C \\ {0, 1}, with d = min(|Q|, |Q - 1|), from
+    one call each of ``q_eval`` and ``q_deriv``; with ``alpha`` None it is
+    the identity of the disk, with d = 1 - |z|.
+    """
+    z = np.atleast_1d(np.asarray(points, dtype=complex))
+    if not (np.abs(z) < 1).all():
+        raise DomainError("density is defined for |z| < 1")
+    if alpha is None:
+        dist, speed = 1.0 - np.abs(z), 1.0
+    else:
+        w = q_eval(alpha, z)
+        dist = np.minimum(np.abs(w), np.abs(w - 1.0))
+        speed = np.abs(q_deriv(alpha, z))
+        flat = np.flatnonzero(speed < 1e-300)
+        if flat.size:
+            raise SingularDerivative("covering derivative vanished at %r"
+                                     % complex(z[flat[0]]))
+    return 1.0 / (speed * (1.0 - np.abs(z) ** 2)) * dist

@@ -34,7 +34,7 @@ class TruncatedSeries:
         c = np.asarray(self.coeffs, dtype=complex)
         if c.ndim != 1 or c.size == 0:
             raise ValueError("coeffs must be a nonempty 1-d sequence")
-        if not np.all(np.isfinite(c)):
+        if not np.isfinite(c).all():
             raise ValueError("series coefficients must be finite")
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)

@@ -3,58 +3,97 @@ import math
 import numpy as np
 import pytest
 
+import bohrlab.geometry
 import bohrlab.modular
 from bohrlab.errors import DomainError, SingularDerivative
 from bohrlab.generators import (Factor, SchwarzFunction, identity_schwarz,
                                 make_large_function)
-from bohrlab.geometry import (Cover, boundary_distance,
-                              density_distance_check,
-                              density_distance_products, disk_identity_cover,
-                              hyperbolic_density, q_cover)
+from bohrlab.geometry import boundary_distance, density_distance_products
+from bohrlab.modular import q_deriv, q_eval
 from bohrlab.series import unit_ring
-from bohrlab.sweeps import _trial_seed, run_theorem4, theorem4_spec
+from bohrlab.sweeps import (_trial_seed, run_density_distance, run_theorem4,
+                            theorem4_spec)
 
 
 def test_disk_identity_closed_form():
-    cover = disk_identity_cover()
     rng = np.random.default_rng(1)
     z = 0.97 * np.sqrt(rng.random(100)) * np.exp(2j * np.pi * rng.random(100))
-    prods = density_distance_products(cover, z)
+    prods = density_distance_products(z)
     assert np.abs(prods - 1.0 / (1.0 + np.abs(z))).max() <= 1e-14
 
 
 def test_density_at_center_is_inverse_derivative():
-    cover = q_cover(math.pi)
-    lam = hyperbolic_density(cover, 0.0)
-    assert lam == pytest.approx(1.0 / abs(complex(cover.deriv(0.0))),
-                                rel=1e-14)
+    q0 = complex(q_eval(math.pi, 0.0))
+    prod = density_distance_products(0.0, math.pi)
+    assert prod.shape == (1,)
+    assert prod[0] == pytest.approx(min(abs(q0), abs(q0 - 1.0))
+                                    / abs(complex(q_deriv(math.pi, 0.0))),
+                                    rel=1e-14)
 
 
 def test_density_rotation_invariance():
-    # The density of the disk at |z| depends only on |z|.
-    cover = disk_identity_cover()
+    # On the disk, lambda * d at |z| depends only on |z|.
     for r in (0.2, 0.7):
-        vals = [hyperbolic_density(cover, r * np.exp(1j * t))
-                for t in np.linspace(0, 2 * np.pi, 17)]
-        assert max(vals) - min(vals) <= 1e-8
+        vals = density_distance_products(
+            r * np.exp(1j * np.linspace(0, 2 * np.pi, 17)))
+        assert vals.max() - vals.min() <= 1e-8
 
 
 def test_density_domain_and_singularity():
-    cover = disk_identity_cover()
     with pytest.raises(DomainError):
-        hyperbolic_density(cover, 1.0)
-    flat = Cover(lambda z: z * 0, lambda z: np.zeros_like(
-        np.asarray(z, complex)), lambda w: 1.0)
+        density_distance_products([0.5, 1.0])
+    with pytest.raises(DomainError):
+        density_distance_products([0.5, 1.0], math.pi)
+    # At alpha = 1000 the nome e^{-1000} underflows, so Q' flushes to 0.
     with pytest.raises(SingularDerivative):
-        hyperbolic_density(flat, 0.1)
+        density_distance_products([0.1], 1000.0)
 
 
 def test_density_distance_bound_on_q_cover():
     rng = np.random.default_rng(2)
     z = 0.8 * np.sqrt(rng.random(200)) * np.exp(2j * np.pi * rng.random(200))
-    rep = density_distance_check(q_cover(math.pi), z)
-    assert rep["pass"]
-    assert rep["lhs"] <= 1.0 + 1e-6
+    assert density_distance_products(z, math.pi).max() <= 1.0 + 1e-6
+
+
+def _old_products(points):
+    """lambda * d of the Q_pi cover, one scalar J and J' point at a time."""
+    out = []
+    for z in points:
+        lam = 1.0 / (abs(complex(q_deriv(math.pi, complex(z))))
+                     * (1.0 - abs(z) ** 2))
+        w = complex(q_eval(math.pi, complex(z)))
+        out.append(lam * min(abs(w), abs(w - 1.0)))
+    return np.array(out)
+
+
+def test_density_products_match_the_pointwise_formula():
+    rng = np.random.default_rng(7)
+    rng.random(200)                 # the disk-identity points of the suite
+    z = 0.8 * np.sqrt(rng.random(200)) * np.exp(2j * np.pi * rng.random(200))
+    old = _old_products(z)
+    # Array and scalar J' differ by a few ulps (4.6e-16 here), so the
+    # products agree to about 1e-15, not bit for bit.
+    assert np.abs(density_distance_products(z, math.pi) / old - 1).max() \
+        <= 2e-15
+    assert old.max() == pytest.approx(0.1999335499854826, rel=1e-15)
+
+
+def test_density_suite_calls_q_once_each(monkeypatch):
+    calls = []
+
+    def counting(name, fn):
+        def wrapped(alpha, z):
+            calls.append((name, np.size(z)))
+            return fn(alpha, z)
+        return wrapped
+
+    monkeypatch.setattr(bohrlab.geometry, "q_eval",
+                        counting("q_eval", q_eval))
+    monkeypatch.setattr(bohrlab.geometry, "q_deriv",
+                        counting("q_deriv", q_deriv))
+    res = run_density_distance(7, 200)
+    assert res.passed
+    assert sorted(calls) == [("q_deriv", 200), ("q_eval", 200)]
 
 
 def test_boundary_distance_exact_for_inner():

@@ -11,8 +11,9 @@ from bohrlab.errors import DomainError
 from bohrlab.modular import (E_HALF_PI, E_PI, CoveringParameter, a_coeffs,
                              collision_search, j_coeffs_exact, j_deriv,
                              j_eval, j_max_modulus, j_series,
-                             minus_j_minus_series, q_argument, q_deriv,
-                             q_eval, q_series, univalence_probe)
+                             log_coeffs_exact, minus_j_minus_series,
+                             q_argument, q_deriv, q_eval, q_series,
+                             starlike_certificate)
 from bohrlab.series import TruncatedSeries
 from bohrlab.sweeps import run_suite
 
@@ -480,10 +481,43 @@ def test_q_series_top_coefficients_at_order_1000(alpha, rho, nodes):
 # -- injectivity -------------------------------------------------------------
 
 
-def test_probe_below_univalence_radius():
-    rep = univalence_probe(0.9 * E_HALF_PI, 20_000, seed=1)
-    assert rep.collision_count == 0
-    assert rep.min_ratio > 0
+def test_starlike_certificate_below_univalence_radius():
+    r, nodes = 0.9 * E_HALF_PI, 4096
+    cert = starlike_certificate(r, nodes)
+    z = r * np.exp(2j * np.pi * np.arange(nodes) / nodes)
+    direct = float((z * j_deriv(z) / j_eval(z)).real.min())
+    assert abs(cert.min_re - direct) <= 1e-12
+    assert cert.margin == (cert.min_re - cert.discretisation - cert.tail
+                           - cert.rounding)
+    assert 0.003 < cert.discretisation < 0.0031         # Lip is about 4.01
+    assert 0 < cert.tail < 1e-42
+    assert 0 < cert.rounding < 1e-12
+    assert cert.margin > 0.016
+
+
+@pytest.mark.parametrize("factor", [0.92, 0.95])
+def test_starlike_certificate_fails_beyond_starlikeness(factor):
+    # J is still univalent here but no longer starlike: Re zJ'/J dips
+    # below 0, so no node count may certify it.
+    for nodes in (4096, 65536):
+        assert starlike_certificate(factor * E_HALF_PI, nodes).margin <= 0
+
+
+def test_starlike_certificate_domain():
+    with pytest.raises(DomainError):
+        starlike_certificate(1.0, 64)
+    with pytest.raises(DomainError):
+        starlike_certificate(0.1, 0)
+    assert starlike_certificate(0.99, 64).margin == -math.inf
+
+
+def test_log_coefficients_within_divisor_bound():
+    kl = log_coeffs_exact(4097)
+    assert kl[:6] == [0, -8, 24, -32, 24, -48]
+    sigma = [0] * 4098
+    for m in range(1, 4098):
+        sigma[m::m] = [s + m for s in sigma[m::m]]
+    assert all(abs(kl[k]) <= 8 * sigma[k] for k in range(1, 4098))
 
 
 def test_known_collision_pair():

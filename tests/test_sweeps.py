@@ -1,10 +1,12 @@
+import numpy as np
 import pytest
 
+import bohrlab.modular
 from bohrlab.bohr import BASE_SLACK
 from bohrlab.errors import DomainError
 from bohrlab.geometry import boundary_distance
 from bohrlab.sweeps import (SUITE_NAMES, SUITES, run_harmonic, run_suite,
-                            run_theorem4, theorem4_spec)
+                            run_theorem4, run_univalence, theorem4_spec)
 
 
 def test_suite_names_keep_report_order():
@@ -51,3 +53,27 @@ def test_rows_compare_with_the_boundary_distance_itself():
             if row["check"] == "harmonic-bohr"]
     assert len(rows) == 20
     assert all(row["slack"] == BASE_SLACK for row in rows)
+
+
+def test_univalence_certificate_needs_enough_nodes():
+    # At 64 nodes Lip * pi / 64 (about 0.2) exceeds min Re zJ'/J (0.019).
+    res = run_suite("univalence", 7, 64)
+    assert not res.passed
+    below = res.rows[0]
+    assert below["check"] == "univalence-below-radius"
+    assert not below["pass"] and below["lhs"] > 0
+    assert res.failures[0]["starlike_margin"] == -below["lhs"]
+
+
+def test_univalence_evaluates_only_the_collision_pair(monkeypatch):
+    points = []
+    j_eval = bohrlab.modular.j_eval
+
+    def counting(w):
+        points.append(np.size(w))
+        return j_eval(w)
+
+    monkeypatch.setattr(bohrlab.modular, "j_eval", counting)
+    res = run_univalence(7)
+    assert res.passed
+    assert points == [1, 1]
