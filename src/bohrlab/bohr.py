@@ -4,7 +4,6 @@ inequality verifiers built on it."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import comb
 
 import numpy as np
 
@@ -154,70 +153,51 @@ def littlewood_check(phi: SchwarzFunction, order: int,
                             bool(ratios.max() <= 1.0 + BASE_SLACK))
 
 
-def main_theorem_check(spec: LargeFunctionSpec,
-                       r: float = E_PI) -> TheoremReport:
-    """Verify sum_{n>=1} |a_n| r^n <= dist(F(0), boundary of F(U))."""
-    if r > E_PI * (1.0 + 1e-12):
-        raise DomainError("the inequality is asserted for r <= e^-pi")
-    lhs = bohr_operator(spec.series.truncated(spec.order), r, from_degree=1)
+def main_theorem_check(spec: LargeFunctionSpec) -> TheoremReport:
+    """Verify sum_{n>=1} |a_n| r^n <= dist(F(0), boundary of F(U)) at the
+    Bohr radius r = e^-pi."""
+    lhs = bohr_operator(spec.series.truncated(spec.order), E_PI,
+                        from_degree=1)
     tail = cauchy_tail_bound(spec.modulus_bound(TAIL_RHO), TAIL_RHO,
-                             spec.order, r) if r > 0 else 0.0
+                             spec.order, E_PI)
     dist = boundary_distance(spec)
     return TheoremReport(lhs, dist, tail, lhs + tail <= dist + BASE_SLACK)
 
 
-def shift_polynomial(p: TruncatedSeries, c: complex) -> TruncatedSeries:
-    """Coefficients of w -> p(c + w)."""
-    n = p.order
-    out = np.zeros(n + 1, dtype=complex)
-    for k in range(n + 1):
-        pk = p[k]
-        if pk == 0:
-            continue
-        for j in range(k + 1):
-            out[j] += pk * comb(k, j) * c ** (k - j)
-    return TruncatedSeries(out)
-
-
 def von_neumann_check(spec: LargeFunctionSpec, p: TruncatedSeries,
-                      distance: float, r: float = E_PI,
-                      order: int | None = None) -> InequalityCheck:
-    """Check M(p(F))(r) <= sup of |p| on the unit circle.
+                      distance: float) -> InequalityCheck:
+    """Check M(p(F))(r) <= sup of |p| on the unit circle at r = e^-pi.
 
-    Requires the boundary distance ``distance`` of F to be below 1.  The
-    tail uses |p(F)| <= sum_k |p_k| M^k, M = ``spec.modulus_bound(TAIL_RHO)``,
-    and the right side samples |p| at 4096 points.  Both sides are reported
-    whether or not the inequality holds.
+    Requires the boundary distance ``distance`` of F to be below 1.  p(F)
+    is Horner's rule over F's truncated series.  The tail uses
+    |p(F)| <= sum_k |p_k| M^k, M = ``spec.modulus_bound(TAIL_RHO)``, and the
+    right side samples |p| at 4096 points.  Both sides are reported whether
+    or not the inequality holds.
     """
-    if order is None:
-        order = spec.order
     if distance >= 1.0:
         raise HypothesisViolation(
             "boundary distance %.6g is not < 1" % distance
         )
-    f0 = spec.f0
-    shifted = shift_polynomial(p, f0)
-    centered = spec.series.truncated(order) - TruncatedSeries.constant(
-        spec.series[0]
-    )
-    composed = shifted.compose(centered, order)
-    lhs = bohr_operator(composed, r, from_degree=0)
+    order = spec.order
+    f = spec.series.truncated(order)
+    composed = TruncatedSeries.constant(p[p.order])
+    for k in range(p.order - 1, -1, -1):
+        composed = composed.mul(f, order) + p[k]
+    lhs = bohr_operator(composed, E_PI, from_degree=0)
     m_p = float(np.polyval(np.abs(p.coeffs[::-1]),
                            spec.modulus_bound(TAIL_RHO)))
-    tail = cauchy_tail_bound(m_p, TAIL_RHO, order, r)
+    tail = cauchy_tail_bound(m_p, TAIL_RHO, order, E_PI)
     rhs = circle_sup(p, 1.0, 4096)
     return InequalityCheck("von-neumann", lhs + tail, rhs, BASE_SLACK,
                            bool(lhs + tail <= rhs + BASE_SLACK))
 
 
-def classical_bohr_check(f: TruncatedSeries, r: float = 1.0 / 3.0
-                         ) -> InequalityCheck:
+def classical_bohr_check(f: TruncatedSeries) -> InequalityCheck:
     """Sanity check of the classical theorem: |f| < 1 forces M(f) <= 1 at
-    r <= 1/3."""
-    m = bohr_operator(f, r)
-    ok = (r <= 1.0 / 3.0 + 1e-15) and m <= 1.0 + BASE_SLACK
-    return InequalityCheck("classical-bohr", m, 1.0, BASE_SLACK, bool(ok),
-                           {"r": r})
+    r = 1/3."""
+    m = bohr_operator(f, 1.0 / 3.0)
+    return InequalityCheck("classical-bohr", m, 1.0, BASE_SLACK,
+                           bool(m <= 1.0 + BASE_SLACK))
 
 
 def algebra_properties_check(f: TruncatedSeries, g: TruncatedSeries,

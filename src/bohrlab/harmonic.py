@@ -5,12 +5,12 @@ a dilatation mu through g' = mu h', g(0) = 0.  The verified estimate is
 
     M(h - h(0))(r) + M(g)(r) <= (1 + sup_{|z|<=r} |mu|) d(h(0), boundary)
 
-for r up to e^{-pi}, where d is ``geometry.boundary_distance`` of the
-analytic part.  The sup-of-mu reading is used for the right-hand side (a
-pointwise |mu(z)| does not give a single number).  That sampled sup may
-undershoot, which only makes a pass harder; the tails of M(h) and M(g) are
-closed-form upper bounds from ``LargeFunctionSpec.modulus_bound``.  The
-identity M(g)(r) = integral_0^r M(g')(t) dt is checked with a
+at the Bohr radius r = e^{-pi}, where d is ``geometry.boundary_distance``
+of the analytic part.  The sup-of-mu reading is used for the right-hand
+side (a pointwise |mu(z)| does not give a single number).  That sampled
+sup may undershoot, which only makes a pass harder; the tails of M(h) and
+M(g) are closed-form upper bounds from ``LargeFunctionSpec.modulus_bound``.
+The identity M(g)(r) = integral_0^r M(g')(t) dt is checked with a
 Gauss-Legendre rule, exact for M(g').
 """
 
@@ -23,7 +23,6 @@ import numpy as np
 
 from .bohr import (BASE_SLACK, TAIL_RHO, InequalityCheck, bohr_operator,
                    cauchy_tail_bound)
-from .errors import HypothesisViolation
 from .generators import LargeFunctionSpec
 from .modular import E_PI
 from .series import TruncatedSeries, circle_sup
@@ -43,18 +42,19 @@ class HarmonicPair:
             raise ValueError("g must vanish at 0")
 
 
-def build_pair(spec: LargeFunctionSpec, mu: TruncatedSeries,
-               order: int | None = None) -> HarmonicPair:
-    """g = integral of mu h' with g(0) = 0."""
-    if order is None:
-        order = spec.order
-    h = spec.series.truncated(order)
-    gprime = mu.mul(h.differentiate(), order - 1)
+def build_pair(spec: LargeFunctionSpec, mu: TruncatedSeries) -> HarmonicPair:
+    """g = integral of mu h' with g(0) = 0, both at the spec's order."""
+    h = spec.series.truncated(spec.order)
+    gprime = mu.mul(h.differentiate(), spec.order - 1)
     return HarmonicPair(spec, h, gprime.integrate(), mu)
 
 
 #: Points of each circle on which sup|mu| is sampled.
 _MU_NODES = 1024
+
+#: Absolute tolerance of the M(g) integral identity, on top of the
+#: quadrature's rounding bound.
+_IDENTITY_TOL = 1e-9
 
 
 def _g_tail_bound(pair: HarmonicPair, r: float) -> float:
@@ -76,22 +76,20 @@ def _g_tail_bound(pair: HarmonicPair, r: float) -> float:
     return float(mu_bound * terms.sum())
 
 
-def harmonic_bohr_check(pair: HarmonicPair, distance: float,
-                        r: float = E_PI) -> InequalityCheck:
-    """Verify the (1 + sup|mu|) boundary-distance bound.
+def harmonic_bohr_check(pair: HarmonicPair,
+                        distance: float) -> InequalityCheck:
+    """Verify the (1 + sup|mu|) boundary-distance bound at r = e^-pi.
 
     ``distance`` is ``boundary_distance(pair.spec)``, passed in by the
     caller so that a sweep sharing the spec samples its boundary once.
     """
-    if r > E_PI * (1.0 + 1e-12):
-        raise HypothesisViolation("the bound is asserted for r <= e^-pi")
-    h, g = pair.h, pair.g
+    h, g, r = pair.h, pair.g, E_PI
     mh = bohr_operator(h, r, from_degree=1)
     mg = bohr_operator(g, r, from_degree=1)
     tail_h = cauchy_tail_bound(pair.spec.modulus_bound(TAIL_RHO), TAIL_RHO,
-                               h.order, r) if r > 0 else 0.0
-    tail_g = _g_tail_bound(pair, r) if r > 0 else 0.0
-    sup_mu = circle_sup(pair.mu, r, _MU_NODES) if r > 0 else abs(pair.mu[0])
+                               h.order, r)
+    tail_g = _g_tail_bound(pair, r)
+    sup_mu = circle_sup(pair.mu, r, _MU_NODES)
     lhs = mh + mg + tail_h + tail_g
     rhs = (1.0 + sup_mu) * distance
     return InequalityCheck(
@@ -108,8 +106,8 @@ def _gauss_legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (x + 1.0), 0.5 * w
 
 
-def mg_integral_identity_check(pair: HarmonicPair, r: float,
-                               tol: float = 1e-9) -> InequalityCheck:
+def mg_integral_identity_check(pair: HarmonicPair,
+                               r: float) -> InequalityCheck:
     """M(g)(r) equals the integral of M(g') from 0 to r.
 
     Termwise: integrating |g_n| n t^{n-1} reproduces |g_n| r^n.  M(g') is a
@@ -129,12 +127,13 @@ def mg_integral_identity_check(pair: HarmonicPair, r: float,
     quad_err = 4 * gp_mags.size * float(np.finfo(float).eps) * abs(integral)
     direct = bohr_operator(g, r, from_degree=1)
     gap = abs(integral - direct)
-    passed = gap <= tol + quad_err and gp_mags.size == max(g.order, 1)
+    passed = (gap <= _IDENTITY_TOL + quad_err
+              and gp_mags.size == max(g.order, 1))
     extra = {"integral": integral, "quad_error": quad_err}
     sup_mu = circle_sup(pair.mu, 0.999, _MU_NODES)
     if sup_mu <= 1.0 + 1e-12:
         mh_shifted = bohr_operator(pair.h, r, from_degree=1)
         extra["domination_margin"] = mh_shifted - direct
         passed = passed and direct <= mh_shifted + BASE_SLACK
-    return InequalityCheck("mg-integral-identity", gap, 0.0, tol,
+    return InequalityCheck("mg-integral-identity", gap, 0.0, _IDENTITY_TOL,
                            bool(passed), extra)

@@ -2,9 +2,14 @@
 
 ``SUITES`` maps each suite name to its runner, ``run_<suite>(seed, trials)``,
 whose signature holds the suite's default trial count.  Each suite runs
-independent trials derived deterministically from a base seed, collects one
-row per executed check, and preserves every failing trial with its full
-reproduction recipe.  The rows alone decide a suite's verdict.  A failing
+independent trials derived deterministically from a base seed and collects
+one row per executed check: ``InequalityCheck.row()`` plus the recipe of its
+trial, that is ``trial`` and ``seed`` on every seeded trial, ``phi`` for
+littlewood, ``spec`` for theorem4, von-neumann and harmonic, ``poly`` for
+von-neumann, ``mu`` and ``mu_coeffs`` for harmonic, and ``r`` for
+max-modulus.  The rows alone decide a suite's verdict, and its failure
+records are its failing rows, so each one replays from its own keys
+(harmonic gives one record per failing row, two rows per trial).  A failing
 trial is a result, not a crash: the suite completes and reports it.
 """
 
@@ -32,13 +37,16 @@ class SuiteResult:
     name: str
     trials: int
     rows: list = field(default_factory=list)
-    failures: list = field(default_factory=list)
     summary: dict = field(default_factory=dict)
 
     @property
+    def failures(self) -> list:
+        """The rows whose check failed, each with its trial's recipe."""
+        return [row for row in self.rows if not row["pass"]]
+
+    @property
     def failed(self) -> int:
-        """Rows whose check failed."""
-        return sum(1 for row in self.rows if not row["pass"])
+        return len(self.failures)
 
     @property
     def passed(self) -> bool:
@@ -52,18 +60,14 @@ def _trial_seed(seed: int, t: int) -> int:
 def run_littlewood(seed: int = 7, trials: int = 100) -> SuiteResult:
     res = SuiteResult("littlewood", trials)
     kmax = 40
-    worst = 0.0
     for t in range(trials):
         ts = _trial_seed(seed, t)
         phi = gen.random_schwarz(ts, 1 + t % 4)
         rep = bohr.littlewood_check(phi, ORDER, kmax)
-        worst = max(worst, rep.max_ratio)
-        res.rows.append(rep.row() | {"trial": t})
-        if not rep.passed:
-            res.failures.append({"trial": t, "seed": ts,
-                                 "phi": phi.text(),
-                                 "max_ratio": rep.max_ratio})
-    res.summary = {"max_ratio": worst, "kmax": kmax, "order": ORDER}
+        res.rows.append(rep.row() | {"trial": t, "seed": ts,
+                                     "phi": phi.text()})
+    res.summary = {"max_ratio": max(row["lhs"] for row in res.rows),
+                   "kmax": kmax, "order": ORDER}
     return res
 
 
@@ -80,25 +84,18 @@ def theorem4_spec(trial_seed: int, t: int,
 
 def run_theorem4(seed: int = 7, trials: int = 100) -> SuiteResult:
     res = SuiteResult("theorem4", trials)
-    exact_trials = 0
-    min_margin = math.inf
     for t in range(trials):
         ts = _trial_seed(seed, t)
         spec = theorem4_spec(ts, t)
-        if spec.phi.is_inner:
-            exact_trials += 1
-        rep = bohr.main_theorem_check(spec, r=E_PI)
-        margin = rep.rhs - (rep.lhs + rep.tail_bound)
-        min_margin = min(min_margin, margin)
+        rep = bohr.main_theorem_check(spec)
         res.rows.append(rep.row() | {"trial": t, "seed": ts,
+                                     "spec": spec.text(),
                                      "exact_distance": spec.phi.is_inner})
-        if not rep.passed:
-            res.failures.append({
-                "trial": t, "seed": ts, "spec": spec.text(),
-                "lhs": rep.lhs, "tail_bound": rep.tail_bound, "rhs": rep.rhs,
-            })
-    res.summary = {"r": E_PI, "order": ORDER, "min_margin": min_margin,
-                   "exact_distance_trials": exact_trials}
+    res.summary = {
+        "r": E_PI, "order": ORDER,
+        "min_margin": min(row["rhs"] - row["lhs"] for row in res.rows),
+        "exact_distance_trials": sum(row["exact_distance"]
+                                     for row in res.rows)}
     return res
 
 
@@ -130,14 +127,11 @@ def run_von_neumann(seed: int = 7, trials: int = 50) -> SuiteResult:
             p = TruncatedSeries([0.0, 0.0, 1.0], "w^2")
         else:
             p = gen.random_polynomial(ts + 1, 2 + t % 5)
-        rep = bohr.von_neumann_check(spec, p, dist * c, r=E_PI)
-        res.rows.append(rep.row() | {"trial": t})
-        if not rep.passed:
-            res.failures.append({"trial": t, "seed": ts,
-                                 "spec": spec.text(),
-                                 "poly": [[c.real, c.imag]
-                                          for c in p.coeffs],
-                                 "lhs": rep.lhs, "rhs": rep.rhs})
+        rep = bohr.von_neumann_check(spec, p, dist * c)
+        res.rows.append(rep.row() | {"trial": t, "seed": ts,
+                                     "spec": spec.text(),
+                                     "poly": [[c.real, c.imag]
+                                              for c in p.coeffs]})
     res.summary = {"r": E_PI, "order": ORDER}
     return res
 
@@ -174,31 +168,24 @@ def run_harmonic(seed: int = 7, trials: int = 50) -> SuiteResult:
         rep = harmonic.harmonic_bohr_check(
             pair, _spec_and_distance(ts, ORDER)[1])
         ident = harmonic.mg_integral_identity_check(pair, 0.2)
-        tags = {"trial": t, "seed": ts, "exact_distance": spec.phi.is_inner}
+        tags = {"trial": t, "seed": ts, "spec": spec.text(),
+                "mu": mu.label, "mu_coeffs": [complex(c) for c in mu.coeffs],
+                "exact_distance": spec.phi.is_inner}
         res.rows.append(rep.row() | tags)
         res.rows.append(ident.row() | tags)
-        if not (rep.passed and ident.passed):
-            res.failures.append({"trial": t, "seed": ts,
-                                 "spec": spec.text(), "mu": mu.label,
-                                 "mu_coeffs": [complex(c) for c in mu.coeffs],
-                                 "lhs": rep.lhs, "rhs": rep.rhs,
-                                 "identity_gap": ident.lhs})
     res.summary = {"r": E_PI, "order": ORDER}
     return res
 
 
 def run_classical_bohr(seed: int = 7, trials: int = 100) -> SuiteResult:
     res = SuiteResult("classical-bohr", trials)
-    worst = 0.0
     for t in range(trials):
         ts = _trial_seed(seed, t)
         f = gen.random_mobius_bounded(ts, ORDER)
-        rep = bohr.classical_bohr_check(f)
-        worst = max(worst, rep.lhs)
-        res.rows.append(rep.row() | {"trial": t})
-        if not rep.passed:
-            res.failures.append({"trial": t, "seed": ts, "m": rep.lhs})
-    res.summary = {"max_majorant": worst, "r": 1.0 / 3.0}
+        res.rows.append(bohr.classical_bohr_check(f).row()
+                        | {"trial": t, "seed": ts})
+    res.summary = {"max_majorant": max(row["lhs"] for row in res.rows),
+                   "r": 1.0 / 3.0}
     return res
 
 
@@ -213,11 +200,7 @@ def run_algebra(seed: int = 7, trials: int = 100) -> SuiteResult:
         g = TruncatedSeries(rng.standard_normal(order + 1)
                             + 1j * rng.standard_normal(order + 1))
         for rep in bohr.algebra_properties_check(f, g, r):
-            res.rows.append(rep.row() | {"trial": t})
-            if not rep.passed:
-                res.failures.append({"trial": t, "seed": ts,
-                                     "check": rep.name, "lhs": rep.lhs,
-                                     "rhs": rep.rhs})
+            res.rows.append(rep.row() | {"trial": t, "seed": ts})
     res.summary = {"r": r, "order": order}
     return res
 
@@ -234,17 +217,12 @@ def run_max_modulus(seed: int = 7, trials: int = 20) -> SuiteResult:
         ok = max_sampled <= bound and abs(angle - np.pi) <= step * 1.0001
         res.rows.append(bohr.InequalityCheck(
             "max-modulus", max_sampled, bound, 0.0, bool(ok)).row()
-            | {"trial": t})
-        if not ok:
-            res.failures.append({"trial": t, "r": float(r),
-                                 "max": max_sampled, "angle": angle})
+            | {"trial": t, "r": float(r)})
     max_at_bohr, angle = j_max_modulus(E_PI)
     ok = abs(max_at_bohr - 1.0) <= 1e-10
     res.rows.append(bohr.InequalityCheck(
         "max-modulus-at-bohr-radius", max_at_bohr, 1.0, 1e-10,
-        bool(ok)).row() | {"trial": trials})
-    if not ok:
-        res.failures.append({"r": E_PI, "max": max_at_bohr})
+        bool(ok)).row() | {"trial": trials, "r": E_PI})
     res.summary = {"samples": MAX_MODULUS_SAMPLES}
     return res
 
@@ -265,8 +243,6 @@ def run_density_distance(seed: int = 7, trials: int = 200) -> SuiteResult:
     worst = float(geometry.density_distance_products(z, math.pi).max())
     res.rows.append(bohr.InequalityCheck(
         "density-distance", worst, 1.0, 1e-6, worst <= 1.0 + 1e-6).row())
-    if not res.passed:
-        res.failures.append({"identity_gap": gap, "q_cover_worst": worst})
     res.summary = {"identity_gap": gap, "q_cover_worst": worst}
     return res
 
@@ -287,13 +263,10 @@ def run_univalence(seed: int = 7, trials: int = 4096) -> SuiteResult:
     res.rows.append(bohr.InequalityCheck(
         "collision-above-radius", above.value_gap, 0.0, 1e-8,
         bool(above.found)).row())
-    pair = [[above.z1.real, above.z1.imag], [above.z2.real, above.z2.imag]]
-    if not res.passed:
-        res.failures.append({"starlike_margin": margin, "pair": pair,
-                             "gap": above.value_gap})
     res.summary = {"starlike_margin": margin,
                    "collision_gap": above.value_gap,
-                   "collision_pair": pair}
+                   "collision_pair": [[above.z1.real, above.z1.imag],
+                                      [above.z2.real, above.z2.imag]]}
     return res
 
 

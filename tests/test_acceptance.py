@@ -25,7 +25,8 @@ import pytest
 from bohrlab.bohr import BASE_SLACK, bohr_radius_solve, main_theorem_check
 from bohrlab.generators import identity_schwarz, make_large_function
 from bohrlab.geometry import boundary_distance
-from bohrlab.harmonic import build_pair, harmonic_bohr_check
+from bohrlab.harmonic import (build_pair, harmonic_bohr_check,
+                              mg_integral_identity_check)
 from bohrlab.modular import E_PI, a_coeffs, j_coeffs_exact, j_eval
 from bohrlab.series import TruncatedSeries
 from bohrlab.sweeps import harmonic_trial, run_suite, theorem4_spec
@@ -165,13 +166,20 @@ def readme_counterexample():
     return spec, rep, ok
 
 
+def replays(rec: dict, row: dict) -> bool:
+    """A failure record holds the replayed check's row, key for key."""
+    return all(rec[key] == value for key, value in row.items())
+
+
 def sweep_verdict(res, confirmed, refuted, tight, tight_ok) -> str:
-    """Failures split into oracle-confirmed, oracle-refuted and uncertified
-    (circle-sampled distance), then the tightest exact-distance pass."""
+    """Failing trials split into oracle-confirmed, oracle-refuted and
+    uncertified (circle-sampled distance), then the tightest exact-distance
+    pass."""
+    failed = sorted({f["trial"] for f in res.failures})
     checked = set(confirmed) | set(refuted)
-    unc = [f["trial"] for f in res.failures if f["trial"] not in checked]
+    unc = [t for t in failed if t not in checked]
     text = "%d/%d failed: %d confirmed by the oracle %s" % (
-        len(res.failures), res.trials, len(confirmed), confirmed)
+        len(failed), res.trials, len(confirmed), confirmed)
     if refuted:
         text += ", %d REFUTED by the oracle %s" % (len(refuted), refuted)
     text += ", %d uncertified (circle-sampled distance) %s" % (len(unc), unc)
@@ -251,10 +259,9 @@ def test_criterion_06_main_inequality_sweep():
     for rec in res.failures:
         spec = theorem4_spec(rec["seed"], rec["trial"])
         rep = main_theorem_check(spec)
-        replay_ok &= (spec.text() == rec["spec"] and rep.lhs == rec["lhs"]
-                      and rep.rhs == rec["rhs"])
+        replay_ok &= spec.text() == rec["spec"] and replays(rec, rep.row())
         if spec.phi.is_inner:
-            budget = rec["tail_bound"] + BASE_SLACK
+            budget = rep.tail_bound + BASE_SLACK
             ok = confirms(oracle(spec), rec["lhs"], rec["rhs"], budget, True)
             (confirmed if ok else refuted).append(rec["trial"])
     tight = tightest_exact_pass(res.rows, "theorem-main")
@@ -318,12 +325,16 @@ def test_criterion_09_harmonic_extension():
     replay_ok, confirmed, refuted = True, [], []
     for rec in res.failures:
         spec, mu = harmonic_trial(rec["seed"], rec["trial"])
-        rep = harmonic_bohr_check(build_pair(spec, mu),
-                                  boundary_distance(spec))
+        pair = build_pair(spec, mu)
+        identity = rec["check"] == "mg-integral-identity"
+        rep = (mg_integral_identity_check(pair, 0.2) if identity
+               else harmonic_bohr_check(pair, boundary_distance(spec)))
         replay_ok &= (spec.text() == rec["spec"] and mu.label == rec["mu"]
                       and list(mu.coeffs) == rec["mu_coeffs"]
-                      and rep.lhs == rec["lhs"] and rep.rhs == rec["rhs"])
-        if spec.phi.is_inner:
+                      and replays(rec, rep.row()))
+        if identity:        # an exact identity: no failure is genuine
+            refuted.append(rec["trial"])
+        elif spec.phi.is_inner:
             ok = confirms(oracle(spec, rec["mu_coeffs"]), rec["lhs"],
                           rec["rhs"], rep.slack, True, SUP_MU_RTOL)
             (confirmed if ok else refuted).append(rec["trial"])

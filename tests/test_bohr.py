@@ -13,12 +13,11 @@ import bohrlab.sweeps
 from bohrlab.bohr import (BASE_SLACK, algebra_properties_check, bohr_operator,
                           bohr_radius_solve, cauchy_tail_bound,
                           classical_bohr_check, littlewood_check,
-                          main_theorem_check, shift_polynomial,
-                          von_neumann_check)
+                          main_theorem_check, von_neumann_check)
 from bohrlab.errors import BracketError, DomainError, HypothesisViolation
 from bohrlab.generators import (identity_schwarz, make_large_function,
                                 random_large_function, random_mobius_bounded,
-                                random_schwarz)
+                                random_polynomial, random_schwarz)
 from bohrlab.geometry import boundary_distance
 from bohrlab.harmonic import build_pair, harmonic_bohr_check
 from bohrlab.modular import E_PI
@@ -197,12 +196,6 @@ def test_main_check_fails_near_puncture():
     assert rep.lhs > rep.rhs * 1.2
 
 
-def test_main_check_rejects_large_radius():
-    spec = make_large_function(0.0, 1.0, math.pi, identity_schwarz(), 64)
-    with pytest.raises(DomainError):
-        main_theorem_check(spec, r=0.1)
-
-
 def test_main_check_scale_invariance():
     spec = make_large_function(0.0, 1.0, math.pi, identity_schwarz(), 64)
     rep1 = main_theorem_check(spec)
@@ -214,11 +207,34 @@ def test_main_check_scale_invariance():
 # -- polynomial calculus -----------------------------------------------------
 
 
-def test_shift_polynomial_oracle():
-    # p(w) = w^2, shifted by c: c^2 + 2cw + w^2
-    p = TruncatedSeries([0.0, 0.0, 1.0])
-    s = shift_polynomial(p, 3.0)
-    assert np.allclose(s.coeffs, [9.0, 6.0, 1.0])
+def test_von_neumann_series_is_p_of_f(monkeypatch):
+    """The series whose majorant the check takes is p(F): near 0 it sums
+    to p(F(z)) for the identity, w^2 and a random polynomial, the three
+    kinds the von-neumann suite draws."""
+    composed = []
+    operator = bohrlab.bohr.bohr_operator
+
+    def capture(f, r, from_degree=0):
+        composed.append(f)
+        return operator(f, r, from_degree)
+
+    monkeypatch.setattr(bohrlab.bohr, "bohr_operator", capture)
+    z = np.concatenate([r * unit_ring(64) for r in (0.01, 0.03, 0.05)])
+    for seed in (1, 2, 5):          # phi inner for 1 and 2, not for 5
+        spec = random_large_function(seed, 64)
+        d = boundary_distance(spec)
+        c = 0.3 / max(operator(spec.series, E_PI), d)
+        spec = spec.scaled(c)
+        f_z = spec.eval(z)
+        for p in (TruncatedSeries([0.0, 1.0]),
+                  TruncatedSeries([0.0, 0.0, 1.0]),
+                  random_polynomial(seed, 2 + seed)):
+            composed.clear()
+            von_neumann_check(spec, p, d * c)
+            assert len(composed) == 1 and composed[0].order == 64
+            want = np.polyval(p.coeffs[::-1], f_z)
+            gap = np.abs(composed[0].eval(z) - want).max()
+            assert gap <= 1e-14 * max(1.0, np.abs(want).max()), (seed, p)
 
 
 def test_polynomial_sup_oracle():

@@ -25,7 +25,7 @@ def test_coeffs_exact(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["a"] == [1, 8, 44, 192, 718]
-    assert doc["schema"] == 1
+    assert doc["schema"] == 2
 
 
 def test_coeffs_order_200_floats_are_the_exact_integers(capsys):
@@ -136,6 +136,17 @@ def test_report_tolerance_failures_are_the_failing_rows(capsys, suite,
     assert (doc["checks_failed"] == 0) is passed
     assert len(doc["failures"]) == doc["checks_failed"]
     assert all("trial" in rec for rec in doc["failures"])
+
+
+@pytest.mark.parametrize("suite", ["theorem4", "harmonic"])
+def test_report_failures_do_not_depend_on_tolerance(capsys, suite):
+    """At the suite's own slack, --tolerance re-judges to the same verdicts
+    and prints the same failure records, recipes included."""
+    docs = [json.loads(run(capsys, "report", "--suite", suite, *extra)[1])
+            for extra in ((), ("--tolerance", suite + "=1e-9"))]
+    failures = [doc["suites"][0]["failures"] for doc in docs]
+    assert failures[0] == failures[1]
+    assert failures[0] and all("spec" in rec for rec in failures[0])
 
 
 def test_usage_errors(capsys):

@@ -8,7 +8,6 @@ import bohrlab.generators
 import bohrlab.geometry
 import bohrlab.sweeps
 from bohrlab.bohr import main_theorem_check
-from bohrlab.errors import HypothesisViolation
 from bohrlab.generators import (identity_schwarz, make_large_function,
                                 random_large_function, random_mobius_bounded)
 from bohrlab.geometry import boundary_distance
@@ -101,12 +100,6 @@ def test_gauss_legendre_matches_exact_antiderivative(order):
             extra = mg_integral_identity_check(pair, r).extra
             exact = P.polyval(r, antiderivative)
             assert abs(extra["integral"] - exact) <= extra["quad_error"]
-
-
-def test_radius_guard():
-    pair = build_pair(central_spec(), TruncatedSeries([0.0]))
-    with pytest.raises(HypothesisViolation):
-        harmonic_bohr_check(pair, boundary_distance(pair.spec), r=0.5)
 
 
 def test_harmonic_sweep_reuses_von_neumann_trials(monkeypatch):

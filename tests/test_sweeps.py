@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 import bohrlab.modular
-from bohrlab.bohr import BASE_SLACK
+from bohrlab.bohr import BASE_SLACK, main_theorem_check
 from bohrlab.errors import DomainError
 from bohrlab.geometry import boundary_distance
-from bohrlab.sweeps import (SUITE_NAMES, SUITES, run_harmonic, run_suite,
-                            run_theorem4, run_univalence, theorem4_spec)
+from bohrlab.harmonic import build_pair, harmonic_bohr_check
+from bohrlab.sweeps import (SUITE_NAMES, SUITES, harmonic_trial,
+                            run_harmonic, run_suite, run_theorem4,
+                            run_univalence, theorem4_spec)
 
 
 def test_suite_names_keep_report_order():
@@ -62,7 +64,32 @@ def test_univalence_certificate_needs_enough_nodes():
     below = res.rows[0]
     assert below["check"] == "univalence-below-radius"
     assert not below["pass"] and below["lhs"] > 0
-    assert res.failures[0]["starlike_margin"] == -below["lhs"]
+    assert res.failures == [below]
+    assert res.summary["starlike_margin"] == -below["lhs"]
+
+
+def test_seed7_failure_records_rebuild_from_seed_and_trial():
+    """Each failing row carries its trial's recipe: rebuilt from ``seed``
+    and ``trial`` alone, it gives the same spec, mu and row."""
+    res = run_theorem4(7)
+    assert [rec["trial"] for rec in res.failures] == [2, 22, 50, 66, 67, 75]
+    for rec in res.failures:
+        spec = theorem4_spec(rec["seed"], rec["trial"])
+        assert spec.text() == rec["spec"]
+        row = main_theorem_check(spec).row()
+        assert (row["lhs"], row["rhs"]) == (rec["lhs"], rec["rhs"])
+    res = run_harmonic(7)
+    assert [rec["trial"] for rec in res.failures] == [25, 35, 46]
+    for rec in res.failures:
+        assert rec["check"] == "harmonic-bohr"
+        spec, mu = harmonic_trial(rec["seed"], rec["trial"])
+        assert (spec.text(), mu.label) == (rec["spec"], rec["mu"])
+        assert [complex(c) for c in mu.coeffs] == rec["mu_coeffs"]
+        row = harmonic_bohr_check(build_pair(spec, mu),
+                                  boundary_distance(spec)).row()
+        assert (row["lhs"], row["rhs"]) == (rec["lhs"], rec["rhs"])
+    # The two rows of a trial share one recipe.
+    assert res.rows[0]["mu_coeffs"] is res.rows[1]["mu_coeffs"]
 
 
 def test_univalence_evaluates_only_the_collision_pair(monkeypatch):
