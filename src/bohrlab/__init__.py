@@ -20,7 +20,6 @@ from .geometry import boundary_distance, density_distance_products
 from .harmonic import HarmonicPair, build_pair, harmonic_bohr_check
 from .modular import (E_HALF_PI, E_PI, CoveringParameter, a_coeffs,
                       collision_search, j_coeffs_exact, j_eval, j_deriv,
-                      j_max_modulus, j_series, q_eval, q_series,
-                      starlike_certificate)
+                      j_series, q_eval, q_series, starlike_certificate)
 from .series import TruncatedSeries
-from .sweeps import SUITE_NAMES, run_suite
+from .sweeps import SUITE_NAMES, j_max_modulus, run_suite

@@ -28,9 +28,6 @@ E_PI = math.exp(-math.pi)
 #: Radius of univalence of J.
 E_HALF_PI = math.exp(-math.pi / 2)
 
-#: Points of each circle on which ``j_max_modulus`` samples |J|.
-MAX_MODULUS_SAMPLES = 4096
-
 #: Highest degree of J's series: the exact recurrence is quadratic in the
 #: order, and ``coeffs --order 4096`` (degree 4097) takes about 2 s.
 MAX_SERIES_ORDER = 4097
@@ -271,19 +268,6 @@ def j_deriv(z):
     return _evaluate(z, deriv=True)
 
 
-def j_max_modulus(r: float) -> tuple[float, float]:
-    """Circle maximum of |J| at MAX_MODULUS_SAMPLES points, with its angle.
-
-    The maximum of |J| on |z| = r sits on the negative real axis, so the
-    returned angle should land within one grid step of pi.
-    """
-    if not 0 < r < 1:
-        raise DomainError("r must lie in (0, 1)")
-    vals = np.abs(j_eval(r * unit_ring(MAX_MODULUS_SAMPLES)))
-    k = int(np.argmax(vals))
-    return float(vals[k]), 2 * math.pi * k / MAX_MODULUS_SAMPLES
-
-
 # ---------------------------------------------------------------------------
 # The covering map Q
 
@@ -424,10 +408,13 @@ def starlike_certificate(r: float, nodes: int) -> StarlikeCertificate:
       off their angles, and the sums of these bounds round by gamma_{K+1}
       each.
 
-    Each bound is subtracted, so the margin errs low: a positive margin
-    certifies, and a margin <= 0 certifies nothing.  This certifies the
-    sweep's radius 0.9 e^{-pi/2}, not the univalence radius e^{-pi/2}
-    itself: J is univalent but no longer starlike at 0.92 e^{-pi/2}.
+    Each bound is subtracted, so the margin errs low: a margin >= 0
+    certifies, and a negative margin certifies nothing.  A zero margin is
+    enough: Re h >= 0 on |z| = r and Re h(0) = 1, so Re h is not identically
+    zero and the minimum principle gives Re h > 0 on the open disk |z| < r,
+    where J is then starlike.  This certifies the sweep's radius
+    0.9 e^{-pi/2}, not the univalence radius e^{-pi/2} itself: J is
+    univalent but no longer starlike at 0.92 e^{-pi/2}.
     """
     if not 0 < r < 1:
         raise DomainError("r must lie in (0, 1)")
@@ -451,20 +438,11 @@ def starlike_certificate(r: float, nodes: int) -> StarlikeCertificate:
 
 @dataclass(frozen=True)
 class CollisionReport:
-    """A candidate pair J(z1) = J(z2) in a disk, with its residuals."""
+    """A pair J(z1) = J(z2) in a disk, with its value gap."""
 
-    r: float
     z1: complex
     z2: complex
     value_gap: float            # |J(z1) - J(z2)|
-    separation: float           # |z1 - z2|
-    found: bool
-
-
-#: A closed-form pair counts as found when its value gap is below
-#: _GAP_TARGET and its points are at least _MIN_SEPARATION apart.
-_GAP_TARGET = 1e-8
-_MIN_SEPARATION = 0.02
 
 
 def collision_search(r: float = 0.35) -> CollisionReport:
@@ -476,15 +454,17 @@ def collision_search(r: float = 0.35) -> CollisionReport:
     z2 = i e^{-pi / (4t)}.  Both lie in |z| <= 0.999 r exactly when
     l <= t <= 1 / (4l) with l = -log(0.999 r) / pi; such t exists iff
     0.999 r >= e^{-pi/2}, the univalence radius.  The midpoint of that
-    interval is taken; ``found`` is false when it is empty.
+    interval is taken; when it is empty, ``DomainError`` is raised.  The
+    points are |z1| + |z2| >= e^{-pi/2} apart, as t or 1 / (4t) is at most
+    1/2.
     """
     if not 0 < r < 1:
         raise DomainError("r must lie in (0, 1)")
     ell = -math.log(0.999 * r) / math.pi
+    if ell > 0.5:
+        raise DomainError("no closed-form pair fits |z| <= 0.999 r when "
+                          "0.999 r < e^-pi/2 (r = %r)" % r)
     t = 0.5 * (ell + 0.25 / ell)
     z1 = complex(0.0, -math.exp(-math.pi * t))
     z2 = complex(0.0, math.exp(-0.25 * math.pi / t))
-    gap = float(abs(j_eval(z1) - j_eval(z2)))
-    sep = float(abs(z1 - z2))
-    found = ell <= 0.5 and gap < _GAP_TARGET and sep >= _MIN_SEPARATION
-    return CollisionReport(r, z1, z2, gap, sep, found)
+    return CollisionReport(z1, z2, float(abs(j_eval(z1) - j_eval(z2))))

@@ -11,6 +11,8 @@ import json
 import re
 import sys
 
+from .bohr import InequalityCheck
+
 CSV_FIELDS = ("check", "lhs", "rhs", "slack", "pass")
 
 SCHEMA = 2
@@ -97,15 +99,16 @@ def write_csv(rows, path: str) -> int:
 
 
 def apply_tolerance_override(result, tol: float) -> None:
-    """Re-judge every row of a suite as lhs <= rhs + tol.  The suite's
-    failure records are its failing rows, so they follow the new verdicts.
+    """Re-judge every row of a suite by its check's own rule with ``tol``
+    as the slack.  The suite's failure records are its failing rows, so
+    they follow the new verdicts.
 
     Used by the report command to demonstrate that an impossible tolerance
     is reported as a failure rather than silently absorbed.
     """
     for row in result.rows:
-        row["slack"] = tol
-        row["pass"] = bool(float(row["lhs"]) <= float(row["rhs"]) + tol)
+        row.update(InequalityCheck(row["check"], row["lhs"], row["rhs"],
+                                   tol).row())
 
 
 def eprint(*args) -> None:

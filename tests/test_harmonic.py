@@ -13,8 +13,9 @@ from bohrlab.generators import (identity_schwarz, make_large_function,
 from bohrlab.geometry import boundary_distance
 from bohrlab.harmonic import (HarmonicPair, build_pair, harmonic_bohr_check,
                               mg_integral_identity_check)
+from bohrlab.reporting import apply_tolerance_override
 from bohrlab.series import TruncatedSeries
-from bohrlab.sweeps import run_suite
+from bohrlab.sweeps import SuiteResult, run_suite
 
 
 def central_spec(order=64):
@@ -87,6 +88,22 @@ def test_mg_integral_identity():
     assert rep.lhs < 1e-9
     # |mu| <= 1 forces M(g) <= M(h - a_0) termwise after integration.
     assert rep.extra["domination_margin"] >= -1e-12
+
+
+def test_identity_row_holds_the_domination():
+    """g = 2 (h - h_0) with mu = 0 satisfies the integral identity but not
+    M(g) <= M(h - h_0).  The row must say so in its own numbers, so that
+    re-judging it at its own slack keeps it failing."""
+    spec = central_spec()
+    h = spec.series.truncated(spec.order)
+    pair = HarmonicPair(spec, h, 2 * (h - h[0]), TruncatedSeries([0.0]))
+    rep = mg_integral_identity_check(pair, 0.2)
+    assert not rep.passed
+    assert rep.lhs == pytest.approx(-rep.extra["domination_margin"])
+    result = SuiteResult("harmonic", 1, [rep.row()])
+    apply_tolerance_override(result, rep.slack)
+    assert result.rows == [rep.row()]
+    assert not result.passed
 
 
 @pytest.mark.parametrize("order", [8, 32, 64])

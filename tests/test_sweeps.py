@@ -31,6 +31,14 @@ def test_verdict_follows_the_rows(name):
         run_suite(name, 7, 0)
 
 
+@pytest.mark.parametrize("seed", [7, 8])
+def test_every_verdict_is_read_from_its_row(seed):
+    for name in SUITE_NAMES:
+        for row in run_suite(name, seed).rows:
+            assert row["pass"] == (row["lhs"] <= row["rhs"] + row["slack"]), (
+                name, row)
+
+
 def test_forced_failing_row_fails_the_suite():
     res = run_suite("classical-bohr", 7, 2)
     assert res.passed
