@@ -138,15 +138,15 @@ def littlewood_check(phi: SchwarzFunction, order: int,
     """Build f = -J(-phi(z)) and compare |a_k| with the majorant coefficient.
 
     The degree-k coefficient of -J(-z) is 16 A_{k-1}; the comparison at
-    matching degree is the form Littlewood's theorem supports.
+    matching degree is the form Littlewood's theorem supports.  As phi(0)
+    = 0, degrees 1..kmax need no higher input, so compose stops at kmax.
     """
-    if kmax is None:
-        kmax = order
-    kmax = min(kmax, order)
-    major = minus_j_minus_series(order)
-    f = major.compose(phi.series(order), order)
-    mags = np.abs(f.coeffs[1 : kmax + 1])
-    ratios = mags / major.coeffs[1 : kmax + 1].real
+    kmax = order if kmax is None else min(kmax, order)
+    if kmax < 1:
+        raise DomainError("kmax must be >= 1")
+    major = minus_j_minus_series(kmax)
+    f = major.compose(phi.series(kmax), kmax)
+    ratios = np.abs(f.coeffs[1:]) / major.coeffs[1:].real
     return LittlewoodReport("littlewood", float(ratios.max()), 1.0,
                             BASE_SLACK)
 

@@ -242,9 +242,10 @@ def make_large_function(a, b, alpha, phi: SchwarzFunction,
         raise DegenerateSpec("omitted points must be distinct")
     if not isinstance(alpha, CoveringParameter):
         alpha = CoveringParameter(float(alpha))
-    qs = q_series(alpha, order)
-    f_series = a + (b - a) * qs.compose(phi.series(order), order)
-    return LargeFunctionSpec(a, b, alpha, phi, order, f_series)
+    composed = q_series(alpha, order).compose(phi.series(order), order)
+    coeffs = composed.coeffs * (b - a)
+    coeffs[0] += a
+    return LargeFunctionSpec(a, b, alpha, phi, order, TruncatedSeries(coeffs))
 
 
 def random_large_function(

@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError, NonPositiveCoefficient
-from .series import TruncatedSeries, unit_ring
+from .series import TruncatedSeries, inverse, unit_ring
 
 #: The Bohr radius for functions omitting two values.
 E_PI = math.exp(-math.pi)
@@ -341,7 +341,9 @@ def q_series(alpha, order: int) -> TruncatedSeries:
     stop at n = ceil(sqrt((2 order + 40) / beta)) + 1: by Cauchy on
     |z| = rho, an omitted q^k moves [z^j] by at most
     e^{-k beta (1 - rho)/(1 + rho)} rho^{-j}, below e^{-105} for q^100 at
-    beta = pi and j = 64.  Not cached: each random spec draws a new alpha.
+    beta = pi and j = 64.  All in real float64 arrays: theta_3 is inverted
+    by Newton doubling (``series.inverse``), then three products.  Not
+    cached: each random spec draws a new alpha.
     """
     if order < 1:
         raise DomainError("order must be >= 1")
@@ -352,11 +354,10 @@ def q_series(alpha, order: int) -> TruncatedSeries:
     powers = _nome_powers(beta, np.concatenate([n * n, n * (n + 1)]), order)
     sums = powers.reshape(order + 1, 2, n.size).sum(axis=2) * (2.0, 1.0)
     sums[0] += 1.0                          # theta_3 and sum q^{n(n+1)}
-    ratio = TruncatedSeries(sums[:, 1]).mul(
-        TruncatedSeries(sums[:, 0]).reciprocal(order), order)
-    square = ratio.mul(ratio, order)
-    lam = square.mul(square, order).mul(TruncatedSeries(16.0 * powers[:, 0]),
-                                       order).coeffs
+    ratio = np.convolve(sums[:, 1], inverse(sums[:, 0], order))[: order + 1]
+    square = np.convolve(ratio, ratio)[: order + 1]
+    fourth = np.convolve(square, square)[: order + 1]
+    lam = np.convolve(fourth, 16.0 * powers[:, 0])[: order + 1]
     if dual:
         lam = -lam * (-1.0) ** np.arange(order + 1)
         lam[0] += 1.0

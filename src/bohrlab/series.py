@@ -133,13 +133,13 @@ class TruncatedSeries:
             raise NonzeroInnerConstant(
                 "inner series has constant term %r" % inner[0]
             )
-        u = inner.truncated(order).coeffs
         nonzero = np.flatnonzero(self.coeffs[: order + 1])
         top = int(nonzero[-1]) if nonzero.size else 0
         b = max(1, isqrt(top))
         powers = np.zeros((b + 1, order + 1), dtype=complex)
         powers[0, 0] = 1.0
-        powers[1] = u
+        powers[1, : inner.order + 1] = inner.coeffs[: order + 1]
+        u = powers[1]
         for i in range(2, b + 1):
             powers[i] = np.convolve(powers[i - 1], u)[: order + 1]
         nblocks = top // b + 1
@@ -153,16 +153,8 @@ class TruncatedSeries:
         return TruncatedSeries(acc)
 
     def reciprocal(self, order: int) -> "TruncatedSeries":
-        """Series g with self * g = 1 + O(z^{order+1})."""
-        c0 = self[0]
-        if c0 == 0:
-            raise ZeroConstantTerm("cannot invert a series vanishing at 0")
-        f = self.truncated(order).coeffs
-        g = np.zeros(order + 1, dtype=complex)
-        g[0] = 1.0 / c0
-        for n in range(1, order + 1):
-            g[n] = -np.dot(f[1 : n + 1], g[n - 1 :: -1]) / c0
-        return TruncatedSeries(g)
+        """Series g with self * g = 1 + O(z^{order+1}); see ``inverse``."""
+        return TruncatedSeries(inverse(self.coeffs, order))
 
     # -- calculus -----------------------------------------------------------
 
@@ -202,6 +194,22 @@ def _coerce(x) -> TruncatedSeries:
     if np.isscalar(x):
         return TruncatedSeries.constant(x)
     raise TypeError("cannot interpret %r as a series" % (x,))
+
+
+def inverse(f: np.ndarray, order: int) -> np.ndarray:
+    """Coefficients g_0..g_order of 1/f in f's dtype, by Newton doubling
+    g <- g (2 - f g) (Brent and Kung, 1978): ceil(log2(order + 1)) steps,
+    each doubling the correct prefix with two truncated products."""
+    if f[0] == 0:
+        raise ZeroConstantTerm("cannot invert a series vanishing at 0")
+    f = np.append(f, np.zeros(max(0, order + 1 - f.size), f.dtype))
+    g = 1.0 / f[:1]
+    while g.size <= order:
+        n = min(2 * g.size, order + 1)
+        e = -np.convolve(f[:n], g)[:n]
+        e[0] += 2.0
+        g = np.convolve(g, e)[:n]
+    return g
 
 
 @lru_cache(maxsize=None)

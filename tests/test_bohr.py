@@ -15,12 +15,13 @@ from bohrlab.bohr import (BASE_SLACK, algebra_properties_check, bohr_operator,
                           classical_bohr_check, littlewood_check,
                           main_theorem_check, von_neumann_check)
 from bohrlab.errors import BracketError, DomainError, HypothesisViolation
-from bohrlab.generators import (identity_schwarz, make_large_function,
+from bohrlab.generators import (Factor, SchwarzFunction, identity_schwarz,
+                                make_large_function,
                                 random_large_function, random_mobius_bounded,
                                 random_polynomial, random_schwarz)
 from bohrlab.geometry import boundary_distance
 from bohrlab.harmonic import build_pair, harmonic_bohr_check
-from bohrlab.modular import E_PI
+from bohrlab.modular import E_PI, minus_j_minus_series
 from bohrlab.series import TruncatedSeries, circle_sup, unit_ring
 from bohrlab.sweeps import run_von_neumann
 
@@ -173,6 +174,46 @@ def test_littlewood_random_schwarz():
         rep = littlewood_check(phi, 64, kmax=40)
         assert rep.passed, phi.text()
         assert rep.max_ratio <= 1.0 + BASE_SLACK
+
+
+@pytest.mark.parametrize("kmax", [0, -3])
+def test_littlewood_rejects_kmax_below_one(kmax):
+    with pytest.raises(DomainError):
+        littlewood_check(identity_schwarz(), 64, kmax)
+
+
+@pytest.mark.parametrize("factors", [
+    (Factor("identity"),),
+    (Factor("rotation", 2.1), Factor("power", 2)),
+    (Factor("contraction", 0.6), Factor("blaschke", 0.5 - 0.3j)),
+    (Factor("blaschke", 0.7j), Factor("power", 3), Factor("rotation", 0.4)),
+    (Factor("power", 2), Factor("blaschke", -0.4 + 0.2j),
+     Factor("contraction", 0.45), Factor("blaschke", 0.2 + 0.6j)),
+])
+def test_littlewood_at_kmax_matches_full_order(factors):
+    """Composing only to kmax reads the ratios of the order-64 composition
+    up to rounding: each side is within 3 (N+1)(top+1) eps of the majorant
+    (|outer| o |inner|)_n of the exact composition, the budget of
+    test_compose_within_rounding_budget_of_exact, at N = top = kmax and at
+    N = top = 64.  Every kmax up to 40 is checked, since the largest ratio
+    tends to sit at a low degree; the budget at kmax = 40 covers them all."""
+    order, kmax = 64, 40
+    phi = SchwarzFunction(factors)
+    major = minus_j_minus_series(order)
+    inner = phi.series(order)
+    full = major.compose(inner, order).coeffs
+    ratios = np.abs(full[1 : kmax + 1]) / major.coeffs[1 : kmax + 1].real
+    majorant = np.zeros(order + 1)
+    for c in major.coeffs[::-1]:
+        majorant = np.convolve(majorant, np.abs(inner.coeffs))[: order + 1]
+        majorant[0] += abs(c)
+    eps = np.finfo(float).eps
+    budget = 3 * eps * ((kmax + 1) ** 2 + (order + 1) ** 2) \
+        * majorant[1 : kmax + 1] / major.coeffs[1 : kmax + 1].real
+    for k in range(1, kmax + 1):
+        got = littlewood_check(phi, order, k).lhs
+        assert (ratios[:k] - budget[:k]).max() <= got \
+            <= (ratios[:k] + budget[:k]).max(), k
 
 
 # -- the main inequality -----------------------------------------------------

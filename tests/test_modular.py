@@ -450,6 +450,23 @@ def test_q_series_evaluates_no_j_point(monkeypatch):
     assert q_series(1.3, 64).order == 64
 
 
+@pytest.mark.parametrize("alpha", [1.3, math.pi, 5.0])
+def test_q_series_work_count(monkeypatch, alpha):
+    # One Newton inverse of theta_3 (7 steps of 2 products at order 64) and
+    # 4 products after it; no coefficient-by-coefficient recurrence.
+    counts = {"convolve": 0, "dot": 0}
+    for name in counts:
+        original = getattr(np, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np, name, counting)
+    q_series(alpha, 64)
+    assert counts["convolve"] <= 18 and counts["dot"] == 0, counts
+
+
 @pytest.mark.parametrize("order", [64, 1000])
 @pytest.mark.parametrize("alpha", [1e-3, 0.05, 50.0, 700.0, 1e4])
 def test_q_series_far_from_the_sweep_range(alpha, order):

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bohrlab.errors import NonzeroInnerConstant, ZeroConstantTerm
-from bohrlab.series import TruncatedSeries
+from bohrlab.series import TruncatedSeries, inverse
 
 
 def coeff_lists(max_len=8):
@@ -239,6 +239,34 @@ def test_reciprocal_inverts(a, order):
     fp = np.finfo(float)
     tol = 4 * np.arange(1, order + 2) * fp.eps * scale + fp.tiny
     assert np.all(np.abs(prod.coeffs - expect) <= tol)
+
+
+def test_inverse_keeps_real_dtype():
+    f = np.array([2.0, 1.0, 0.5])
+    g = inverse(f, 9)
+    assert g.dtype == np.float64 and g.size == 10
+    assert np.allclose(np.convolve(f, g)[:10], np.eye(10)[0], atol=1e-15)
+
+
+def test_inverse_at_order_zero():
+    g = inverse(np.array([4.0 - 2.0j, 1.0]), 0)
+    assert g.shape == (1,) and g[0] == pytest.approx(0.2 + 0.1j, rel=1e-15)
+    with pytest.raises(ZeroConstantTerm):
+        inverse(np.array([0.0, 1.0]), 0)
+
+
+def test_inverse_of_geometric_series_at_order_1000():
+    # 1/(1 - c z) = sum c^n z^n, within the budget of
+    # test_reciprocal_inverts: 4 (n+1) eps sum_k |f_k| |g_{n-k}| + tiny.
+    order, c = 1000, 0.9j
+    f = np.array([1.0, -c])
+    g = inverse(f, order)
+    n = np.arange(order + 1)
+    exact = 0.9 ** n * 1j ** (n % 4)
+    scale = np.convolve(np.abs(f), np.abs(g))[: order + 1]
+    fp = np.finfo(float)
+    tol = 4 * (n + 1) * fp.eps * scale + fp.tiny
+    assert np.all(np.abs(g - exact) <= tol)
 
 
 def test_eval_matches_polyval():
