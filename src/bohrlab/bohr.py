@@ -139,14 +139,15 @@ def littlewood_check(phi: SchwarzFunction, order: int,
 
     The degree-k coefficient of -J(-z) is 16 A_{k-1}; the comparison at
     matching degree is the form Littlewood's theorem supports.  As phi(0)
-    = 0, degrees 1..kmax need no higher input, so compose stops at kmax.
+    = 0, degrees 1..kmax need no higher input, so f is formed only to kmax,
+    by pulling -J(-z) back through phi's factors (``phi.pull_back``).
     """
     kmax = order if kmax is None else min(kmax, order)
     if kmax < 1:
         raise DomainError("kmax must be >= 1")
     major = minus_j_minus_series(kmax)
-    f = major.compose(phi.series(kmax), kmax)
-    ratios = np.abs(f.coeffs[1:]) / major.coeffs[1:].real
+    f = phi.pull_back(major.coeffs, kmax)
+    ratios = np.abs(f[1:]) / major.coeffs[1:].real
     return LittlewoodReport("littlewood", float(ratios.max()), 1.0,
                             BASE_SLACK)
 

@@ -85,10 +85,28 @@ class Factor:
         elif order >= 1:
             # z (z + c) sum_n g_n z^n with g_n = (-conj(c))^n.
             c = self.param
-            g = np.cumprod(np.r_[1.0, np.full(order - 1, -np.conj(c))])
+            g = np.cumprod(np.concatenate(([1.0],
+                                           np.full(order - 1, -np.conj(c)))))
             coeffs[1:] = c * g
             coeffs[2:] += g[:-1]
         return TruncatedSeries(coeffs)
+
+    def pull_back(self, outer: np.ndarray, order: int) -> np.ndarray:
+        """Coefficients of outer(self(z)) to degree ``order``, from the
+        ``order + 1`` coefficients of ``outer``.  Only a Blaschke factor
+        needs a general composition: c z multiplies [z^j] by c^j, and z^k
+        moves it to degree j k exactly."""
+        if self.kind == "identity":
+            return outer
+        if self.kind == "power":
+            k = int(self.param.real)
+            moved = np.zeros(order + 1, dtype=complex)
+            moved[::k] = outer[: order // k + 1]
+            return moved
+        if self.kind == "blaschke":
+            return TruncatedSeries(outer).compose(self.series(order),
+                                                  order).coeffs
+        return outer * self.eval(1.0) ** np.arange(order + 1)
 
     def text(self) -> str:
         if self.kind == "identity":
@@ -128,11 +146,19 @@ class SchwarzFunction:
             z = f.eval(z)
         return z
 
+    def pull_back(self, outer: np.ndarray, order: int) -> np.ndarray:
+        """Coefficients of outer(phi(z)) to degree ``order``, from the
+        ``order + 1`` coefficients of ``outer``: one factor at a time from
+        the last, as ``eval`` applies the first factor first.  As every
+        factor fixes 0, degrees above ``order`` never reach back."""
+        for f in reversed(self.factors):
+            outer = f.pull_back(outer, order)
+        return outer
+
     def series(self, order: int) -> TruncatedSeries:
-        s = self.factors[0].series(order)
-        for f in self.factors[1:]:
-            s = f.series(order).compose(s, order)
-        return s
+        """Series of phi: the identity z pulled back through the factors."""
+        return TruncatedSeries(
+            self.pull_back(TruncatedSeries.identity(order).coeffs, order))
 
     def text(self) -> str:
         return " . ".join(f.text() for f in self.factors)
@@ -236,14 +262,15 @@ class LargeFunctionSpec:
 
 def make_large_function(a, b, alpha, phi: SchwarzFunction,
                         order: int) -> LargeFunctionSpec:
-    """Assemble the spec and its truncated series."""
+    """Assemble the spec and its truncated series: Q's coefficients pulled
+    back through phi's factors (``SchwarzFunction.pull_back``), so only a
+    Blaschke factor costs a series composition, then a + (b - a) Q(phi)."""
     a, b = complex(a), complex(b)
     if a == b:
         raise DegenerateSpec("omitted points must be distinct")
     if not isinstance(alpha, CoveringParameter):
         alpha = CoveringParameter(float(alpha))
-    composed = q_series(alpha, order).compose(phi.series(order), order)
-    coeffs = composed.coeffs * (b - a)
+    coeffs = phi.pull_back(q_series(alpha, order).coeffs, order) * (b - a)
     coeffs[0] += a
     return LargeFunctionSpec(a, b, alpha, phi, order, TruncatedSeries(coeffs))
 
@@ -291,7 +318,7 @@ def random_mobius_bounded(seed: int, order: int = 64) -> TruncatedSeries:
     c = rad * np.exp(2j * np.pi * rng.random())
     u = np.exp(2j * np.pi * rng.random())
     # (c + u z) sum_n h_n z^n with h_n = (-conj(c) u)^n.
-    h = np.cumprod(np.r_[1.0, np.full(order, -np.conj(c) * u)])
+    h = np.cumprod(np.concatenate(([1.0], np.full(order, -np.conj(c) * u))))
     coeffs = c * h
     coeffs[1:] += u * h[:-1]
     return TruncatedSeries(coeffs, "mobius(c=%s, u=%s)" % (_fmt(c), _fmt(u)))

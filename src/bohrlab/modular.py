@@ -324,9 +324,13 @@ def _nome_powers(beta: float, ks: np.ndarray, order: int) -> np.ndarray:
     out[1] = np.exp(shift * math.log(2.0) - t)
     j = np.arange(order)[:, None]
     a, b = (2.0 * j - 2.0 * t) / (j + 1), ((j - 1) / (j + 1)).ravel().tolist()
+    scratch = np.empty(ks.size)
     for i in range(order):
-        out[i + 2] = a[i] * out[i + 1] - b[i] * out[i]
-        if watch and (big := np.abs(out[i + 2]) > 2.0 ** 600).any():
+        row = out[i + 2]
+        np.multiply(a[i], out[i + 1], out=row)
+        np.multiply(b[i], out[i], out=scratch)
+        np.subtract(row, scratch, out=row)
+        if watch and (big := np.abs(row) > 2.0 ** 600).any():
             out[:, big] *= 2.0 ** -600
             shift[big] -= 600
     return np.ldexp(out[1:], -shift.astype(int))

@@ -81,17 +81,11 @@ class TruncatedSeries:
         coeffs[: other.order + 1] += other.coeffs
         return TruncatedSeries(coeffs)
 
-    def __radd__(self, other) -> "TruncatedSeries":
-        return self.__add__(other)
-
     def __neg__(self) -> "TruncatedSeries":
         return TruncatedSeries(-self.coeffs, self.label)
 
     def __sub__(self, other) -> "TruncatedSeries":
         return self.__add__(-_coerce(other))
-
-    def __rsub__(self, other) -> "TruncatedSeries":
-        return _coerce(other).__sub__(self)
 
     def scale(self, c) -> "TruncatedSeries":
         return TruncatedSeries(self.coeffs * complex(c))
@@ -183,9 +177,6 @@ class TruncatedSeries:
         for k in range(self.order - 1, -1, -1):
             acc = acc * z + self.coeffs[k]
         return complex(acc) if acc.ndim == 0 else acc
-
-    def __call__(self, z):
-        return self.eval(z)
 
 
 def _coerce(x) -> TruncatedSeries:

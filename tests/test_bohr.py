@@ -21,7 +21,7 @@ from bohrlab.generators import (Factor, SchwarzFunction, identity_schwarz,
                                 random_polynomial, random_schwarz)
 from bohrlab.geometry import boundary_distance
 from bohrlab.harmonic import build_pair, harmonic_bohr_check
-from bohrlab.modular import E_PI, minus_j_minus_series
+from bohrlab.modular import E_PI, minus_j_minus_series, q_series
 from bohrlab.series import TruncatedSeries, circle_sup, unit_ring
 from bohrlab.sweeps import run_von_neumann
 
@@ -214,6 +214,88 @@ def test_littlewood_at_kmax_matches_full_order(factors):
         got = littlewood_check(phi, order, k).lhs
         assert (ratios[:k] - budget[:k]).max() <= got \
             <= (ratios[:k] + budget[:k]).max(), k
+
+
+@pytest.mark.parametrize("factors,blaschke", [
+    ((Factor("identity"),), 0),
+    ((Factor("rotation", 2.1), Factor("power", 2),
+      Factor("contraction", 0.6)), 0),
+    ((Factor("blaschke", 0.5 - 0.3j),), 1),
+    ((Factor("power", 3), Factor("blaschke", 0.7j), Factor("identity"),
+      Factor("blaschke", -0.2 + 0.1j)), 2),
+])
+def test_only_blaschke_factors_compose(monkeypatch, factors, blaschke):
+    """Q and -J(-z) are pulled back through phi one factor at a time; only
+    a Blaschke factor costs a general series composition."""
+    calls = []
+    compose = TruncatedSeries.compose
+
+    def counting(self, inner, order):
+        calls.append(order)
+        return compose(self, inner, order)
+
+    monkeypatch.setattr(TruncatedSeries, "compose", counting)
+    phi = SchwarzFunction(factors)
+    make_large_function(0.0, 1.0, 1.7, phi, 64)
+    assert len(calls) == blaschke
+    calls.clear()
+    littlewood_check(phi, 64, 40)
+    assert len(calls) == blaschke
+
+
+def _factor_series_route(outer, phi, order):
+    """outer(phi(z)) by composing the factor series into phi's series and
+    then composing outer with it."""
+    inner = phi.factors[0].series(order)
+    for f in phi.factors[1:]:
+        inner = f.series(order).compose(inner, order)
+    return outer.compose(inner, order).coeffs
+
+
+def test_pull_back_matches_the_factor_series_route():
+    """Q(phi) and -J(-phi) against the factor-series route over seeded
+    recipes of depth 1..4 covering all five kinds, within the budget of
+    test_compose_within_rounding_budget_of_exact at N = top = 64:
+    3 (N+1)^2 eps of the majorant, here |outer| pulled back through the
+    factors' |series|, which bounds the rounding of both routes."""
+    order, eps = 64, np.finfo(float).eps
+    major = minus_j_minus_series(order)
+    kinds = set()
+    for seed in range(40):
+        phi = random_schwarz(seed, 1 + seed % 4)
+        kinds.update(f.kind for f in phi.factors)
+        alpha = 0.8 + 0.06 * seed
+        q = q_series(alpha, order)
+        got = (make_large_function(0.0, 1.0, alpha, phi, order).series.coeffs,
+               phi.pull_back(major.coeffs, order))
+        for outer, new in zip((q, major), got):
+            old = _factor_series_route(outer, phi, order)
+            majorant = np.abs(outer.coeffs)
+            for f in reversed(phi.factors):
+                majorant = TruncatedSeries(majorant).compose(
+                    TruncatedSeries(np.abs(f.series(order).coeffs)),
+                    order).coeffs.real
+            budget = 3 * (order + 1) ** 2 * eps * majorant
+            assert np.all(np.abs(new - old) <= budget), (seed, phi.text())
+    assert kinds == {"identity", "rotation", "power", "contraction",
+                     "blaschke"}
+
+
+def test_power_chain_moves_coefficients_exactly():
+    """power(2) . identity . power(3) sends [z^j] to degree 6 j, bit for
+    bit, for Q and for -J(-z)."""
+    order = 64
+    phi = SchwarzFunction((Factor("power", 2), Factor("identity"),
+                           Factor("power", 3)))
+    for outer, got in (
+            (q_series(1.3, order),
+             make_large_function(0.0, 1.0, 1.3, phi, order).series),
+            (minus_j_minus_series(order),
+             TruncatedSeries(phi.pull_back(
+                 minus_j_minus_series(order).coeffs, order)))):
+        want = np.zeros(order + 1, dtype=complex)
+        want[::6] = outer.coeffs[: order // 6 + 1]
+        assert np.array_equal(got.coeffs, want)
 
 
 # -- the main inequality -----------------------------------------------------

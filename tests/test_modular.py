@@ -467,6 +467,36 @@ def test_q_series_work_count(monkeypatch, alpha):
     assert counts["convolve"] <= 18 and counts["dot"] == 0, counts
 
 
+def _plain_nome_powers(beta, ks, order):
+    """The three-term Laguerre recurrence of ``_nome_powers`` with a fresh
+    row per step, and the number of 2^-600 rescales it took."""
+    t = beta * ks
+    shift = np.floor(np.maximum(t - 700.0, 0.0) / math.log(2.0))
+    out = np.zeros((order + 2, ks.size))
+    out[1] = np.exp(shift * math.log(2.0) - t)
+    rescales = 0
+    for j in range(order):
+        out[j + 2] = (2.0 * j - 2.0 * t) / (j + 1) * out[j + 1] \
+            - (j - 1) / (j + 1) * out[j]
+        big = np.abs(out[j + 2]) > 2.0 ** 600
+        if big.any():
+            out[:, big] *= 2.0 ** -600
+            shift[big] -= 600
+            rescales += 1
+    return np.ldexp(out[1:], -shift.astype(int)), rescales
+
+
+@pytest.mark.parametrize("beta,ks,order,rescaled", [
+    (math.pi, np.arange(1, 91), 64, False),
+    (12.3, np.arange(1, 20), 64, False),
+    (700.0, np.array([1, 2, 3, 4, 6]), 1000, True),     # beta k > 700
+])
+def test_nome_powers_match_plain_recurrence(beta, ks, order, rescaled):
+    want, rescales = _plain_nome_powers(beta, ks, order)
+    assert (rescales > 0) == rescaled
+    assert np.array_equal(modular._nome_powers(beta, ks, order), want)
+
+
 @pytest.mark.parametrize("order", [64, 1000])
 @pytest.mark.parametrize("alpha", [1e-3, 0.05, 50.0, 700.0, 1e4])
 def test_q_series_far_from_the_sweep_range(alpha, order):
