@@ -140,7 +140,8 @@ def littlewood_check(phi: SchwarzFunction, order: int,
     The degree-k coefficient of -J(-z) is 16 A_{k-1}; the comparison at
     matching degree is the form Littlewood's theorem supports.  As phi(0)
     = 0, degrees 1..kmax need no higher input, so f is formed only to kmax,
-    by pulling -J(-z) back through phi's factors (``phi.pull_back``).
+    by pulling -J(-z) back through phi's factors (``phi.pull_back``), each
+    factor only to the degree the factors applied before it keep.
     """
     kmax = order if kmax is None else min(kmax, order)
     if kmax < 1:

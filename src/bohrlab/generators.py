@@ -62,6 +62,12 @@ class Factor:
         # product, hence a proper surjection of the disk onto itself.
         return self.kind != "contraction" or self.param.real == 1.0
 
+    @property
+    def valuation(self) -> int:
+        """Lower bound on the order of the zero at 0: k for z^k, else 1
+        (a Blaschke factor with c = 0 is z^2, and 1 is still safe)."""
+        return int(self.param.real) if self.kind == "power" else 1
+
     def eval(self, z):
         if self.kind == "identity":
             return z
@@ -93,16 +99,18 @@ class Factor:
 
     def pull_back(self, outer: np.ndarray, order: int) -> np.ndarray:
         """Coefficients of outer(self(z)) to degree ``order``, from the
-        ``order + 1`` coefficients of ``outer``.  Only a Blaschke factor
-        needs a general composition: c z multiplies [z^j] by c^j, and z^k
-        moves it to degree j k exactly."""
-        if self.kind == "identity":
-            return outer
+        first ``order // valuation + 1`` coefficients of ``outer``, the
+        only ones that reach it.  Only a Blaschke factor needs a general
+        composition: c z multiplies [z^j] by c^j, and z^k moves it to
+        degree j k exactly."""
         if self.kind == "power":
-            k = int(self.param.real)
+            k = self.valuation
             moved = np.zeros(order + 1, dtype=complex)
             moved[::k] = outer[: order // k + 1]
             return moved
+        outer = outer[: order + 1]
+        if self.kind == "identity":
+            return outer
         if self.kind == "blaschke":
             return TruncatedSeries(outer).compose(self.series(order),
                                                   order).coeffs
@@ -146,13 +154,22 @@ class SchwarzFunction:
             z = f.eval(z)
         return z
 
+    @property
+    def valuation(self) -> int:
+        """Product of the factors' valuations: phi(z) = O(z^valuation)."""
+        return math.prod(f.valuation for f in self.factors)
+
     def pull_back(self, outer: np.ndarray, order: int) -> np.ndarray:
-        """Coefficients of outer(phi(z)) to degree ``order``, from the
-        ``order + 1`` coefficients of ``outer``: one factor at a time from
-        the last, as ``eval`` applies the first factor first.  As every
-        factor fixes 0, degrees above ``order`` never reach back."""
-        for f in reversed(self.factors):
-            outer = f.pull_back(outer, order)
+        """Coefficients of outer(phi(z)) to degree ``order``, one factor at
+        a time from the last, as ``eval`` applies the first factor first.
+        Factor i is pulled back only to degree order // (v_0 ... v_{i-1}),
+        all that reaches degree ``order`` through the factors before it,
+        so ``outer`` is read only to degree order // valuation."""
+        degrees = [order]
+        for f in self.factors[:-1]:
+            degrees.append(degrees[-1] // f.valuation)
+        for f, d in zip(reversed(self.factors), reversed(degrees)):
+            outer = f.pull_back(outer, d)
         return outer
 
     def series(self, order: int) -> TruncatedSeries:
@@ -264,13 +281,17 @@ def make_large_function(a, b, alpha, phi: SchwarzFunction,
                         order: int) -> LargeFunctionSpec:
     """Assemble the spec and its truncated series: Q's coefficients pulled
     back through phi's factors (``SchwarzFunction.pull_back``), so only a
-    Blaschke factor costs a series composition, then a + (b - a) Q(phi)."""
+    Blaschke factor costs a series composition, then a + (b - a) Q(phi).
+    As phi = O(z^v), v = ``phi.valuation``, Q is built only to degree
+    order // v (at least 1, which ``q_series`` needs); when v > order only
+    Q(0) reaches F."""
     a, b = complex(a), complex(b)
     if a == b:
         raise DegenerateSpec("omitted points must be distinct")
     if not isinstance(alpha, CoveringParameter):
         alpha = CoveringParameter(float(alpha))
-    coeffs = phi.pull_back(q_series(alpha, order).coeffs, order) * (b - a)
+    q = q_series(alpha, max(1, order // phi.valuation))
+    coeffs = phi.pull_back(q.coeffs, order) * (b - a)
     coeffs[0] += a
     return LargeFunctionSpec(a, b, alpha, phi, order, TruncatedSeries(coeffs))
 

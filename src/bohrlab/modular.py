@@ -117,8 +117,10 @@ def a_coeffs(order: int) -> ModularCoefficients:
     return ModularCoefficients(a_exact, [float(a) for a in a_exact], order)
 
 
+@lru_cache(maxsize=None)
 def minus_j_minus_series(order: int) -> TruncatedSeries:
-    """Series of the majorant -J(-z); all coefficients are positive."""
+    """Series of the majorant -J(-z), cached per order like ``j_series``;
+    all coefficients are positive."""
     js = j_series(order)
     signs = -((-1.0) ** np.arange(order + 1))
     return TruncatedSeries(signs * js.coeffs, "-J(-z)")
@@ -325,11 +327,11 @@ def _nome_powers(beta: float, ks: np.ndarray, order: int) -> np.ndarray:
     j = np.arange(order)[:, None]
     a, b = (2.0 * j - 2.0 * t) / (j + 1), ((j - 1) / (j + 1)).ravel().tolist()
     scratch = np.empty(ks.size)
-    for i in range(order):
-        row = out[i + 2]
-        np.multiply(a[i], out[i + 1], out=row)
-        np.multiply(b[i], out[i], out=scratch)
-        np.subtract(row, scratch, out=row)
+    rows, mul, sub = list(out), np.multiply, np.subtract    # row views
+    for ai, bi, prev, cur, row in zip(a, b, rows, rows[1:], rows[2:]):
+        mul(ai, cur, out=row)
+        mul(bi, prev, out=scratch)
+        sub(row, scratch, out=row)
         if watch and (big := np.abs(row) > 2.0 ** 600).any():
             out[:, big] *= 2.0 ** -600
             shift[big] -= 600

@@ -223,10 +223,14 @@ def test_littlewood_at_kmax_matches_full_order(factors):
     ((Factor("blaschke", 0.5 - 0.3j),), 1),
     ((Factor("power", 3), Factor("blaschke", 0.7j), Factor("identity"),
       Factor("blaschke", -0.2 + 0.1j)), 2),
+    ((Factor("power", 2), Factor("blaschke", 0.1 + 0.4j)), 1),
 ])
 def test_only_blaschke_factors_compose(monkeypatch, factors, blaschke):
     """Q and -J(-z) are pulled back through phi one factor at a time; only
-    a Blaschke factor costs a general series composition."""
+    a Blaschke factor costs a general series composition, last factor
+    first, at the degree the factors applied before it keep: order over
+    the product of their power exponents (for (power(2), blaschke), 32
+    for Q at order 64 and 20 for -J(-z) at kmax 40)."""
     calls = []
     compose = TruncatedSeries.compose
 
@@ -234,13 +238,58 @@ def test_only_blaschke_factors_compose(monkeypatch, factors, blaschke):
         calls.append(order)
         return compose(self, inner, order)
 
+    def stage_degrees(order):
+        degrees, v = [], 1
+        for f in factors:
+            if f.kind == "blaschke":
+                degrees.append(order // v)
+            elif f.kind == "power":
+                v *= int(f.param.real)
+        return degrees[::-1]
+
     monkeypatch.setattr(TruncatedSeries, "compose", counting)
     phi = SchwarzFunction(factors)
     make_large_function(0.0, 1.0, 1.7, phi, 64)
     assert len(calls) == blaschke
+    assert calls == stage_degrees(64)
     calls.clear()
     littlewood_check(phi, 64, 40)
     assert len(calls) == blaschke
+    assert calls == stage_degrees(40)
+
+
+@pytest.mark.parametrize("factors,q_order", [
+    ((Factor("power", 2), Factor("identity"), Factor("power", 3)), 10),
+    ((Factor("blaschke", 0.3 - 0.2j), Factor("power", 2)), 32),
+    ((Factor("rotation", 0.4), Factor("blaschke", 0.5j),
+      Factor("contraction", 0.5), Factor("identity")), 64),
+])
+def test_q_is_built_only_to_the_degree_phi_keeps(monkeypatch, factors,
+                                                 q_order):
+    """F reads Q only to degree order // v(phi), so Q is built to it."""
+    orders = []
+
+    def recording(alpha, order):
+        orders.append(order)
+        return q_series(alpha, order)
+
+    monkeypatch.setattr(bohrlab.generators, "q_series", recording)
+    make_large_function(0.0, 1.0, 1.7, SchwarzFunction(factors), 64)
+    assert orders == [q_order]
+
+
+def test_valuation_above_the_order_keeps_only_q0():
+    """power(3) four times is O(z^81): at order 64 only Q(0) reaches F."""
+    order, a, b = 64, 0.2 - 0.1j, 1.5 + 0.3j
+    phi = SchwarzFunction((Factor("power", 3),) * 4)
+    assert phi.valuation == 81
+    spec = make_large_function(a, b, 1.3, phi, order)
+    want = np.zeros(order + 1, dtype=complex)
+    want[0] = a + (b - a) * q_series(1.3, 1)[0]
+    assert np.array_equal(spec.series.coeffs, want)
+    assert np.array_equal(phi.series(order).coeffs,
+                          np.zeros(order + 1, dtype=complex))
+    assert littlewood_check(phi, order, 40).lhs == 0.0
 
 
 def _factor_series_route(outer, phi, order):
@@ -283,12 +332,13 @@ def test_pull_back_matches_the_factor_series_route():
 
 def test_power_chain_moves_coefficients_exactly():
     """power(2) . identity . power(3) sends [z^j] to degree 6 j, bit for
-    bit, for Q and for -J(-z)."""
+    bit, for Q and for -J(-z).  F reads Q only to degree order // 6, so
+    Q's reference is built to that degree."""
     order = 64
     phi = SchwarzFunction((Factor("power", 2), Factor("identity"),
                            Factor("power", 3)))
     for outer, got in (
-            (q_series(1.3, order),
+            (q_series(1.3, order // 6),
              make_large_function(0.0, 1.0, 1.3, phi, order).series),
             (minus_j_minus_series(order),
              TruncatedSeries(phi.pull_back(

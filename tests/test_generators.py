@@ -102,6 +102,25 @@ def test_schwarz_series_matches_eval():
     assert np.allclose(s.eval(z), phi.eval(z), atol=1e-8)
 
 
+def test_valuation_bounds_the_zero_at_0():
+    """v(phi) is the product of the factors' valuations, and phi's series
+    vanishes below degree v; for a chain without Blaschke factors, v is
+    exactly the first nonzero degree."""
+    assert [Factor(k, p).valuation for k, p in (
+        ("identity", 0), ("rotation", 1.0), ("power", 3),
+        ("contraction", 0.5), ("blaschke", 0.0), ("blaschke", 0.5j))] == \
+        [1, 1, 3, 1, 1, 1]
+    for seed in range(30):
+        phi = random_schwarz(seed, 1 + seed % 4)
+        v = phi.valuation
+        assert v == np.prod([f.valuation for f in phi.factors])
+        c = phi.series(64).coeffs
+        first = int(np.flatnonzero(c)[0])
+        assert first >= v
+        if all(f.kind != "blaschke" for f in phi.factors):
+            assert first == v
+
+
 def test_schwarz_determinism_and_text():
     a, b = random_schwarz(42, 4), random_schwarz(42, 4)
     assert a.text() == b.text()

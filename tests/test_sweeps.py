@@ -100,6 +100,21 @@ def test_seed7_failure_records_rebuild_from_seed_and_trial():
     assert res.rows[0]["mu_coeffs"] is res.rows[1]["mu_coeffs"]
 
 
+@pytest.mark.parametrize("seed,theorem4,harmonic", [
+    (8, [24, 63, 76, 89], [0, 1, 29, 30]),
+    (11, [66, 80, 83], [46]),
+])
+def test_failing_trials_at_seeds_8_and_11(seed, theorem4, harmonic):
+    """The failing trials that ROADMAP records beside seed 7's reference.
+    They are the verdicts of today's sampled boundary distance, so they
+    include its false failures (the first FOUND line of CHANGES.md);
+    ROADMAP item 3, the certified distance, re-pins them."""
+    for name, want in (("theorem4", theorem4), ("harmonic", harmonic)):
+        trials = sorted({rec["trial"]
+                         for rec in run_suite(name, seed).failures})
+        assert trials == want, name
+
+
 def test_univalence_evaluates_only_the_collision_pair(monkeypatch):
     points = []
     j_eval = bohrlab.modular.j_eval
