@@ -8,10 +8,7 @@ from .bohr import (BASE_SLACK, BohrRadiusResult, InequalityCheck,
                    bohr_radius_solve, cauchy_tail_bound,
                    classical_bohr_check, littlewood_check,
                    main_theorem_check, von_neumann_check)
-from .errors import (BohrlabError, BracketError, DegenerateSpec, DomainError,
-                     HypothesisViolation, NonPositiveCoefficient,
-                     NonzeroInnerConstant, SingularDerivative,
-                     ZeroConstantTerm)
+from .errors import BohrlabError, DomainError
 from .generators import (Factor, LargeFunctionSpec, SchwarzFunction,
                          identity_schwarz, make_large_function,
                          random_large_function, random_mobius_bounded,

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (BracketError, DomainError, HypothesisViolation)
+from .errors import DomainError
 from .generators import LargeFunctionSpec, SchwarzFunction
 from .geometry import boundary_distance
 from .modular import E_PI, a_coeffs, j_eval, minus_j_minus_series
@@ -75,8 +75,8 @@ def bohr_radius_solve(order: int = 200,
 
     lo, hi = bracket
     if not (g(lo) < 0 < g(hi)):
-        raise BracketError("no sign change of the majorant sum on %r"
-                           % (bracket,))
+        raise DomainError("no sign change of the majorant sum on %r"
+                          % (bracket,))
     iterations = 0
     while hi - lo > 1e-15:
         mid = 0.5 * (lo + hi)
@@ -157,8 +157,7 @@ def main_theorem_check(spec: LargeFunctionSpec) -> TheoremReport:
     """Verify sum_{n>=1} |a_n| r^n <= dist(F(0), boundary of F(U)) at the
     Bohr radius r = e^-pi; the lhs is the sum over the stored prefix plus
     the Cauchy tail bound of the rest."""
-    lhs = bohr_operator(spec.series.truncated(spec.order), E_PI,
-                        from_degree=1)
+    lhs = bohr_operator(spec.series, E_PI, from_degree=1)
     tail = cauchy_tail_bound(spec.modulus_bound(TAIL_RHO), TAIL_RHO,
                              spec.order, E_PI)
     return TheoremReport("theorem-main", lhs + tail, boundary_distance(spec),
@@ -176,11 +175,8 @@ def von_neumann_check(spec: LargeFunctionSpec, p: TruncatedSeries,
     or not the inequality holds.
     """
     if distance >= 1.0:
-        raise HypothesisViolation(
-            "boundary distance %.6g is not < 1" % distance
-        )
-    order = spec.order
-    f = spec.series.truncated(order)
+        raise DomainError("boundary distance %.6g is not < 1" % distance)
+    order, f = spec.order, spec.series
     composed = TruncatedSeries.constant(p[p.order])
     for k in range(p.order - 1, -1, -1):
         composed = composed.mul(f, order) + p[k]

@@ -7,31 +7,3 @@ class BohrlabError(Exception):
 
 class DomainError(BohrlabError):
     """An argument lies outside the mathematical domain of the operation."""
-
-
-class NonzeroInnerConstant(BohrlabError):
-    """Series composition requires the inner series to vanish at 0."""
-
-
-class ZeroConstantTerm(BohrlabError):
-    """Series reciprocal requires a nonzero constant term."""
-
-
-class NonPositiveCoefficient(BohrlabError):
-    """A coefficient that must be strictly positive came out <= 0."""
-
-
-class BracketError(BohrlabError):
-    """A root bracket does not have opposite signs at its endpoints."""
-
-
-class DegenerateSpec(BohrlabError):
-    """The two omitted points of a function spec coincide."""
-
-
-class HypothesisViolation(BohrlabError):
-    """An input violates the hypothesis of the theorem being checked."""
-
-
-class SingularDerivative(BohrlabError):
-    """A covering-map derivative is numerically zero."""

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateSpec, DomainError
+from .errors import DomainError
 from .modular import CoveringParameter, j_eval, q_eval, q_series
 from .series import TruncatedSeries
 
@@ -80,23 +80,6 @@ class Factor:
         c = self.param
         return z * (z + c) / (1.0 + np.conj(c) * z)
 
-    def series(self, order: int) -> TruncatedSeries:
-        coeffs = np.zeros(order + 1, dtype=complex)
-        if self.kind in ("identity", "rotation", "contraction"):
-            coeffs[1] = self.eval(1.0)              # z -> eval(1) z
-        elif self.kind == "power":
-            k = int(self.param.real)
-            if k <= order:
-                coeffs[k] = 1.0
-        elif order >= 1:
-            # z (z + c) sum_n g_n z^n with g_n = (-conj(c))^n.
-            c = self.param
-            g = np.cumprod(np.concatenate(([1.0],
-                                           np.full(order - 1, -np.conj(c)))))
-            coeffs[1:] = c * g
-            coeffs[2:] += g[:-1]
-        return TruncatedSeries(coeffs)
-
     def pull_back(self, outer: np.ndarray, order: int) -> np.ndarray:
         """Coefficients of outer(self(z)) to degree ``order``, from the
         first ``order // valuation + 1`` coefficients of ``outer``, the
@@ -112,8 +95,8 @@ class Factor:
         if self.kind == "identity":
             return outer
         if self.kind == "blaschke":
-            return TruncatedSeries(outer).compose(self.series(order),
-                                                  order).coeffs
+            return TruncatedSeries(outer).compose(
+                _blaschke_series(self.param, order), order).coeffs
         return outer * self.eval(1.0) ** np.arange(order + 1)
 
     def text(self) -> str:
@@ -124,6 +107,18 @@ class Factor:
         if self.kind == "power":
             return "power(%d)" % int(self.param.real)
         return "%s(%s)" % (self.kind, _fmt(self.param.real))
+
+
+def _blaschke_series(c: complex, order: int) -> TruncatedSeries:
+    """Series of z (z + c) / (1 + conj(c) z) to ``order``:
+    z (z + c) sum_n g_n z^n with g_n = (-conj(c))^n."""
+    coeffs = np.zeros(order + 1, dtype=complex)
+    if order >= 1:
+        g = np.cumprod(np.concatenate(([1.0],
+                                       np.full(order - 1, -np.conj(c)))))
+        coeffs[1:] = c * g
+        coeffs[2:] += g[:-1]
+    return TruncatedSeries(coeffs)
 
 
 @dataclass(frozen=True)
@@ -140,14 +135,6 @@ class SchwarzFunction:
     @property
     def is_inner(self) -> bool:
         return all(f.is_inner for f in self.factors)
-
-    def modulus_bound(self) -> float:
-        """Product of contraction ratios: a global bound on |phi|."""
-        b = 1.0
-        for f in self.factors:
-            if f.kind == "contraction":
-                b *= f.param.real
-        return b
 
     def eval(self, z):
         for f in self.factors:
@@ -231,12 +218,16 @@ class LargeFunctionSpec:
     b: complex
     alpha: CoveringParameter
     phi: SchwarzFunction
-    order: int
     series: TruncatedSeries = field(repr=False)
 
     def __post_init__(self):
         if self.a == self.b:
-            raise DegenerateSpec("omitted points must be distinct")
+            raise DomainError("omitted points must be distinct")
+
+    @property
+    def order(self) -> int:
+        """Truncation order of ``series``."""
+        return self.series.order
 
     @property
     def f0(self) -> complex:
@@ -264,11 +255,9 @@ class LargeFunctionSpec:
 
     def scaled(self, c: complex) -> "LargeFunctionSpec":
         if c == 0:
-            raise DegenerateSpec("scale factor must be nonzero")
-        return LargeFunctionSpec(
-            self.a * c, self.b * c, self.alpha, self.phi, self.order,
-            self.series.scale(c),
-        )
+            raise DomainError("scale factor must be nonzero")
+        return LargeFunctionSpec(self.a * c, self.b * c, self.alpha,
+                                 self.phi, self.series.scale(c))
 
     def text(self) -> str:
         return "a=%s b=%s alpha=%s order=%d phi=[%s]" % (
@@ -286,14 +275,12 @@ def make_large_function(a, b, alpha, phi: SchwarzFunction,
     order // v (at least 1, which ``q_series`` needs); when v > order only
     Q(0) reaches F."""
     a, b = complex(a), complex(b)
-    if a == b:
-        raise DegenerateSpec("omitted points must be distinct")
     if not isinstance(alpha, CoveringParameter):
         alpha = CoveringParameter(float(alpha))
     q = q_series(alpha, max(1, order // phi.valuation))
     coeffs = phi.pull_back(q.coeffs, order) * (b - a)
     coeffs[0] += a
-    return LargeFunctionSpec(a, b, alpha, phi, order, TruncatedSeries(coeffs))
+    return LargeFunctionSpec(a, b, alpha, phi, TruncatedSeries(coeffs))
 
 
 def random_large_function(

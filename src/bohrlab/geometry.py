@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainError, SingularDerivative
+from .errors import DomainError
 from .generators import LargeFunctionSpec
 from .modular import q_deriv, q_eval
 from .series import unit_ring
@@ -65,6 +65,6 @@ def density_distance_products(points, alpha=None) -> np.ndarray:
         speed = np.abs(q_deriv(alpha, z))
         flat = np.flatnonzero(speed < 1e-300)
         if flat.size:
-            raise SingularDerivative("covering derivative vanished at %r"
-                                     % complex(z[flat[0]]))
+            raise DomainError("covering derivative vanished at %r"
+                              % complex(z[flat[0]]))
     return 1.0 / (speed * (1.0 - np.abs(z) ** 2)) * dist

@@ -45,7 +45,7 @@ class HarmonicPair:
 
 def build_pair(spec: LargeFunctionSpec, mu: TruncatedSeries) -> HarmonicPair:
     """g = integral of mu h' with g(0) = 0, both at the spec's order."""
-    h = spec.series.truncated(spec.order)
+    h = spec.series
     gprime = mu.mul(h.differentiate(), spec.order - 1)
     return HarmonicPair(spec, h, gprime.integrate(), mu)
 

@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, NonPositiveCoefficient
+from .errors import DomainError
 from .series import TruncatedSeries, inverse, unit_ring
 
 #: The Bohr radius for functions omitting two values.
@@ -98,14 +98,14 @@ class ModularCoefficients:
         if a.size != self.order + 1:
             raise ValueError("a_float must have order + 1 entries")
         if (a <= 0).any():
-            raise NonPositiveCoefficient(
+            raise DomainError(
                 "A_n must be strictly positive; first offender at n=%d"
                 % int(np.argmax(a <= 0))
             )
         if (np.diff(a) < 0).any():
-            raise NonPositiveCoefficient("A_n must be nondecreasing")
+            raise DomainError("A_n must be nondecreasing")
         if a.size >= 3 and (np.diff(a, 2) < 0).any():
-            raise NonPositiveCoefficient("A_n must be convex")
+            raise DomainError("A_n must be convex")
 
 
 def a_coeffs(order: int) -> ModularCoefficients:
@@ -292,11 +292,17 @@ def _alpha_value(alpha) -> float:
 
 
 def q_argument(alpha, z):
-    """exp(-alpha (1+z)/(1-z)); maps the disk into the punctured disk."""
+    """exp(-alpha (1+z)/(1-z)); maps the disk into the punctured disk.
+    In floating point it rounds to modulus 1 when alpha Re (1+z)/(1-z)
+    is below about 1e-16, and that raises ``DomainError``."""
     a = _alpha_value(alpha)
     z = np.asarray(z, dtype=complex)
     _check_disk(np.atleast_1d(z))
-    return np.exp(-a * (1.0 + z) / (1.0 - z))
+    w = np.exp(-a * (1.0 + z) / (1.0 - z))
+    if not (np.abs(w) < 1).all():
+        raise DomainError("the nome exp(-alpha (1+z)/(1-z)) rounds to "
+                          "modulus 1 (alpha = %r)" % a)
+    return w
 
 
 def q_eval(alpha, z):

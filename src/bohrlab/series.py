@@ -16,7 +16,7 @@ from math import isqrt
 
 import numpy as np
 
-from .errors import NonzeroInnerConstant, ZeroConstantTerm
+from .errors import DomainError
 
 
 @dataclass(frozen=True)
@@ -45,17 +45,12 @@ class TruncatedSeries:
     def order(self) -> int:
         return self.coeffs.size - 1
 
-    def __len__(self) -> int:
-        return self.coeffs.size
-
     def __getitem__(self, n: int) -> complex:
         return complex(self.coeffs[n]) if 0 <= n <= self.order else 0j
 
     @staticmethod
-    def constant(c, order: int = 0, label: str = "") -> "TruncatedSeries":
-        coeffs = np.zeros(order + 1, dtype=complex)
-        coeffs[0] = c
-        return TruncatedSeries(coeffs, label)
+    def constant(c) -> "TruncatedSeries":
+        return TruncatedSeries([c])
 
     @staticmethod
     def identity(order: int = 1) -> "TruncatedSeries":
@@ -63,13 +58,6 @@ class TruncatedSeries:
         if order >= 1:
             coeffs[1] = 1.0
         return TruncatedSeries(coeffs, "z")
-
-    def truncated(self, order: int) -> "TruncatedSeries":
-        """Prefix of this series at the given order (zero-padded if longer)."""
-        coeffs = np.zeros(order + 1, dtype=complex)
-        k = min(order, self.order) + 1
-        coeffs[:k] = self.coeffs[:k]
-        return TruncatedSeries(coeffs, self.label)
 
     # -- ring operations ----------------------------------------------------
 
@@ -81,22 +69,8 @@ class TruncatedSeries:
         coeffs[: other.order + 1] += other.coeffs
         return TruncatedSeries(coeffs)
 
-    def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries(-self.coeffs, self.label)
-
-    def __sub__(self, other) -> "TruncatedSeries":
-        return self.__add__(-_coerce(other))
-
     def scale(self, c) -> "TruncatedSeries":
         return TruncatedSeries(self.coeffs * complex(c))
-
-    def __mul__(self, other) -> "TruncatedSeries":
-        if np.isscalar(other):
-            return self.scale(other)
-        return self.mul(other)
-
-    def __rmul__(self, other) -> "TruncatedSeries":
-        return self.__mul__(other)
 
     def mul(self, other, order: int | None = None) -> "TruncatedSeries":
         """Cauchy product truncated at ``order`` (full product by default)."""
@@ -124,7 +98,7 @@ class TruncatedSeries:
         for top <= 3, b = 1 and it is Horner on the coefficients.
         """
         if inner[0] != 0:
-            raise NonzeroInnerConstant(
+            raise DomainError(
                 "inner series has constant term %r" % inner[0]
             )
         nonzero = np.flatnonzero(self.coeffs[: order + 1])
@@ -145,10 +119,6 @@ class TruncatedSeries:
         for j in range(nblocks - 2, -1, -1):
             acc = np.convolve(acc, g)[: order + 1] + blocks[j]
         return TruncatedSeries(acc)
-
-    def reciprocal(self, order: int) -> "TruncatedSeries":
-        """Series g with self * g = 1 + O(z^{order+1}); see ``inverse``."""
-        return TruncatedSeries(inverse(self.coeffs, order))
 
     # -- calculus -----------------------------------------------------------
 
@@ -192,7 +162,7 @@ def inverse(f: np.ndarray, order: int) -> np.ndarray:
     g <- g (2 - f g) (Brent and Kung, 1978): ceil(log2(order + 1)) steps,
     each doubling the correct prefix with two truncated products."""
     if f[0] == 0:
-        raise ZeroConstantTerm("cannot invert a series vanishing at 0")
+        raise DomainError("cannot invert a series vanishing at 0")
     f = np.append(f, np.zeros(max(0, order + 1 - f.size), f.dtype))
     g = 1.0 / f[:1]
     while g.size <= order:

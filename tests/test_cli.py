@@ -180,6 +180,13 @@ def test_eval_refuses_cusp_and_nan_plainly(x):
     assert reason in proc.stderr
 
 
+def test_eval_q_names_a_nome_rounded_to_modulus_one(capsys):
+    code, out, err = run(capsys, "eval", "--fn", "q", "--alpha", "1e-320",
+                         "--re", "0.5")
+    assert code == 2 and out == ""
+    assert "rounds to modulus 1" in err and "|z| < 1" not in err
+
+
 def test_eval_next_to_the_cusp_at_one():
     # J(0.9999999) = 1 - 16 exp(-pi^2 / 1e-7) + ..., which rounds to 1.
     proc = run_cli("eval", "--re", "0.9999999")

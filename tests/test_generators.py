@@ -3,12 +3,12 @@ import re
 import numpy as np
 import pytest
 
-from bohrlab.errors import DegenerateSpec, DomainError
+from bohrlab.errors import DomainError
 from bohrlab.generators import (Factor, SchwarzFunction, identity_schwarz,
                                 make_large_function, random_large_function,
                                 random_mobius_bounded, random_polynomial,
                                 random_schwarz)
-from bohrlab.series import TruncatedSeries
+from bohrlab.series import inverse
 
 
 def disk_points(seed, n=200, rmax=0.95):
@@ -30,11 +30,16 @@ def test_factor_validation():
         Factor("frob")
 
 
+def factor_series(f, order):
+    """A factor's series, read as the series of the one-factor chain."""
+    return SchwarzFunction((f,)).series(order)
+
+
 def test_factor_series_matches_eval():
     z = disk_points(0, 50, 0.5)
     for f in (Factor("rotation", 1.3), Factor("power", 3),
               Factor("contraction", 0.5), Factor("blaschke", 0.3 + 0.2j)):
-        s = f.series(24)
+        s = factor_series(f, 24)
         assert np.allclose(s.eval(z), f.eval(z), atol=1e-9), f.kind
 
 
@@ -45,8 +50,7 @@ def _over_degree_one(num, den1, order):
     n[: len(num)] = num
     d = np.zeros(order + 1, dtype=complex)
     d[0], d[1] = 1.0, den1
-    return TruncatedSeries(n).mul(TruncatedSeries(d).reciprocal(order),
-                                  order).coeffs
+    return np.convolve(n, inverse(d, order))[: order + 1]
 
 
 def test_blaschke_series_is_the_geometric_closed_form():
@@ -54,7 +58,7 @@ def test_blaschke_series_is_the_geometric_closed_form():
     z = disk_points(3, 64, 0.5)
     for c in (0.3 + 0.2j, -0.79j, 0.5, -0.7 + 0.1j, 0j):
         f = Factor("blaschke", c)
-        got = f.series(64).coeffs
+        got = factor_series(f, 64).coeffs
         old = _over_degree_one([0, c, 1], np.conj(c), 64)
         # Each coefficient is c g_{j-1} + g_{j-2}; a few ulps of its terms.
         g = np.abs(c) ** np.arange(65.0)
@@ -62,10 +66,11 @@ def test_blaschke_series_is_the_geometric_closed_form():
         scale[1:] += np.abs(c) * g[:-1]
         scale[2:] += g[:-2]
         assert np.all(np.abs(got - old) <= 4 * eps * scale), c
-        assert np.abs(f.series(64).eval(z) - f.eval(z)).max() <= 1e-15, c
-    assert Factor("blaschke", 0.3j).series(0).coeffs.tolist() == [0]
-    assert np.array_equal(Factor("blaschke", 0.3j).series(1).coeffs,
-                          [0, 0.3j])
+        assert np.abs(factor_series(f, 64).eval(z) - f.eval(z)).max() \
+            <= 1e-15, c
+    f = Factor("blaschke", 0.3j)
+    assert factor_series(f, 0).coeffs.tolist() == [0]
+    assert np.array_equal(factor_series(f, 1).coeffs, [0, 0.3j])
 
 
 def test_mobius_series_is_the_geometric_closed_form():
@@ -158,7 +163,7 @@ def test_spec_f0_consistency():
 
 
 def test_spec_degenerate_rejected():
-    with pytest.raises(DegenerateSpec):
+    with pytest.raises(DomainError, match="must be distinct"):
         make_large_function(1.0, 1.0, 2.0, identity_schwarz(), 16)
 
 
@@ -166,14 +171,25 @@ def test_spec_transforms():
     spec = random_large_function(5, order=32)
     s = spec.scaled(2.0)
     assert s.f0 == pytest.approx(2 * spec.f0, abs=1e-12)
-    with pytest.raises(DegenerateSpec):
+    with pytest.raises(DomainError, match="must be nonzero"):
         spec.scaled(0.0)
 
 
 def test_spec_text_roundtrip_fields():
-    spec = random_large_function(3, order=32)
-    txt = spec.text()
-    assert "alpha=" in txt and "phi=[" in txt and "order=32" in txt
+    """A spec's order is its series' order, also where phi is a power
+    chain, holds a Blaschke factor or vanishes beyond the order (v(phi) =
+    81 > 32), and after scaling; the text records it."""
+    phis = [SchwarzFunction((Factor("power", 2), Factor("identity"),
+                             Factor("power", 3))),
+            SchwarzFunction((Factor("blaschke", 0.3 - 0.2j),
+                             Factor("contraction", 0.5))),
+            SchwarzFunction((Factor("power", 3),) * 4)]
+    specs = [random_large_function(3, order=32)]
+    specs += [make_large_function(0.2, 1.1j, 1.7, phi, 32) for phi in phis]
+    for spec in specs + [s.scaled(-0.5j) for s in specs]:
+        assert spec.order == spec.series.order == 32, spec.phi.text()
+        txt = spec.text()
+        assert "alpha=" in txt and "phi=[" in txt and "order=32" in txt
 
 
 # -- auxiliary draws ---------------------------------------------------------

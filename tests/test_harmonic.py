@@ -95,8 +95,10 @@ def test_identity_row_holds_the_domination():
     M(g) <= M(h - h_0).  The row must say so in its own numbers, so that
     re-judging it at its own slack keeps it failing."""
     spec = central_spec()
-    h = spec.series.truncated(spec.order)
-    pair = HarmonicPair(spec, h, 2 * (h - h[0]), TruncatedSeries([0.0]))
+    h = spec.series
+    g = 2.0 * h.coeffs
+    g[0] = 0.0
+    pair = HarmonicPair(spec, h, TruncatedSeries(g), TruncatedSeries([0.0]))
     rep = mg_integral_identity_check(pair, 0.2)
     assert not rep.passed
     assert rep.lhs == pytest.approx(-rep.extra["domination_margin"])

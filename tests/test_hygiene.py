@@ -193,3 +193,77 @@ def test_unread_dataclass_field_is_found():
                "def f(r):\n    r.unread = 1\n    return r.seen, r['keyed']\n"]
     assert _unread_dataclass_fields(defining, readers) == ["a.py: R.unread",
                                                            "a.py: S.bare"]
+
+
+def _public_api(source: str) -> list[str]:
+    """Public top-level functions and classes of a module, as ``name``, and
+    the public methods and properties of its top-level classes, as
+    ``Class.name``; names starting with ``_`` are left out."""
+    api = []
+    for node in ast.parse(source).body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        if not node.name.startswith("_"):
+            api.append((node.name, node.name))
+        if isinstance(node, ast.ClassDef):
+            api += [("%s.%s" % (node.name, stmt.name), stmt.name)
+                    for stmt in node.body
+                    if isinstance(stmt, ast.FunctionDef)
+                    and not stmt.name.startswith("_")]
+    return api
+
+
+def _reexports(init_source: str) -> set[str]:
+    """Names a package ``__init__.py`` imports from its own modules."""
+    return {alias.asname or alias.name
+            for node in ast.parse(init_source).body
+            if isinstance(node, ast.ImportFrom) and node.level
+            for alias in node.names}
+
+
+def _unread_public_api(defining: dict[str, str], readers: list[str],
+                       exported: set[str]) -> list[str]:
+    """``module: name`` for each public definition of ``defining`` (file
+    name -> source) whose name no source of ``readers`` reads as a name,
+    an attribute or a ``from`` import.  Top-level names in ``exported``
+    are exempt; methods are not."""
+    refs = set().union(*map(_references, readers))
+    return sorted("%s: %s" % (module, qualified)
+                  for module, source in defining.items()
+                  for qualified, name in _public_api(source)
+                  if name not in refs
+                  and not (qualified == name and name in exported))
+
+
+def test_every_public_name_has_a_program_reader():
+    """Tests do not count as readers: API that only a test calls is dead
+    to the program.  ``benchmarks/`` counts, as it drives the package."""
+    defining = {p.name: p.read_text(encoding="utf-8") for p in MODULES}
+    readers = list(defining.values()) + [
+        p.read_text(encoding="utf-8")
+        for p in (ROOT / "benchmarks").glob("*.py")]
+    exported = _reexports((SRC / "__init__.py").read_text(encoding="utf-8"))
+    assert _unread_public_api(defining, readers, exported) == []
+
+
+def test_unread_public_api_is_found():
+    defining = {"a.py": ("def used():\n    return Box().size\n\n"
+                         "def exported():\n    pass\n\n"
+                         "def orphan():\n    pass\n\n"
+                         "class Box:\n"
+                         "    def __len__(self):\n        return 0\n\n"
+                         "    @property\n    def size(self):\n"
+                         "        return self._hidden()\n\n"
+                         "    @property\n    def area(self):\n"
+                         "        return 0\n\n"
+                         "    def _hidden(self):\n        return 0\n\n"
+                         "    def exported(self):\n        return 0\n\n"
+                         "class _Private:\n"
+                         "    def grow(self):\n        pass\n")}
+    readers = [defining["a.py"], "from a import used\n\nused()\n"]
+    exported = _reexports("from .a import Box, exported\n"
+                          "from numpy import orphan\n")
+    assert exported == {"Box", "exported"}
+    assert _unread_public_api(defining, readers, exported) == [
+        "a.py: Box.area", "a.py: Box.exported", "a.py: _Private.grow",
+        "a.py: orphan"]

@@ -367,6 +367,16 @@ def test_q_argument_lands_in_punctured_disk():
     assert np.all(np.abs(w) > 0)
 
 
+@pytest.mark.parametrize("alpha,z", [(1e-320, 0.5), (1e-17, 0.0),
+                                     (0.5, -0.9999999999999999)])
+def test_q_names_a_nome_rounded_to_modulus_one(alpha, z):
+    """|z| < 1, but alpha (1+z)/(1-z) is so small that the nome rounds to
+    1; Q, Q' and the nome itself say so, not that |z| >= 1."""
+    for f in (q_argument, q_eval, q_deriv):
+        with pytest.raises(DomainError, match="rounds to modulus 1"):
+            f(alpha, z)
+
+
 def test_q_omits_zero_and_one():
     rng = np.random.default_rng(4)
     z = 0.9 * np.sqrt(rng.random(500)) * np.exp(2j * np.pi * rng.random(500))
