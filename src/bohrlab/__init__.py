@@ -4,9 +4,8 @@ omitting two values, built on the modular covering map of the disk."""
 __version__ = "0.1.0"
 
 from .bohr import (BASE_SLACK, BohrRadiusResult, InequalityCheck,
-                   LittlewoodReport, TheoremReport, bohr_operator,
-                   bohr_radius_solve, cauchy_tail_bound,
-                   classical_bohr_check, littlewood_check,
+                   LittlewoodReport, bohr_operator, bohr_radius_solve,
+                   cauchy_tail_bound, classical_bohr_check, littlewood_check,
                    main_theorem_check, von_neumann_check)
 from .errors import BohrlabError, DomainError
 from .generators import (Factor, LargeFunctionSpec, SchwarzFunction,

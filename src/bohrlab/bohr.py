@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
-from .generators import LargeFunctionSpec, SchwarzFunction
+from .generators import TAIL_RHO, LargeFunctionSpec, SchwarzFunction
 from .geometry import boundary_distance
 from .modular import E_PI, a_coeffs, j_eval, minus_j_minus_series
 from .series import TruncatedSeries, circle_sup
@@ -18,10 +18,6 @@ from .series import TruncatedSeries, circle_sup
 #: tail bound is added to the lhs.  The other rows carry their own slack:
 #: 0, 1e-14, 1e-10, 1e-8 or 1e-6.
 BASE_SLACK = 1e-9
-
-#: Radius of the circle whose closed-form modulus bound gives every Cauchy
-#: tail bound of the inequality checks.
-TAIL_RHO = 0.3
 
 
 def bohr_operator(f: TruncatedSeries, r: float, from_degree: int = 0) -> float:
@@ -35,16 +31,15 @@ def bohr_operator(f: TruncatedSeries, r: float, from_degree: int = 0) -> float:
     return float(np.dot(mags, powers))
 
 
-def cauchy_tail_bound(m_rho: float, rho: float, order: int, r: float) -> float:
-    """Upper bound on sum_{n > order} |a_n| r^n by Cauchy estimates.
+def cauchy_tail_bound(m_rho: float, order: int) -> float:
+    """Upper bound on sum_{n > order} |a_n| r^n at r = e^-pi by Cauchy
+    estimates on |z| = rho = ``TAIL_RHO``.
 
     |a_n| <= m_rho / rho^n for any upper bound m_rho on |f| over |z| = rho,
-    such as the closed form ``LargeFunctionSpec.modulus_bound(rho)``; the
+    such as the closed form ``LargeFunctionSpec.modulus_bound``; the
     geometric sum of (r/rho)^n past ``order`` is then exact.
     """
-    if not 0 < r < rho < 1:
-        raise DomainError("need 0 < r < rho < 1")
-    q = r / rho
+    q = E_PI / TAIL_RHO
     return m_rho * q ** (order + 1) / (1.0 - q)
 
 
@@ -115,15 +110,6 @@ class InequalityCheck:
                 "slack": self.slack, "pass": self.passed}
 
 
-@dataclass(frozen=True)
-class TheoremReport(InequalityCheck):
-    """Main-inequality check: the majorant sum plus its Cauchy tail
-    ``tail_bound``, from ``spec.modulus_bound(TAIL_RHO)``, against the
-    boundary distance."""
-
-    tail_bound: float = field(kw_only=True)
-
-
 class LittlewoodReport(InequalityCheck):
     """Coefficient domination of a subordinate to -J(-z): the largest ratio
     of |a_k| to the degree-k majorant coefficient, against 1."""
@@ -153,15 +139,14 @@ def littlewood_check(phi: SchwarzFunction, order: int,
                             BASE_SLACK)
 
 
-def main_theorem_check(spec: LargeFunctionSpec) -> TheoremReport:
+def main_theorem_check(spec: LargeFunctionSpec) -> InequalityCheck:
     """Verify sum_{n>=1} |a_n| r^n <= dist(F(0), boundary of F(U)) at the
     Bohr radius r = e^-pi; the lhs is the sum over the stored prefix plus
-    the Cauchy tail bound of the rest."""
+    the Cauchy tail bound of the rest, from ``spec.modulus_bound``."""
     lhs = bohr_operator(spec.series, E_PI, from_degree=1)
-    tail = cauchy_tail_bound(spec.modulus_bound(TAIL_RHO), TAIL_RHO,
-                             spec.order, E_PI)
-    return TheoremReport("theorem-main", lhs + tail, boundary_distance(spec),
-                         BASE_SLACK, tail_bound=tail)
+    tail = cauchy_tail_bound(spec.modulus_bound, spec.order)
+    return InequalityCheck("theorem-main", lhs + tail,
+                           boundary_distance(spec), BASE_SLACK)
 
 
 def von_neumann_check(spec: LargeFunctionSpec, p: TruncatedSeries,
@@ -170,7 +155,7 @@ def von_neumann_check(spec: LargeFunctionSpec, p: TruncatedSeries,
 
     Requires the boundary distance ``distance`` of F to be below 1.  p(F)
     is Horner's rule over F's truncated series.  The tail uses
-    |p(F)| <= sum_k |p_k| M^k, M = ``spec.modulus_bound(TAIL_RHO)``, and the
+    |p(F)| <= sum_k |p_k| M^k, M = ``spec.modulus_bound``, and the
     right side samples |p| at 4096 points.  Both sides are reported whether
     or not the inequality holds.
     """
@@ -181,9 +166,8 @@ def von_neumann_check(spec: LargeFunctionSpec, p: TruncatedSeries,
     for k in range(p.order - 1, -1, -1):
         composed = composed.mul(f, order) + p[k]
     lhs = bohr_operator(composed, E_PI, from_degree=0)
-    m_p = float(np.polyval(np.abs(p.coeffs[::-1]),
-                           spec.modulus_bound(TAIL_RHO)))
-    tail = cauchy_tail_bound(m_p, TAIL_RHO, order, E_PI)
+    m_p = float(np.polyval(np.abs(p.coeffs[::-1]), spec.modulus_bound))
+    tail = cauchy_tail_bound(m_p, order)
     rhs = circle_sup(p, 1.0, 4096)
     return InequalityCheck("von-neumann", lhs + tail, rhs, BASE_SLACK)
 

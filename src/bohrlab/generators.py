@@ -17,6 +17,10 @@ from .errors import DomainError
 from .modular import CoveringParameter, j_eval, q_eval, q_series
 from .series import TruncatedSeries
 
+#: Radius of the circle on which ``LargeFunctionSpec.modulus_bound`` bounds
+#: |F|; every Cauchy tail bound of the inequality checks reads it.
+TAIL_RHO = 0.3
+
 
 def _fmt(x) -> str:
     if isinstance(x, complex):
@@ -230,24 +234,25 @@ class LargeFunctionSpec:
         return self.series.order
 
     @property
-    def f0(self) -> complex:
-        return self.a + (self.b - self.a) * j_eval(math.exp(-self.alpha.alpha))
+    def modulus_bound(self) -> float:
+        """Certified bound on |F| over |z| <= TAIL_RHO from one scalar J.
 
-    def modulus_bound(self, rho: float) -> float:
-        """Certified upper bound on |F| over |z| <= rho from one scalar J.
-
-        |phi| <= rho by Schwarz, so Re (1+phi)/(1-phi) and Re (1-phi)/(1+phi)
-        are >= c = (1-rho)/(1+rho).  As |J(w)| <= -J(-|w|) (positive
-        coefficients) and J(e^s) = 1 - J(e^{pi^2/s}), |J| is at most
-        -J(-e^{-alpha c}) and 1 - J(-e^{-pi^2 c/alpha}).  The nome used is
-        <= e^{-pi c} (0.184 at rho = 0.3), where j_eval is good to a few
-        ulps; the 1e-12 factor covers that rounding.
+        |phi| <= rho = TAIL_RHO by Schwarz, so Re (1+phi)/(1-phi) and
+        Re (1-phi)/(1+phi) are >= c = (1-rho)/(1+rho).  As |J(w)| <= -J(-|w|)
+        (positive coefficients) and J(e^s) = 1 - J(e^{pi^2/s}), |J| is at
+        most -J(-e^{-alpha c}) and 1 - J(-e^{-pi^2 c/alpha}).  The nome used
+        is <= e^{-pi c} (0.184 at rho = 0.3), where j_eval is good to a few
+        ulps; the 1e-12 factor covers that rounding.  Past the double range
+        it raises ``DomainError``.
         """
-        alpha, c = self.alpha.alpha, (1.0 - rho) / (1.0 + rho)
+        alpha, c = self.alpha.alpha, (1.0 - TAIL_RHO) / (1.0 + TAIL_RHO)
         dual = alpha < math.pi
         x = math.exp(-(math.pi ** 2 / alpha if dual else alpha) * c)
         m = float(dual) - complex(j_eval(-x)).real
-        return (abs(self.a) + abs(self.b - self.a) * m) * (1.0 + 1e-12)
+        bound = (abs(self.a) + abs(self.b - self.a) * m) * (1.0 + 1e-12)
+        if not math.isfinite(bound):
+            raise DomainError("the bound on |F| exceeds the double range")
+        return bound
 
     def eval(self, z):
         return self.a + (self.b - self.a) * q_eval(self.alpha.alpha,

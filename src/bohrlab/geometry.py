@@ -3,8 +3,9 @@
 A covering parameterization G of a hyperbolic domain induces the density
 lambda(G(z)) = 1 / (|G'(z)| (1 - |z|^2)); together with the distance to the
 domain boundary it satisfies lambda(w) d(w, boundary) <= 1.  The right side
-of the main inequality is one number, ``boundary_distance(spec)``: exact
-for an inner phi, otherwise sampled on one circle close to |z| = 1.
+of the main inequality is one number, ``boundary_distance(spec)`` from
+F(0) = ``spec.series[0]``: exact for an inner phi, else sampled on one
+circle close to |z| = 1.
 """
 
 from __future__ import annotations
@@ -25,8 +26,10 @@ _BOUNDARY_NODES = 4096
 def boundary_distance(spec: LargeFunctionSpec) -> float:
     """Distance from F(0) to the boundary of the image of F.
 
-    When the inner Schwarz factor is a finite Blaschke product the image is
-    the whole plane minus the two omitted points and the distance is exact.
+    F(0) is ``spec.series[0]``, a + (b - a) Q(0) from the theta sums of
+    ``q_series``, so no J point is evaluated for it.  When the inner
+    Schwarz factor is a finite Blaschke product the image is the whole
+    plane minus the two omitted points and the distance is exact.
     Otherwise F(0) is compared with the image of the circle
     |z| = 1 - 2^-14, sampled at 4096 nodes; the minimum, capped by the
     distance to the omitted points, is returned.  That minimum measures the
@@ -38,7 +41,7 @@ def boundary_distance(spec: LargeFunctionSpec) -> float:
     is too small only makes a majorant inequality harder to pass, so a
     circle-sampled distance certifies a pass and does not certify a fail.
     """
-    f0 = spec.f0
+    f0 = spec.series[0]
     omitted = min(abs(f0 - spec.a), abs(f0 - spec.b))
     if spec.phi.is_inner:
         return omitted

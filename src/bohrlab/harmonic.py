@@ -22,9 +22,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bohr import (BASE_SLACK, TAIL_RHO, InequalityCheck, bohr_operator,
+from .bohr import (BASE_SLACK, InequalityCheck, bohr_operator,
                    cauchy_tail_bound)
-from .generators import LargeFunctionSpec
+from .generators import TAIL_RHO, LargeFunctionSpec
 from .modular import E_PI
 from .series import TruncatedSeries, circle_sup
 
@@ -54,22 +54,21 @@ def build_pair(spec: LargeFunctionSpec, mu: TruncatedSeries) -> HarmonicPair:
 _MU_NODES = 1024
 
 
-def _g_tail_bound(pair: HarmonicPair, r: float) -> float:
-    """Tail of M(g) past the stored order.
+def _g_tail_bound(pair: HarmonicPair, m_rho: float) -> float:
+    """Tail of M(g) past the stored order at r = e^-pi.
 
     mu is an exact polynomial, so tail error in g comes from the tail of h:
     |(mu h')_m| <= S sum_{j<=m} (j+1) M_rho / rho^{j+1}, integrated
     termwise, with rho = TAIL_RHO.  M_rho is the closed form
-    ``spec.modulus_bound(rho)``, and S = M(mu)(0.999) is at least sup|mu|
+    ``spec.modulus_bound``, and S = M(mu)(0.999) is at least sup|mu|
     on |z| <= 0.999 and at least sum_k |mu_k| rho^k, so neither is sampled.
     The resulting majorant decays like (r/rho)^n and the finite sum below
     overshoots the true tail.
     """
     order, rho = pair.g.order, TAIL_RHO
-    m_rho = pair.spec.modulus_bound(rho)
     mu_bound = bohr_operator(pair.mu, 0.999)
     n = np.arange(order + 1, order + 200)
-    terms = (n + 1.0) ** 2 / (1.0 - rho) * m_rho * (r / rho) ** n
+    terms = (n + 1.0) ** 2 / (1.0 - rho) * m_rho * (E_PI / rho) ** n
     return float(mu_bound * terms.sum())
 
 
@@ -83,9 +82,9 @@ def harmonic_bohr_check(pair: HarmonicPair,
     h, g, r = pair.h, pair.g, E_PI
     mh = bohr_operator(h, r, from_degree=1)
     mg = bohr_operator(g, r, from_degree=1)
-    tail_h = cauchy_tail_bound(pair.spec.modulus_bound(TAIL_RHO), TAIL_RHO,
-                               h.order, r)
-    tail_g = _g_tail_bound(pair, r)
+    m_rho = pair.spec.modulus_bound
+    tail_h = cauchy_tail_bound(m_rho, h.order)
+    tail_g = _g_tail_bound(pair, m_rho)
     sup_mu = circle_sup(pair.mu, r, _MU_NODES)
     lhs = mh + mg + tail_h + tail_g
     rhs = (1.0 + sup_mu) * distance

@@ -281,6 +281,8 @@ class CoveringParameter:
     alpha: float
 
     def __post_init__(self):
+        if not math.isfinite(self.alpha):
+            raise DomainError("alpha must be finite, not %r" % self.alpha)
         if not self.alpha > 0:
             raise DomainError("alpha must be positive")
 
@@ -324,15 +326,18 @@ def _nome_powers(beta: float, ks: np.ndarray, order: int) -> np.ndarray:
     (j+1) L_{j+1} = (2j - x) L_j - (j-1) L_{j-1} (DLMF 18.9.13) for all k.
     Started from e^{-k beta}, the values are coefficients of a function
     bounded by 1; where e^{-k beta} would underflow, 2^-shift is kept aside.
+    A column whose Cauchy bound on |z| = 1/2, e^{-k beta / 3} 2^order, is
+    below 2^-1075 rounds to zeros and is left at zero, unrecurred.
     """
-    t = beta * ks
+    live = ks <= 3.0 * math.log(2.0) * (order + 1075) / beta
+    t = beta * ks[live]
     shift = np.floor(np.maximum(t - 700.0, 0.0) / math.log(2.0))
     watch = shift.any()
-    out = np.zeros((order + 2, ks.size))            # out[j + 1] = [z^j]
+    out = np.zeros((order + 2, t.size))             # out[j + 1] = [z^j]
     out[1] = np.exp(shift * math.log(2.0) - t)
     j = np.arange(order)[:, None]
     a, b = (2.0 * j - 2.0 * t) / (j + 1), ((j - 1) / (j + 1)).ravel().tolist()
-    scratch = np.empty(ks.size)
+    scratch = np.empty(t.size)
     rows, mul, sub = list(out), np.multiply, np.subtract    # row views
     for ai, bi, prev, cur, row in zip(a, b, rows, rows[1:], rows[2:]):
         mul(ai, cur, out=row)
@@ -341,7 +346,9 @@ def _nome_powers(beta: float, ks: np.ndarray, order: int) -> np.ndarray:
         if watch and (big := np.abs(row) > 2.0 ** 600).any():
             out[:, big] *= 2.0 ** -600
             shift[big] -= 600
-    return np.ldexp(out[1:], -shift.astype(int))
+    powers = np.zeros((order + 1, ks.size))
+    powers[:, live] = np.ldexp(out[1:], -shift.astype(int))
+    return powers
 
 
 def q_series(alpha, order: int) -> TruncatedSeries:

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from bohrlab.bohr import BASE_SLACK, bohr_radius_solve, main_theorem_check
+from bohrlab.bohr import (BASE_SLACK, bohr_radius_solve, cauchy_tail_bound,
+                          main_theorem_check)
 from bohrlab.generators import identity_schwarz, make_large_function
 from bohrlab.geometry import boundary_distance
 from bohrlab.harmonic import (build_pair, harmonic_bohr_check,
@@ -153,6 +154,12 @@ def confirms(o: OracleSides, lhs: float, rhs: float, budget: float,
     return agree and gap > FAR * budget + o.err
 
 
+def theorem_budget(spec) -> float:
+    """Error budget of a theorem-main row: its Cauchy tail plus the
+    slack."""
+    return cauchy_tail_bound(spec.modulus_bound, spec.order) + BASE_SLACK
+
+
 def readme_counterexample():
     """The README spec Q_1: flagged, with the 50-digit lhs/rhs."""
     spec = make_large_function(0, 1, 1, identity_schwarz(), 64)
@@ -161,8 +168,7 @@ def readme_counterexample():
     ok = (not rep.passed
           and abs(o.lhs / o.rhs - README_RATIO) <= 5e-11
           and abs(rep.lhs / rep.rhs / (o.lhs / o.rhs) - 1) <= AGREE_RTOL
-          and confirms(o, rep.lhs, rep.rhs,
-                       rep.tail_bound + BASE_SLACK, True))
+          and confirms(o, rep.lhs, rep.rhs, theorem_budget(spec), True))
     return spec, rep, ok
 
 
@@ -261,14 +267,14 @@ def test_criterion_06_main_inequality_sweep():
         rep = main_theorem_check(spec)
         replay_ok &= spec.text() == rec["spec"] and replays(rec, rep.row())
         if spec.phi.is_inner:
-            budget = rep.tail_bound + BASE_SLACK
+            budget = theorem_budget(spec)
             ok = confirms(oracle(spec), rec["lhs"], rec["rhs"], budget, True)
             (confirmed if ok else refuted).append(rec["trial"])
     tight = tightest_exact_pass(res.rows, "theorem-main")
     spec = theorem4_spec(tight["seed"], tight["trial"])
     rep = main_theorem_check(spec)
     tight_ok = confirms(oracle(spec), rep.lhs, rep.rhs,
-                        rep.tail_bound + BASE_SLACK, False)
+                        theorem_budget(spec), False)
     ok = (readme_ok and enough_exact and replay_ok and not refuted
           and tight_ok)
     detail = "README %s, replay %s, %d exact-distance trials; %s" % (

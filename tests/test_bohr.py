@@ -15,8 +15,8 @@ from bohrlab.bohr import (BASE_SLACK, algebra_properties_check, bohr_operator,
                           classical_bohr_check, littlewood_check,
                           main_theorem_check, von_neumann_check)
 from bohrlab.errors import DomainError
-from bohrlab.generators import (Factor, SchwarzFunction, identity_schwarz,
-                                make_large_function,
+from bohrlab.generators import (TAIL_RHO, Factor, SchwarzFunction,
+                                identity_schwarz, make_large_function,
                                 random_large_function, random_mobius_bounded,
                                 random_polynomial, random_schwarz)
 from bohrlab.geometry import boundary_distance
@@ -51,36 +51,41 @@ def test_operator_monotone_in_r(r, coeffs):
 
 
 def test_tail_bound_dominates_geometric_tail():
-    # f = 1/(1-z): the degree->order tail at r is r^{order+1}/(1-r), and
-    # 1/(1-rho) is the exact max of |f| on |z| = rho.
-    order, r, rho = 10, 0.2, 0.5
-    true_tail = r ** (order + 1) / (1 - r)
-    bound = cauchy_tail_bound(1.0 / (1.0 - rho), rho, order, r)
+    # f = 1/(1-z): the degree->order tail at r = e^-pi is r^{order+1}/(1-r),
+    # and 1/(1-rho) is the exact max of |f| on |z| = rho = TAIL_RHO.
+    order = 10
+    true_tail = E_PI ** (order + 1) / (1 - E_PI)
+    bound = cauchy_tail_bound(1.0 / (1.0 - TAIL_RHO), order)
     assert true_tail <= bound
     assert bound < 1e-3
 
 
-def test_tail_bound_validation():
-    with pytest.raises(DomainError):
-        cauchy_tail_bound(1.0, 0.2, 4, 0.5)
-
-
-def _sampled_max(spec, rho):
-    return float(np.abs(spec.eval(rho * unit_ring(4096))).max())
+def _sampled_max(spec):
+    return float(np.abs(spec.eval(TAIL_RHO * unit_ring(4096))).max())
 
 
 def test_modulus_bound_dominates_sampled_max():
     for s in range(200):
         spec = random_large_function(s)
-        for rho in (0.1, 0.3, 0.6, 0.9):
-            assert spec.modulus_bound(rho) >= _sampled_max(spec, rho), \
-                (s, rho)
+        assert spec.modulus_bound >= _sampled_max(spec), s
     for alpha in (1e-3, 0.1, math.pi, 10.0, 50.0):
         spec = make_large_function(0.0, 1.0, alpha, identity_schwarz(), 16)
-        for rho in (0.1, 0.3, 0.6, 0.9):
-            bound = spec.modulus_bound(rho)
-            assert np.isfinite(bound), (alpha, rho)
-            assert bound >= _sampled_max(spec, rho), (alpha, rho)
+        bound = spec.modulus_bound
+        assert np.isfinite(bound), alpha
+        assert bound >= _sampled_max(spec), alpha
+
+
+def test_modulus_bound_beyond_the_double_range_is_a_domain_error():
+    # At alpha = 1 the closed form is about 1.08 |b - a|, so b = 1.7e308
+    # has no finite bound, and no theorem-main row is written for it.
+    phi = SchwarzFunction((Factor("contraction", 0.5),))
+    spec = make_large_function(0.0, 1.7e308, 1.0, phi, 64)
+    with pytest.raises(DomainError, match="double range"):
+        spec.modulus_bound
+    with pytest.raises(DomainError, match="double range"):
+        main_theorem_check(spec)
+    rep = main_theorem_check(make_large_function(0.0, 1e307, 1.0, phi, 64))
+    assert np.isfinite([rep.lhs, rep.rhs]).all()
 
 
 def test_closed_form_tail_dominates_true_tail():
@@ -88,7 +93,7 @@ def test_closed_form_tail_dominates_true_tail():
         spec = random_large_function(seed, order=200)
         mags = np.abs(spec.series.coeffs[65:201])
         true_tail = float(np.dot(mags, E_PI ** np.arange(65, 201)))
-        bound = cauchy_tail_bound(spec.modulus_bound(0.3), 0.3, 64, E_PI)
+        bound = cauchy_tail_bound(spec.modulus_bound, 64)
         assert true_tail <= bound, seed
 
 
@@ -106,25 +111,30 @@ def _count_j_points(monkeypatch):
 
 
 def test_inner_checks_evaluate_a_few_j_points(monkeypatch):
+    """On an inner spec each check evaluates one J point, its modulus
+    bound, and the boundary distance none: F(0) is the series' constant."""
     spec = make_large_function(0.0, 1.0, math.pi, identity_schwarz(), 64)
     small = spec.scaled(0.3)
     pair = build_pair(spec, TruncatedSeries([0.25j]))
     points = _count_j_points(monkeypatch)
+    distance = boundary_distance(spec)
+    assert points == []
     main_theorem_check(spec)
-    assert 0 < sum(points) < 10
+    assert points == [1]
     points.clear()
     von_neumann_check(small, TruncatedSeries([0.0, 1.0]), 0.15)
-    assert 0 < sum(points) < 10
+    assert points == [1]
     points.clear()
-    harmonic_bohr_check(pair, boundary_distance(spec))
-    assert 0 < sum(points) < 10
+    harmonic_bohr_check(pair, distance)
+    assert points == [1]
 
 
 def test_main_check_small_alpha_stays_finite():
     for alpha in (1e-3, 0.02, 0.1):
         spec = make_large_function(0.0, 1.0, alpha, identity_schwarz(), 64)
         rep = main_theorem_check(spec)
-        assert np.isfinite([rep.lhs, rep.rhs, rep.tail_bound]).all(), alpha
+        tail = cauchy_tail_bound(spec.modulus_bound, spec.order)
+        assert np.isfinite([rep.lhs, rep.rhs, tail]).all(), alpha
         assert rep.passed, alpha
 
 

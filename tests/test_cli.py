@@ -187,6 +187,14 @@ def test_eval_q_names_a_nome_rounded_to_modulus_one(capsys):
     assert "rounds to modulus 1" in err and "|z| < 1" not in err
 
 
+def test_eval_q_rejects_a_non_finite_alpha_plainly():
+    proc = run_cli("eval", "--fn", "q", "--alpha", "inf", "--re", "0.3")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "alpha must be finite" in proc.stderr
+    assert "Warning" not in proc.stderr
+
+
 def test_eval_next_to_the_cusp_at_one():
     # J(0.9999999) = 1 - 16 exp(-pi^2 / 1e-7) + ..., which rounds to 1.
     proc = run_cli("eval", "--re", "0.9999999")

@@ -1,5 +1,7 @@
+import math
 import re
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -158,8 +160,20 @@ def test_spec_series_matches_eval():
 
 def test_spec_f0_consistency():
     spec = random_large_function(13, order=48)
-    assert spec.f0 == pytest.approx(complex(spec.eval(0.0)), abs=1e-13)
-    assert spec.series[0] == pytest.approx(spec.f0, abs=1e-12)
+    assert spec.series[0] == pytest.approx(complex(spec.eval(0.0)),
+                                           abs=1e-13)
+
+
+@pytest.mark.parametrize("alpha", [1e-3, 0.8, math.pi, 10.0, 1e4])
+def test_spec_f0_matches_theta_oracle(alpha):
+    """F(0) = a + (b - a) J(e^-alpha), J from 40-digit theta functions."""
+    a, b = 0.3 - 0.2j, -1.1 + 0.7j
+    spec = make_large_function(a, b, alpha, identity_schwarz(), 64)
+    with mpmath.workdps(40):
+        q = mpmath.exp(-mpmath.mpf(alpha))
+        j = (mpmath.jtheta(2, 0, q) / mpmath.jtheta(3, 0, q)) ** 4
+        want = mpmath.mpc(a) + (mpmath.mpc(b) - mpmath.mpc(a)) * j
+        assert abs(spec.series[0] - want) <= 1e-14 * abs(b - a)
 
 
 def test_spec_degenerate_rejected():
@@ -170,7 +184,7 @@ def test_spec_degenerate_rejected():
 def test_spec_transforms():
     spec = random_large_function(5, order=32)
     s = spec.scaled(2.0)
-    assert s.f0 == pytest.approx(2 * spec.f0, abs=1e-12)
+    assert s.series[0] == pytest.approx(2 * spec.series[0], abs=1e-12)
     with pytest.raises(DomainError, match="must be nonzero"):
         spec.scaled(0.0)
 

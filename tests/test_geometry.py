@@ -100,20 +100,23 @@ def test_boundary_distance_exact_for_inner():
     spec = make_large_function(0.0, 1.0, math.pi, identity_schwarz(), 48)
     d = boundary_distance(spec)
     assert type(d) is float
-    assert d == min(abs(spec.f0), abs(spec.f0 - 1.0))
+    f0 = spec.series[0]
+    assert d == min(abs(f0), abs(f0 - 1.0))
 
 
 def _circle_distance(spec, k):
     """min |F - F(0)| on |z| = 1 - 2^-k at 4096 nodes."""
     r = 1.0 - 2.0 ** (-k)
-    return float(np.abs(spec.eval(r * unit_ring(4096)) - spec.f0).min())
+    return float(np.abs(spec.eval(r * unit_ring(4096))
+                        - spec.series[0]).min())
 
 
 def test_boundary_distance_sampled_for_contraction():
     phi = SchwarzFunction((Factor("contraction", 0.5),))
     spec = make_large_function(0.0, 1.0, math.pi, phi, 48)
     d = boundary_distance(spec)
-    omitted = min(abs(spec.f0), abs(spec.f0 - 1.0))
+    f0 = spec.series[0]
+    omitted = min(abs(f0), abs(f0 - 1.0))
     assert 0 < d <= omitted
     # A strict contraction shrinks the image, so the distance from F(0) to
     # the image boundary is strictly below the omitted-point distance.
@@ -125,7 +128,8 @@ def test_boundary_distance_sampled_for_contraction():
 def _eleven_circle_distance(spec):
     """The distance as sampled on all eleven circles |z| = 1 - 2^-k,
     k = 4..14, of which only the finest is read."""
-    omitted = min(abs(spec.f0 - spec.a), abs(spec.f0 - spec.b))
+    f0 = spec.series[0]
+    omitted = min(abs(f0 - spec.a), abs(f0 - spec.b))
     history = [_circle_distance(spec, k) for k in range(4, 15)]
     return min(omitted, history[-1])
 

@@ -359,6 +359,14 @@ def test_covering_parameter_positive():
         q_eval(-1.0, 0.1)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("alpha", [math.inf, -math.inf, math.nan])
+def test_covering_parameter_rejects_non_finite_alpha(alpha):
+    for f in (lambda: q_eval(alpha, 0.3), lambda: q_series(alpha, 64)):
+        with pytest.raises(DomainError, match="alpha must be finite"):
+            f()
+
+
 def test_q_argument_lands_in_punctured_disk():
     rng = np.random.default_rng(3)
     z = 0.95 * np.sqrt(rng.random(200)) * np.exp(2j * np.pi * rng.random(200))
@@ -393,6 +401,17 @@ def test_q_series_matches_pointwise():
     for z in (0.05, -0.1j, 0.08 + 0.04j):
         assert qs.eval(z) == pytest.approx(complex(q_eval(alpha, z)),
                                            abs=1e-10)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("alpha", [1e18, 1e30, 1e200, 1.7e308, 1e-30,
+                                   5e-324])
+def test_q_series_at_extreme_alpha_is_the_limiting_series(alpha):
+    """Every q^k underflows to zero coefficients, so Q is 0 for a large
+    alpha (beta = alpha) and 1 for a small one (beta = pi^2 / alpha)."""
+    want = np.zeros(65)
+    want[0] = float(alpha < math.pi)
+    assert np.array_equal(q_series(alpha, 64).coeffs, want)
 
 
 def test_q_series_validation():
