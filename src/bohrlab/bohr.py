@@ -3,7 +3,7 @@ inequality verifiers built on it."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -99,7 +99,6 @@ class InequalityCheck:
     lhs: float
     rhs: float
     slack: float
-    extra: dict = field(default_factory=dict)
 
     @property
     def passed(self) -> bool:

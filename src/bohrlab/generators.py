@@ -163,11 +163,6 @@ class SchwarzFunction:
             outer = f.pull_back(outer, d)
         return outer
 
-    def series(self, order: int) -> TruncatedSeries:
-        """Series of phi: the identity z pulled back through the factors."""
-        return TruncatedSeries(
-            self.pull_back(TruncatedSeries.identity(order).coeffs, order))
-
     def text(self) -> str:
         return " . ".join(f.text() for f in self.factors)
 
@@ -278,13 +273,17 @@ def make_large_function(a, b, alpha, phi: SchwarzFunction,
     Blaschke factor costs a series composition, then a + (b - a) Q(phi).
     As phi = O(z^v), v = ``phi.valuation``, Q is built only to degree
     order // v (at least 1, which ``q_series`` needs); when v > order only
-    Q(0) reaches F."""
+    Q(0) reaches F.  A coefficient of F past the double range raises
+    ``DomainError``."""
     a, b = complex(a), complex(b)
     if not isinstance(alpha, CoveringParameter):
         alpha = CoveringParameter(float(alpha))
     q = q_series(alpha, max(1, order // phi.valuation))
-    coeffs = phi.pull_back(q.coeffs, order) * (b - a)
-    coeffs[0] += a
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs = phi.pull_back(q.coeffs, order) * (b - a)
+        coeffs[0] += a
+    if not np.isfinite(coeffs).all():
+        raise DomainError("a coefficient of F exceeds the double range")
     return LargeFunctionSpec(a, b, alpha, phi, TruncatedSeries(coeffs))
 
 

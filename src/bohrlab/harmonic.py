@@ -88,11 +88,7 @@ def harmonic_bohr_check(pair: HarmonicPair,
     sup_mu = circle_sup(pair.mu, r, _MU_NODES)
     lhs = mh + mg + tail_h + tail_g
     rhs = (1.0 + sup_mu) * distance
-    return InequalityCheck(
-        "harmonic-bohr", lhs, rhs, BASE_SLACK,
-        {"analytic_majorant": mh, "coanalytic_majorant": mg,
-         "sup_mu": sup_mu},
-    )
+    return InequalityCheck("harmonic-bohr", lhs, rhs, BASE_SLACK)
 
 
 @lru_cache(maxsize=None)
@@ -111,8 +107,8 @@ def mg_integral_identity_check(pair: HarmonicPair,
     polynomial with ``size`` coefficients, so Gauss-Legendre with
     size // 2 + 1 nodes integrates it exactly; only rounding is left.  All
     nodes, weights and coefficients are positive, so nothing cancels, and
-    ``quad_error`` = 4 size eps |integral| bounds that rounding.  The row's
-    lhs is the larger of gap - quad_error and, when the domination applies,
+    quad_err = 4 size eps |integral| bounds that rounding.  The row's lhs
+    is the larger of gap - quad_err and, when the domination applies,
     M(g)(r) - M(h - h(0))(r); it passes when at most ``BASE_SLACK``.
     """
     g = pair.g
@@ -123,10 +119,6 @@ def mg_integral_identity_check(pair: HarmonicPair,
     quad_err = 4 * gp_mags.size * float(np.finfo(float).eps) * abs(integral)
     direct = bohr_operator(g, r, from_degree=1)
     lhs = abs(integral - direct) - quad_err
-    extra = {"integral": integral, "quad_error": quad_err}
     if circle_sup(pair.mu, 0.999, _MU_NODES) <= 1.0 + 1e-12:
-        mh_shifted = bohr_operator(pair.h, r, from_degree=1)
-        extra["domination_margin"] = mh_shifted - direct
-        lhs = max(lhs, direct - mh_shifted)
-    return InequalityCheck("mg-integral-identity", lhs, 0.0, BASE_SLACK,
-                           extra)
+        lhs = max(lhs, direct - bohr_operator(pair.h, r, from_degree=1))
+    return InequalityCheck("mg-integral-identity", lhs, 0.0, BASE_SLACK)

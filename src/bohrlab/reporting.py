@@ -1,15 +1,17 @@
 """Serialization of sweep results: JSON documents and CSV row dumps.
 
-Every real number is rendered with 17 significant digits so that reports
-round-trip bit-exactly through text.
+A real is written as Python's float repr, the shortest text that reads
+back to the same double; a complex is the pair [re, im].  NaN and
+infinities raise ``ValueError``.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-import re
 import sys
+
+import numpy as np
 
 from .bohr import InequalityCheck
 
@@ -17,39 +19,19 @@ CSV_FIELDS = ("check", "lhs", "rhs", "slack", "pass")
 
 SCHEMA = 2
 
-# Sentinel wrapping pre-formatted reals inside the JSON tree; stripped
-# (with the surrounding quotes) after dumping so the numbers appear as
-# literals with exactly 17 significant digits.
-_MARK = ""
-_MARK_RE = re.compile(r'"(?:\\u0001|\x01)([^"]*)"')
 
-
-def _real(x: float) -> str:
-    if x != x or x in (float("inf"), float("-inf")):
-        raise ValueError("non-finite value in report: %r" % x)
-    return _MARK + "%.17g" % x
-
-
-def _encode(obj):
-    """Recursively convert to JSON-safe values."""
-    if isinstance(obj, bool):
-        return obj
-    if isinstance(obj, float):
-        return _real(obj)
+def _plain(obj):
+    """The JSON form of what ``json`` cannot write itself: a complex as
+    [re, im], a numpy scalar as its Python value."""
     if isinstance(obj, complex):
-        return [_real(obj.real), _real(obj.imag)]
-    if isinstance(obj, dict):
-        return {str(k): _encode(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_encode(v) for v in obj]
-    if hasattr(obj, "item") and not hasattr(obj, "__len__"):  # numpy scalar
-        return _encode(obj.item())
-    return obj
+        return [obj.real, obj.imag]
+    if isinstance(obj, np.generic):
+        return obj.item()
+    raise TypeError("cannot write %r to a report" % (obj,))
 
 
 def render_json(obj) -> str:
-    text = json.dumps(_encode(obj), indent=2, allow_nan=False)
-    return _MARK_RE.sub(lambda m: m.group(1), text)
+    return json.dumps(obj, indent=2, allow_nan=False, default=_plain)
 
 
 def suite_document(result, seed: int, version: str) -> dict:
@@ -82,20 +64,16 @@ def report_document(results, seed: int, version: str,
 
 
 def write_csv(rows, path: str) -> int:
-    """One line per executed check; returns the number of rows written."""
+    """One line per executed check, each real as its float repr; returns
+    the number of rows written."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        writer = csv.DictWriter(fh, CSV_FIELDS, extrasaction="ignore",
-                                lineterminator="\n")
-        writer.writeheader()
-        count = 0
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(CSV_FIELDS)
         for row in rows:
-            out = dict(row)
-            for k in ("lhs", "rhs", "slack"):
-                out[k] = "%.17g" % float(out[k])
-            out["pass"] = "true" if out["pass"] else "false"
-            writer.writerow(out)
-            count += 1
-    return count
+            reals = [repr(float(row[k])) for k in ("lhs", "rhs", "slack")]
+            writer.writerow([row["check"], *reals,
+                             "true" if row["pass"] else "false"])
+    return len(rows)
 
 
 def apply_tolerance_override(result, tol: float) -> None:

@@ -52,13 +52,6 @@ class TruncatedSeries:
     def constant(c) -> "TruncatedSeries":
         return TruncatedSeries([c])
 
-    @staticmethod
-    def identity(order: int = 1) -> "TruncatedSeries":
-        coeffs = np.zeros(order + 1, dtype=complex)
-        if order >= 1:
-            coeffs[1] = 1.0
-        return TruncatedSeries(coeffs, "z")
-
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other) -> "TruncatedSeries":

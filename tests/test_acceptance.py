@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from bohrlab.bohr import (BASE_SLACK, bohr_radius_solve, cauchy_tail_bound,
-                          main_theorem_check)
+from bohrlab.bohr import (BASE_SLACK, bohr_operator, bohr_radius_solve,
+                          cauchy_tail_bound, main_theorem_check)
 from bohrlab.generators import identity_schwarz, make_large_function
 from bohrlab.geometry import boundary_distance
 from bohrlab.harmonic import (build_pair, harmonic_bohr_check,
@@ -306,18 +306,20 @@ def test_criterion_09_harmonic_extension():
     rep = harmonic_bohr_check(pair, boundary_distance(spec))
     base = main_theorem_check(spec)
     reduction_ok = (
-        abs(rep.extra["analytic_majorant"] - base.lhs) < 1e-15
-        and rep.extra["coanalytic_majorant"] == 0.0
+        rep.lhs == base.lhs
+        and bohr_operator(pair.g, E_PI, from_degree=1) == 0.0
         and abs(rep.rhs - base.rhs) < 1e-15
     )
-    # Part 2: constant dilatation scales the bound by exactly (1 + |c|).
+    # Part 2: constant dilatation scales the bound by exactly (1 + |c|),
+    # and g = c (h - h(0)) scales the co-analytic majorant by c.
     c = 0.6
-    repc = harmonic_bohr_check(build_pair(spec, TruncatedSeries([c])),
-                               boundary_distance(spec))
+    pairc = build_pair(spec, TruncatedSeries([c]))
+    repc = harmonic_bohr_check(pairc, boundary_distance(spec))
     constant_ok = (repc.passed
                    and abs(repc.rhs - (1 + c) * rep.rhs) < 1e-12
-                   and abs(repc.extra["coanalytic_majorant"]
-                           - c * repc.extra["analytic_majorant"]) < 1e-12)
+                   and abs(bohr_operator(pairc.g, E_PI, from_degree=1)
+                           - c * bohr_operator(pairc.h, E_PI, from_degree=1))
+                   < 1e-12)
     # Part 3: the README counterexample, then the 50-pair sweep, whose
     # verdicts must replay and agree with the oracle.
     pytest.importorskip("mpmath")

@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import mpmath
 import numpy as np
@@ -10,7 +11,7 @@ from bohrlab.generators import (Factor, SchwarzFunction, identity_schwarz,
                                 make_large_function, random_large_function,
                                 random_mobius_bounded, random_polynomial,
                                 random_schwarz)
-from bohrlab.series import inverse
+from bohrlab.series import TruncatedSeries, inverse
 
 
 def disk_points(seed, n=200, rmax=0.95):
@@ -32,9 +33,15 @@ def test_factor_validation():
         Factor("frob")
 
 
+def phi_series(phi, order):
+    """phi's series: the coefficients of z pulled back through phi."""
+    z = (np.arange(order + 1) == 1).astype(complex)
+    return TruncatedSeries(phi.pull_back(z, order))
+
+
 def factor_series(f, order):
     """A factor's series, read as the series of the one-factor chain."""
-    return SchwarzFunction((f,)).series(order)
+    return phi_series(SchwarzFunction((f,)), order)
 
 
 def test_factor_series_matches_eval():
@@ -104,7 +111,7 @@ def test_schwarz_lemma_sampled():
 
 def test_schwarz_series_matches_eval():
     phi = random_schwarz(11, 3)
-    s = phi.series(32)
+    s = phi_series(phi, 32)
     z = disk_points(5, 50, 0.4)
     assert np.allclose(s.eval(z), phi.eval(z), atol=1e-8)
 
@@ -121,7 +128,7 @@ def test_valuation_bounds_the_zero_at_0():
         phi = random_schwarz(seed, 1 + seed % 4)
         v = phi.valuation
         assert v == np.prod([f.valuation for f in phi.factors])
-        c = phi.series(64).coeffs
+        c = phi_series(phi, 64).coeffs
         first = int(np.flatnonzero(c)[0])
         assert first >= v
         if all(f.kind != "blaschke" for f in phi.factors):
@@ -179,6 +186,17 @@ def test_spec_f0_matches_theta_oracle(alpha):
 def test_spec_degenerate_rejected():
     with pytest.raises(DomainError, match="must be distinct"):
         make_large_function(1.0, 1.0, 2.0, identity_schwarz(), 16)
+
+
+@pytest.mark.parametrize("a, b", [(0.0, 1.7e308), (-1.7e308, 1.7e308)])
+def test_coefficients_beyond_the_double_range_are_a_domain_error(a, b):
+    """(b - a) times a coefficient of Q(phi) overflows: no numpy warning
+    escapes, and the error names the double range."""
+    phi = SchwarzFunction((Factor("contraction", 0.5),))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="double range"):
+            make_large_function(a, b, 3.0, phi, 64)
 
 
 def test_spec_transforms():

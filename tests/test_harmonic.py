@@ -7,12 +7,13 @@ import pytest
 import bohrlab.generators
 import bohrlab.geometry
 import bohrlab.sweeps
-from bohrlab.bohr import main_theorem_check
+from bohrlab.bohr import bohr_operator, main_theorem_check
 from bohrlab.generators import (identity_schwarz, make_large_function,
                                 random_large_function, random_mobius_bounded)
 from bohrlab.geometry import boundary_distance
-from bohrlab.harmonic import (HarmonicPair, build_pair, harmonic_bohr_check,
-                              mg_integral_identity_check)
+from bohrlab.harmonic import (HarmonicPair, _gauss_legendre, build_pair,
+                              harmonic_bohr_check, mg_integral_identity_check)
+from bohrlab.modular import E_PI
 from bohrlab.reporting import apply_tolerance_override
 from bohrlab.series import TruncatedSeries
 from bohrlab.sweeps import SuiteResult, run_suite
@@ -45,9 +46,8 @@ def test_zero_dilatation_reduces_to_analytic_case():
     rep = harmonic_bohr_check(pair, boundary_distance(spec))
     base = main_theorem_check(spec)
     assert rep.passed
-    assert rep.extra["coanalytic_majorant"] == 0.0
-    assert rep.extra["analytic_majorant"] == pytest.approx(base.lhs,
-                                                           abs=1e-15)
+    assert bohr_operator(pair.g, E_PI, from_degree=1) == 0.0
+    assert rep.lhs == base.lhs
     assert rep.rhs == pytest.approx(base.rhs, abs=1e-15)
 
 
@@ -56,15 +56,16 @@ def test_constant_dilatation_scales_the_bound():
     c = 0.6
     rep0 = harmonic_bohr_check(build_pair(spec, TruncatedSeries([0.0])),
                                boundary_distance(spec))
-    rep = harmonic_bohr_check(build_pair(spec, TruncatedSeries([c])),
-                              boundary_distance(spec))
+    pair = build_pair(spec, TruncatedSeries([c]))
+    rep = harmonic_bohr_check(pair, boundary_distance(spec))
     assert rep.passed
-    assert rep.extra["sup_mu"] == pytest.approx(c, abs=1e-12)
+    # The rhs is (1 + sup|mu|) d, and sup|mu| = c.
+    assert rep.rhs / rep0.rhs - 1 == pytest.approx(c, abs=1e-12)
     assert rep.rhs == pytest.approx((1 + c) * rep0.rhs, rel=1e-12)
     # g = c (h - a_0), so the co-analytic majorant is exactly c times the
     # analytic one.
-    assert rep.extra["coanalytic_majorant"] == pytest.approx(
-        c * rep.extra["analytic_majorant"], rel=1e-12)
+    assert bohr_operator(pair.g, E_PI, from_degree=1) == pytest.approx(
+        c * bohr_operator(pair.h, E_PI, from_degree=1), rel=1e-12)
 
 
 def test_mobius_dilatation_passes_for_good_specs():
@@ -87,7 +88,8 @@ def test_mg_integral_identity():
     assert rep.passed
     assert rep.lhs < 1e-9
     # |mu| <= 1 forces M(g) <= M(h - a_0) termwise after integration.
-    assert rep.extra["domination_margin"] >= -1e-12
+    assert bohr_operator(pair.h, 0.2, from_degree=1) \
+        - bohr_operator(pair.g, 0.2, from_degree=1) >= -1e-12
 
 
 def test_identity_row_holds_the_domination():
@@ -101,7 +103,8 @@ def test_identity_row_holds_the_domination():
     pair = HarmonicPair(spec, h, TruncatedSeries(g), TruncatedSeries([0.0]))
     rep = mg_integral_identity_check(pair, 0.2)
     assert not rep.passed
-    assert rep.lhs == pytest.approx(-rep.extra["domination_margin"])
+    assert rep.lhs == pytest.approx(bohr_operator(pair.g, 0.2, from_degree=1)
+                                    - bohr_operator(h, 0.2, from_degree=1))
     result = SuiteResult("harmonic", 1, [rep.row()])
     apply_tolerance_override(result, rep.slack)
     assert result.rows == [rep.row()]
@@ -110,15 +113,22 @@ def test_identity_row_holds_the_domination():
 
 @pytest.mark.parametrize("order", [8, 32, 64])
 def test_gauss_legendre_matches_exact_antiderivative(order):
+    """The identity row's integral of M(g') from 0 to r, rebuilt from the
+    same rule, is within its rounding budget 4 size eps |integral| of the
+    exact antiderivative."""
+    eps = np.finfo(float).eps
     for seed in (1, 2, 3):
         spec = random_large_function(seed, order)
         pair = build_pair(spec, random_mobius_bounded(seed + 50, order))
         gp_mags = np.abs(pair.g.differentiate().coeffs)
         antiderivative = P.polyint(gp_mags)
+        t, w = _gauss_legendre(gp_mags.size // 2 + 1)
         for r in (0.2, 0.5, 0.9):
-            extra = mg_integral_identity_check(pair, r).extra
+            powers = (r * t)[:, None] ** np.arange(gp_mags.size)
+            integral = r * float(w @ (powers @ gp_mags))
             exact = P.polyval(r, antiderivative)
-            assert abs(extra["integral"] - exact) <= extra["quad_error"]
+            assert abs(integral - exact) <= 4 * gp_mags.size * eps \
+                * abs(integral)
 
 
 def test_harmonic_sweep_reuses_von_neumann_trials(monkeypatch):

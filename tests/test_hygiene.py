@@ -195,22 +195,32 @@ def test_unread_dataclass_field_is_found():
                                                            "a.py: S.bare"]
 
 
-def _public_api(source: str) -> list[str]:
+def _public_api(source: str) -> list[tuple[str, str, bool]]:
     """Public top-level functions and classes of a module, as ``name``, and
     the public methods and properties of its top-level classes, as
-    ``Class.name``; names starting with ``_`` are left out."""
+    ``Class.name``; names starting with ``_`` are left out.  The flag is
+    true for a method that is not a property."""
     api = []
     for node in ast.parse(source).body:
         if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             continue
         if not node.name.startswith("_"):
-            api.append((node.name, node.name))
+            api.append((node.name, node.name, False))
         if isinstance(node, ast.ClassDef):
-            api += [("%s.%s" % (node.name, stmt.name), stmt.name)
+            api += [("%s.%s" % (node.name, stmt.name), stmt.name,
+                     not any(isinstance(d, ast.Name) and d.id == "property"
+                             for d in stmt.decorator_list))
                     for stmt in node.body
                     if isinstance(stmt, ast.FunctionDef)
                     and not stmt.name.startswith("_")]
     return api
+
+
+def _calls(source: str) -> set[str]:
+    """Attribute names a source calls, as in ``x.name(...)``."""
+    return {node.func.attr for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)}
 
 
 def _reexports(init_source: str) -> set[str]:
@@ -225,13 +235,16 @@ def _unread_public_api(defining: dict[str, str], readers: list[str],
                        exported: set[str]) -> list[str]:
     """``module: name`` for each public definition of ``defining`` (file
     name -> source) whose name no source of ``readers`` reads as a name,
-    an attribute or a ``from`` import.  Top-level names in ``exported``
-    are exempt; methods are not."""
+    an attribute or a ``from`` import.  A method counts as read only where
+    a reader calls it, so a same-named attribute such as ``spec.series``
+    does not keep a method ``series`` alive.  Top-level names in
+    ``exported`` are exempt; methods are not."""
     refs = set().union(*map(_references, readers))
+    calls = set().union(*map(_calls, readers))
     return sorted("%s: %s" % (module, qualified)
                   for module, source in defining.items()
-                  for qualified, name in _public_api(source)
-                  if name not in refs
+                  for qualified, name, method in _public_api(source)
+                  if name not in (calls if method else refs)
                   and not (qualified == name and name in exported))
 
 
@@ -247,7 +260,8 @@ def test_every_public_name_has_a_program_reader():
 
 
 def test_unread_public_api_is_found():
-    defining = {"a.py": ("def used():\n    return Box().size\n\n"
+    defining = {"a.py": ("def used():\n"
+                         "    return Box().size, Box().scale(2).series\n\n"
                          "def exported():\n    pass\n\n"
                          "def orphan():\n    pass\n\n"
                          "class Box:\n"
@@ -258,6 +272,8 @@ def test_unread_public_api_is_found():
                          "        return 0\n\n"
                          "    def _hidden(self):\n        return 0\n\n"
                          "    def exported(self):\n        return 0\n\n"
+                         "    def scale(self, k):\n        return self\n\n"
+                         "    def series(self):\n        return 0\n\n"
                          "class _Private:\n"
                          "    def grow(self):\n        pass\n")}
     readers = [defining["a.py"], "from a import used\n\nused()\n"]
@@ -265,5 +281,5 @@ def test_unread_public_api_is_found():
                           "from numpy import orphan\n")
     assert exported == {"Box", "exported"}
     assert _unread_public_api(defining, readers, exported) == [
-        "a.py: Box.area", "a.py: Box.exported", "a.py: _Private.grow",
-        "a.py: orphan"]
+        "a.py: Box.area", "a.py: Box.exported", "a.py: Box.series",
+        "a.py: _Private.grow", "a.py: orphan"]
