@@ -10,7 +10,7 @@ import numpy as np
 from .errors import DomainError
 from .generators import TAIL_RHO, LargeFunctionSpec, SchwarzFunction
 from .geometry import boundary_distance
-from .modular import E_PI, a_coeffs, j_eval, minus_j_minus_series
+from .modular import E_PI, a_coeffs, j_eval, j_series
 from .series import TruncatedSeries, circle_sup
 
 #: Absolute slack of the checks whose sides are sums of many rounded terms
@@ -61,21 +61,17 @@ def bohr_radius_solve(order: int = 200,
     """
     if order < 100:
         raise DomainError("order must be >= 100")
-    a = a_coeffs(order).a_float
+    a = np.array(a_coeffs(order), dtype=float)
     # polynomial 16 (A_0 r + A_1 r^2 + ...) - 1, highest degree first
     poly = np.concatenate([16.0 * a[::-1], [-1.0]])
-
-    def g(r: float) -> float:
-        return float(np.polyval(poly, r))
-
     lo, hi = bracket
-    if not (g(lo) < 0 < g(hi)):
+    if not (np.polyval(poly, lo) < 0 < np.polyval(poly, hi)):
         raise DomainError("no sign change of the majorant sum on %r"
                           % (bracket,))
     iterations = 0
     while hi - lo > 1e-15:
         mid = 0.5 * (lo + hi)
-        if g(mid) < 0:
+        if np.polyval(poly, mid) < 0:
             lo = mid
         else:
             hi = mid
@@ -122,18 +118,19 @@ def littlewood_check(phi: SchwarzFunction, order: int,
                      kmax: int | None = None) -> LittlewoodReport:
     """Build f = -J(-phi(z)) and compare |a_k| with the majorant coefficient.
 
-    The degree-k coefficient of -J(-z) is 16 A_{k-1}; the comparison at
-    matching degree is the form Littlewood's theorem supports.  As phi(0)
-    = 0, degrees 1..kmax need no higher input, so f is formed only to kmax,
-    by pulling -J(-z) back through phi's factors (``phi.pull_back``), each
-    factor only to the degree the factors applied before it keep.
+    The degree-k coefficient of -J(-z) is 16 A_{k-1} = |J_k|, read from
+    ``j_series``; comparing at matching degree is the form Littlewood's
+    theorem supports.  As phi(0) = 0, degrees 1..kmax need no higher input,
+    so f is formed only to kmax, by pulling -J(-z) back through phi's
+    factors (``phi.pull_back``), each factor only to the degree the factors
+    applied before it keep.
     """
     kmax = order if kmax is None else min(kmax, order)
     if kmax < 1:
         raise DomainError("kmax must be >= 1")
-    major = minus_j_minus_series(kmax)
-    f = phi.pull_back(major.coeffs, kmax)
-    ratios = np.abs(f[1:]) / major.coeffs[1:].real
+    major = np.abs(j_series(kmax).coeffs)
+    f = phi.pull_back(major, kmax)
+    ratios = np.abs(f[1:]) / major[1:]
     return LittlewoodReport("littlewood", float(ratios.max()), 1.0,
                             BASE_SLACK)
 

@@ -19,21 +19,18 @@ from .reporting import eprint, render_json
 
 
 def _cmd_coeffs(args) -> int:
-    coeffs = a_coeffs(args.order)
+    a = a_coeffs(args.order)
     print(render_json({
         "schema": reporting.SCHEMA, "version": __version__,
         "order": args.order, "exact": args.exact,
-        "a": list(coeffs.a_exact if args.exact else coeffs.a_float),
+        "a": list(a) if args.exact else [float(v) for v in a],
     }))
     return 0
 
 
 def _cmd_eval(args) -> int:
     z = complex(args.re, args.im)
-    if args.fn == "j":
-        w = complex(j_eval(z))
-    else:
-        w = complex(q_eval(args.alpha, z))
+    w = complex(j_eval(z) if args.fn == "j" else q_eval(args.alpha, z))
     doc = {"schema": reporting.SCHEMA, "version": __version__,
            "fn": args.fn, "z": z, "value": w}
     if args.fn == "q":
@@ -157,10 +154,7 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         return args.func(args)
-    except BohrlabError as exc:
-        eprint("error: %s" % exc)
-        return 2
-    except (ValueError, OverflowError) as exc:
+    except (BohrlabError, ValueError, OverflowError) as exc:
         eprint("error: %s" % exc)
         return 2
 

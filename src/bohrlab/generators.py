@@ -130,7 +130,6 @@ class SchwarzFunction:
     """Composition of zero-fixing disk self-maps, applied first-to-last."""
 
     factors: tuple[Factor, ...]
-    seed: int = 0
 
     def __post_init__(self):
         if not self.factors:
@@ -201,7 +200,7 @@ def random_schwarz(
         else:
             f = Factor("identity")
         factors.append(f)
-    return SchwarzFunction(tuple(factors), seed)
+    return SchwarzFunction(tuple(factors))
 
 
 @dataclass(frozen=True)
@@ -254,10 +253,12 @@ class LargeFunctionSpec:
                                                    self.phi.eval(z))
 
     def scaled(self, c: complex) -> "LargeFunctionSpec":
+        """c F; past the double range it raises ``DomainError``."""
         if c == 0:
             raise DomainError("scale factor must be nonzero")
-        return LargeFunctionSpec(self.a * c, self.b * c, self.alpha,
-                                 self.phi, self.series.scale(c))
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _checked_spec(self.a * c, self.b * c, self.alpha,
+                                 self.phi, self.series.coeffs * complex(c))
 
     def text(self) -> str:
         return "a=%s b=%s alpha=%s order=%d phi=[%s]" % (
@@ -273,8 +274,8 @@ def make_large_function(a, b, alpha, phi: SchwarzFunction,
     Blaschke factor costs a series composition, then a + (b - a) Q(phi).
     As phi = O(z^v), v = ``phi.valuation``, Q is built only to degree
     order // v (at least 1, which ``q_series`` needs); when v > order only
-    Q(0) reaches F.  A coefficient of F past the double range raises
-    ``DomainError``."""
+    Q(0) reaches F.  A coefficient or an omitted point whose modulus is
+    past the double range raises ``DomainError``."""
     a, b = complex(a), complex(b)
     if not isinstance(alpha, CoveringParameter):
         alpha = CoveringParameter(float(alpha))
@@ -282,8 +283,16 @@ def make_large_function(a, b, alpha, phi: SchwarzFunction,
     with np.errstate(over="ignore", invalid="ignore"):
         coeffs = phi.pull_back(q.coeffs, order) * (b - a)
         coeffs[0] += a
-    if not np.isfinite(coeffs).all():
-        raise DomainError("a coefficient of F exceeds the double range")
+        return _checked_spec(a, b, alpha, phi, coeffs)
+
+
+def _checked_spec(a, b, alpha, phi, coeffs) -> LargeFunctionSpec:
+    """The spec of series ``coeffs``, called with numpy's overflow warnings
+    off; ``DomainError`` when a coefficient, a, b or b - a has a modulus
+    past the double range."""
+    if not np.isfinite(np.abs(np.append(coeffs, (a, b, b - a)))).all():
+        raise DomainError("a coefficient or an omitted point of F exceeds "
+                          "the double range")
     return LargeFunctionSpec(a, b, alpha, phi, TruncatedSeries(coeffs))
 
 

@@ -10,6 +10,8 @@ circle close to |z| = 1.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import DomainError
@@ -40,13 +42,22 @@ def boundary_distance(spec: LargeFunctionSpec) -> float:
     0.065, with the curve winding three times about F(0)).  A distance that
     is too small only makes a majorant inequality harder to pass, so a
     circle-sampled distance certifies a pass and does not certify a fail.
+    A distance past the double range raises ``DomainError``.
     """
     f0 = spec.series[0]
-    omitted = min(abs(f0 - spec.a), abs(f0 - spec.b))
-    if spec.phi.is_inner:
-        return omitted
-    vals = spec.eval(_BOUNDARY_RADIUS * unit_ring(_BOUNDARY_NODES))
-    return min(omitted, float(np.abs(vals - f0).min()))
+    try:
+        distance = min(abs(f0 - spec.a), abs(f0 - spec.b))
+    except OverflowError:
+        distance = math.inf
+    if not spec.phi.is_inner:
+        z = _BOUNDARY_RADIUS * unit_ring(_BOUNDARY_NODES)
+        with np.errstate(over="ignore", invalid="ignore"):
+            gaps = np.abs(spec.eval(z) - f0)
+        # fmin skips the NaN of a node where F overflowed: it is far away.
+        distance = min(distance, float(np.fmin.reduce(gaps)))
+    if distance == math.inf:
+        raise DomainError("the distance from F(0) exceeds the double range")
+    return distance
 
 
 def density_distance_products(points, alpha=None) -> np.ndarray:

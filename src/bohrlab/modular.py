@@ -2,8 +2,9 @@
 
 J(z) = 16 z prod_{n>=1} [(1 + z^{2n}) / (1 + z^{2n-1})]^8 covers the
 twice-punctured plane C \\ {0, 1} from the punctured unit disk.  This module
-provides its series expansion (exact integers and their nearest doubles),
-the positive coefficient sequence A_n of -J(-z) = 16 z sum A_n z^n,
+provides its series expansion as exact integers and as their nearest
+doubles (``j_series``, the one float series of J), the positive integers
+A_n of -J(-z) = 16 z sum A_n z^n, checked in exact arithmetic,
 pointwise evaluation of J and J' (modular reduction of the nome, then
 theta sums, in bounded blocks; non-finite results raise DomainError), the
 induced covering map Q(z) = J(exp(-alpha (1+z)/(1-z))), a certificate
@@ -72,58 +73,28 @@ def j_coeffs_exact(order: int) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def j_series(order: int) -> TruncatedSeries:
-    """Float series of J to the given degree: each coefficient is the
-    double nearest to its exact integer from ``j_coeffs_exact``."""
+    """The one float series of J, to the given degree: each coefficient
+    is the double nearest to its exact integer from ``j_coeffs_exact``.
+    Its absolute values are those of -J(-z): |J_k| = 16 A_{k-1}."""
     return TruncatedSeries([float(c) for c in j_coeffs_exact(order)], "J")
 
 
-@dataclass(frozen=True)
-class ModularCoefficients:
-    """The positive sequence A_n with -J(-z) = 16 z sum A_n z^n.
-
-    ``a_exact`` holds the integers A_0..A_order and ``a_float`` the
-    nearest doubles.  Positivity, monotonicity and convexity are
-    structural facts about J, so violations signal an implementation bug
-    and are rejected at construction.
-    """
-
-    a_exact: tuple[int, ...]
-    a_float: np.ndarray
-    order: int
-
-    def __post_init__(self):
-        a = np.asarray(self.a_float, dtype=float)
-        a.setflags(write=False)
-        object.__setattr__(self, "a_float", a)
-        if a.size != self.order + 1:
-            raise ValueError("a_float must have order + 1 entries")
-        if (a <= 0).any():
-            raise DomainError(
-                "A_n must be strictly positive; first offender at n=%d"
-                % int(np.argmax(a <= 0))
-            )
-        if (np.diff(a) < 0).any():
-            raise DomainError("A_n must be nondecreasing")
-        if a.size >= 3 and (np.diff(a, 2) < 0).any():
-            raise DomainError("A_n must be convex")
-
-
-def a_coeffs(order: int) -> ModularCoefficients:
-    """A_0..A_order from the exact series of J."""
+def a_coeffs(order: int) -> tuple[int, ...]:
+    """The integers A_0..A_order of -J(-z) = 16 z sum A_n z^n from J's exact
+    series.  Their positivity, monotonicity and convexity, structural facts
+    about J, are checked in exact arithmetic: a violation is a bug."""
     if order < 2:
         raise DomainError("order must be >= 2")
     exact = j_coeffs_exact(order + 1)
-    a_exact = tuple((-1) ** n * exact[n + 1] // 16 for n in range(order + 1))
-    return ModularCoefficients(a_exact, [float(a) for a in a_exact], order)
-
-
-@lru_cache(maxsize=None)
-def minus_j_minus_series(order: int) -> TruncatedSeries:
-    """Series of the majorant -J(-z), cached per order like ``j_series``;
-    all coefficients are positive."""
-    js = j_series(order)
-    signs = -((-1.0) ** np.arange(order + 1))
-    return TruncatedSeries(signs * js.coeffs, "-J(-z)")
+    a = tuple((-1) ** n * exact[n + 1] // 16 for n in range(order + 1))
+    if min(a) <= 0:
+        raise DomainError("A_n must be strictly positive; first offender at "
+                          "n=%d" % [v > 0 for v in a].index(False))
+    if any(a[n + 1] < a[n] for n in range(order)):
+        raise DomainError("A_n must be nondecreasing")
+    if any(a[n + 2] - 2 * a[n + 1] + a[n] < 0 for n in range(order - 1)):
+        raise DomainError("A_n must be convex")
+    return a
 
 
 # ---------------------------------------------------------------------------
@@ -288,22 +259,23 @@ class CoveringParameter:
 
 
 def _alpha_value(alpha) -> float:
-    return alpha.alpha if isinstance(alpha, CoveringParameter) else float(
-        CoveringParameter(float(alpha)).alpha
-    )
+    return (alpha if isinstance(alpha, CoveringParameter)
+            else CoveringParameter(float(alpha))).alpha
 
 
 def q_argument(alpha, z):
     """exp(-alpha (1+z)/(1-z)); maps the disk into the punctured disk.
-    In floating point it rounds to modulus 1 when alpha Re (1+z)/(1-z)
-    is below about 1e-16, and that raises ``DomainError``."""
+    In floating point it rounds to modulus 1 when alpha Re (1+z)/(1-z) is
+    below about 1e-16, and is NaN when alpha Im (1+z)/(1-z) passes the
+    double range; both raise ``DomainError``.  Past it, Re gives 0."""
     a = _alpha_value(alpha)
     z = np.asarray(z, dtype=complex)
     _check_disk(np.atleast_1d(z))
-    w = np.exp(-a * (1.0 + z) / (1.0 - z))
-    if not (np.abs(w) < 1).all():
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = np.exp(-a * (1.0 + z) / (1.0 - z))
+    if not (np.abs(w) < 1).all():             # NaN fails it too
         raise DomainError("the nome exp(-alpha (1+z)/(1-z)) rounds to "
-                          "modulus 1 (alpha = %r)" % a)
+                          "modulus 1 or is NaN (alpha = %r)" % a)
     return w
 
 
@@ -313,11 +285,15 @@ def q_eval(alpha, z):
 
 
 def q_deriv(alpha, z):
-    """Q'(z) by the chain rule through J'."""
+    """Q'(z) by the chain rule through J'; ``DomainError`` if not finite."""
     a = _alpha_value(alpha)
     z = np.asarray(z, dtype=complex)
     w = q_argument(a, z)
-    return j_deriv(w) * w * (-2.0 * a / (1.0 - z) ** 2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = j_deriv(w) * w * (-2.0 * a / (1.0 - z) ** 2)
+    if not np.isfinite(out).all():
+        raise DomainError("Q' is not finite (alpha = %r)" % a)
+    return out
 
 
 def _nome_powers(beta: float, ks: np.ndarray, order: int) -> np.ndarray:

@@ -35,29 +35,17 @@ def render_json(obj) -> str:
 
 
 def suite_document(result, seed: int, version: str) -> dict:
-    return {
-        "schema": SCHEMA,
-        "version": version,
-        "suite": result.name,
-        "seed": seed,
-        "trials": result.trials,
-        "pass": result.passed,
-        "summary": result.summary,
-        "failures": result.failures,
-        "checks_run": len(result.rows),
-        "checks_failed": result.failed,
-    }
+    return {"schema": SCHEMA, "version": version, "suite": result.name,
+            "seed": seed, "trials": result.trials, "pass": result.passed,
+            "summary": result.summary, "failures": result.failures,
+            "checks_run": len(result.rows), "checks_failed": result.failed}
 
 
 def report_document(results, seed: int, version: str,
                     overrides: dict | None = None) -> dict:
-    doc = {
-        "schema": SCHEMA,
-        "version": version,
-        "seed": seed,
-        "pass": all(r.passed for r in results),
-        "suites": [suite_document(r, seed, version) for r in results],
-    }
+    doc = {"schema": SCHEMA, "version": version, "seed": seed,
+           "pass": all(r.passed for r in results),
+           "suites": [suite_document(r, seed, version) for r in results]}
     if overrides:
         doc["tolerance_overrides"] = dict(overrides)
     return doc

@@ -62,15 +62,11 @@ class TruncatedSeries:
         coeffs[: other.order + 1] += other.coeffs
         return TruncatedSeries(coeffs)
 
-    def scale(self, c) -> "TruncatedSeries":
-        return TruncatedSeries(self.coeffs * complex(c))
-
     def mul(self, other, order: int | None = None) -> "TruncatedSeries":
         """Cauchy product truncated at ``order`` (full product by default)."""
         other = _coerce(other)
         full = self.order + other.order
-        if order is None:
-            order = full
+        order = full if order is None else order
         if order > full:
             raise ValueError("requested order exceeds the exact product order")
         coeffs = np.convolve(self.coeffs, other.coeffs)[: order + 1]

@@ -232,7 +232,7 @@ def test_criterion_03_coefficient_structure():
     signs_ok = c[0] == 0 and all((-1) ** (n + 1) * c[n] > 0
                                  for n in range(1, 21))
     prefix_ok = c[1:4] == (16, -128, 704)
-    a = a_coeffs(100).a_float
+    a = np.array(a_coeffs(100), dtype=float)
     shape_ok = (np.all(a > 0) and np.all(np.diff(a) >= 0)
                 and np.all(np.diff(a, 2) >= 0))
     ok = signs_ok and prefix_ok and shape_ok

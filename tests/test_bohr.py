@@ -21,7 +21,7 @@ from bohrlab.generators import (TAIL_RHO, Factor, SchwarzFunction,
                                 random_polynomial, random_schwarz)
 from bohrlab.geometry import boundary_distance
 from bohrlab.harmonic import build_pair, harmonic_bohr_check
-from bohrlab.modular import E_PI, minus_j_minus_series, q_series
+from bohrlab.modular import E_PI, j_series, q_series
 from bohrlab.series import TruncatedSeries, circle_sup, inverse, unit_ring
 from bohrlab.sweeps import run_von_neumann
 
@@ -198,6 +198,11 @@ def _phi_series(phi, order):
     return TruncatedSeries(phi.pull_back(z, order))
 
 
+def _majorant_series(order):
+    """-J(-z) to ``order``, as littlewood_check reads it: |J_k|."""
+    return TruncatedSeries(np.abs(j_series(order).coeffs))
+
+
 @pytest.mark.parametrize("factors", [
     (Factor("identity"),),
     (Factor("rotation", 2.1), Factor("power", 2)),
@@ -215,7 +220,7 @@ def test_littlewood_at_kmax_matches_full_order(factors):
     tends to sit at a low degree; the budget at kmax = 40 covers them all."""
     order, kmax = 64, 40
     phi = SchwarzFunction(factors)
-    major = minus_j_minus_series(order)
+    major = _majorant_series(order)
     inner = _phi_series(phi, order)
     full = major.compose(inner, order).coeffs
     ratios = np.abs(full[1 : kmax + 1]) / major.coeffs[1 : kmax + 1].real
@@ -330,7 +335,7 @@ def test_pull_back_matches_the_factor_series_route():
     3 (N+1)^2 eps of the majorant, here |outer| pulled back through the
     factors' |series|, which bounds the rounding of both routes."""
     order, eps = 64, np.finfo(float).eps
-    major = minus_j_minus_series(order)
+    major = _majorant_series(order)
     kinds = set()
     for seed in range(40):
         phi = random_schwarz(seed, 1 + seed % 4)
@@ -362,9 +367,9 @@ def test_power_chain_moves_coefficients_exactly():
     for outer, got in (
             (q_series(1.3, order // 6),
              make_large_function(0.0, 1.0, 1.3, phi, order).series),
-            (minus_j_minus_series(order),
+            (_majorant_series(order),
              TruncatedSeries(phi.pull_back(
-                 minus_j_minus_series(order).coeffs, order)))):
+                 np.abs(j_series(order).coeffs), order)))):
         want = np.zeros(order + 1, dtype=complex)
         want[::6] = outer.coeffs[: order // 6 + 1]
         assert np.array_equal(got.coeffs, want)

@@ -207,6 +207,22 @@ def test_spec_transforms():
         spec.scaled(0.0)
 
 
+@pytest.mark.parametrize("c", [1e308, 1e308j, complex(1e308, 1e308),
+                               math.inf, math.nan])
+def test_scaling_beyond_the_double_range_is_a_domain_error(c):
+    """c times a coefficient or an omitted point of F overflows, or c is
+    not finite: no numpy warning escapes, and the error names the double
+    range, also for 1e308 then 100."""
+    spec = random_large_function(5, order=32)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="double range"):
+            spec.scaled(c)
+        with pytest.raises(DomainError, match="double range"):
+            spec.scaled(1e308).scaled(100)
+        assert np.isfinite(spec.scaled(1e300).series.coeffs).all()
+
+
 def test_spec_text_roundtrip_fields():
     """A spec's order is its series' order, also where phi is a power
     chain, holds a Blaschke factor or vanishes beyond the order (v(phi) =

@@ -11,7 +11,7 @@ from bohrlab.errors import DomainError
 from bohrlab.modular import (E_HALF_PI, E_PI, CoveringParameter, a_coeffs,
                              collision_search, j_coeffs_exact, j_deriv,
                              j_eval, j_series,
-                             log_coeffs_exact, minus_j_minus_series,
+                             log_coeffs_exact,
                              q_argument, q_deriv, q_eval, q_series,
                              starlike_certificate)
 from bohrlab.series import TruncatedSeries
@@ -90,7 +90,9 @@ def test_exact_caps():
     with pytest.raises(DomainError, match="4097"):
         j_coeffs_exact(modular.MAX_SERIES_ORDER + 1)
     with pytest.raises(DomainError, match="4097"):
-        minus_j_minus_series(10**6)
+        j_series(10**6)
+    with pytest.raises(DomainError, match="4097"):
+        a_coeffs(modular.MAX_SERIES_ORDER)
 
 
 def test_float_series_matches_exact():
@@ -105,19 +107,65 @@ def test_float_series_matches_exact():
 
 def test_a_prefix_and_shape():
     ac = a_coeffs(100)
-    assert ac.a_exact[:5] == A_EXACT_PREFIX
-    assert len(ac.a_exact) == 101
-    assert list(ac.a_float) == [float(v) for v in ac.a_exact]
-    a = ac.a_float
+    assert ac[:5] == A_EXACT_PREFIX
+    assert len(ac) == 101
+    assert all(type(v) is int for v in ac)
+    a = np.array(ac, dtype=float)
+    assert list(a) == [float(v) for v in ac]
     assert np.all(a > 0)
     assert np.all(np.diff(a) > 0)
     assert np.all(np.diff(a, 2) >= 0)
 
 
 def test_majorant_series_positive():
-    m = minus_j_minus_series(40)
+    """-J(-z), J's series with the signs of odd degrees kept and of even
+    degrees flipped, is |J|'s series: zero at 0 and positive after."""
+    js = j_series(40).coeffs.real
+    m = -((-1.0) ** np.arange(41)) * js
     assert m[0] == 0
-    assert np.all(m.coeffs[1:].real > 0)
+    assert np.all(m[1:] > 0)
+    assert np.array_equal(m, np.abs(js))
+
+
+@pytest.mark.parametrize("k", [40, 400])
+def test_abs_float_series_is_sixteen_a(k):
+    """|J_n| = 16 A_{n-1} bit for bit: the float series and the checked
+    integers are two views of one route."""
+    a = a_coeffs(k - 1)
+    assert np.array_equal(np.abs(j_series(k).coeffs)[1:],
+                          [16 * float(v) for v in a])
+
+
+@pytest.mark.parametrize("a,message", [
+    ((1, 0, 2, 5), "strictly positive; first offender at n=1"),
+    ((1, 3, 2, 4), "nondecreasing"),
+    ((1, 3, 4, 6), "convex"),
+])
+def test_a_coeffs_checks_in_exact_arithmetic(monkeypatch, a, message):
+    """A sequence that breaks positivity, monotonicity or convexity is
+    refused, each with its own message."""
+    exact = (0,) + tuple((-1) ** n * 16 * v for n, v in enumerate(a))
+    monkeypatch.setattr(modular, "j_coeffs_exact", lambda order: exact)
+    with pytest.raises(DomainError, match=message):
+        a_coeffs(len(a) - 1)
+
+
+def test_a_coeffs_convexity_is_exact(monkeypatch):
+    """Second differences are taken on the integers: 1, 2^60 + 1, 2^61 has
+    second difference -1, where the doubles 1, 2^60, 2^61 read 0 and pass;
+    1, 2^60 + 1, 2^61 + 1 (second difference 0) passes."""
+    big = 2 ** 60
+    for a, convex in (((1, big + 1, 2 * big + 1), True),
+                      ((1, big + 1, 2 * big), False)):
+        exact = (0,) + tuple((-1) ** n * 16 * v for n, v in enumerate(a))
+        monkeypatch.setattr(modular, "j_coeffs_exact",
+                            lambda order, exact=exact: exact)
+        if convex:
+            assert a_coeffs(2) == a
+        else:
+            assert np.diff(np.array(a, dtype=float), 2)[0] == 0
+            with pytest.raises(DomainError, match="convex"):
+                a_coeffs(2)
 
 
 # -- evaluation --------------------------------------------------------------
