@@ -3,6 +3,7 @@ inequality verifiers built on it."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,14 +22,18 @@ BASE_SLACK = 1e-9
 
 
 def bohr_operator(f: TruncatedSeries, r: float, from_degree: int = 0) -> float:
-    """sum_{n >= from_degree} |a_n| r^n over the stored prefix."""
+    """sum_{n >= from_degree} |a_n| r^n over the stored prefix; past the
+    double range it raises ``DomainError``."""
     if not 0 <= r < 1:
         raise DomainError("r must lie in [0, 1)")
     if from_degree not in (0, 1):
         raise DomainError("from_degree must be 0 or 1")
-    mags = np.abs(f.coeffs[from_degree:])
-    powers = r ** np.arange(from_degree, f.order + 1)
-    return float(np.dot(mags, powers))
+    with np.errstate(over="ignore"):
+        mags = np.abs(f.coeffs[from_degree:])
+        total = float(np.dot(mags, r ** np.arange(from_degree, f.order + 1)))
+    if not math.isfinite(total):
+        raise DomainError("the majorant sum exceeds the double range")
+    return total
 
 
 def cauchy_tail_bound(m_rho: float, order: int) -> float:
@@ -96,6 +101,11 @@ class InequalityCheck:
     rhs: float
     slack: float
 
+    def __post_init__(self):
+        if not (math.isfinite(self.lhs) and math.isfinite(self.rhs)):
+            raise DomainError("%s: a side is past the double range or NaN"
+                              % self.name)
+
     @property
     def passed(self) -> bool:
         return bool(self.lhs <= self.rhs + self.slack)
@@ -153,18 +163,20 @@ def von_neumann_check(spec: LargeFunctionSpec, p: TruncatedSeries,
     is Horner's rule over F's truncated series.  The tail uses
     |p(F)| <= sum_k |p_k| M^k, M = ``spec.modulus_bound``, and the
     right side samples |p| at 4096 points.  Both sides are reported whether
-    or not the inequality holds.
+    or not the inequality holds; past the double range it raises
+    ``DomainError``.
     """
     if distance >= 1.0:
         raise DomainError("boundary distance %.6g is not < 1" % distance)
     order, f = spec.order, spec.series
     composed = TruncatedSeries.constant(p[p.order])
-    for k in range(p.order - 1, -1, -1):
-        composed = composed.mul(f, order) + p[k]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(p.order - 1, -1, -1):
+            composed = composed.mul(f, order) + p[k]
+        m_p = float(np.polyval(np.abs(p.coeffs[::-1]), spec.modulus_bound))
+        rhs = circle_sup(p, 1.0, 4096)
     lhs = bohr_operator(composed, E_PI, from_degree=0)
-    m_p = float(np.polyval(np.abs(p.coeffs[::-1]), spec.modulus_bound))
     tail = cauchy_tail_bound(m_p, order)
-    rhs = circle_sup(p, 1.0, 4096)
     return InequalityCheck("von-neumann", lhs + tail, rhs, BASE_SLACK)
 
 

@@ -3,7 +3,11 @@ polynomials for the verification sweeps.
 
 Every randomized constructor is a pure function of (seed, parameters); the
 recipes serialize to a canonical text form so any counterexample found by a
-sweep can be replayed exactly.
+sweep can be replayed exactly.  Every draw comes from ``Stream``: numpy's
+``default_rng(seed)`` in Python ints, for the draws the sweeps make, so that
+replay does not depend on the installed numpy.  SeedSequence's hash mixing
+(numpy's ``bit_generator.pyx``) seeds PCG64, a 128-bit LCG with XSL-RR
+output (O'Neill, 2014).
 """
 
 from __future__ import annotations
@@ -20,6 +24,103 @@ from .series import TruncatedSeries
 #: Radius of the circle on which ``LargeFunctionSpec.modulus_bound`` bounds
 #: |F|; every Cauchy tail bound of the inequality checks reads it.
 TAIL_RHO = 0.3
+
+# ---------------------------------------------------------------------------
+# The seeded stream
+
+_M32, _M64, _M128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
+_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hash_a(n: int) -> list[int]:
+    """SeedSequence's first n + 1 hash constants: its k-th hash xors with
+    the k-th and multiplies by the next.  A seed of m > 4 words takes 4 m
+    hashes, a shorter one 16; output hash i uses _HASH_B alike."""
+    return [0x43B0D7E5 * pow(0x931E8875, k, 2**32) & _M32
+            for k in range(n + 1)]
+
+
+_HASH_A = _hash_a(16)
+#: Hashes 4..15, (source, target, xor, multiplier): the pool mixes itself.
+_MIXES = [(s, d, _HASH_A[k], _HASH_A[k + 1]) for k, (s, d) in enumerate(
+    [(s, d) for s in range(4) for d in range(4) if s != d], 4)]
+_HASH_B = [0x8B51F9DD * 0x58F38DED ** k & _M32 for k in range(9)]
+
+
+def _pcg_seed(seed: int) -> tuple[int, int]:
+    """PCG64's state and increment from SeedSequence(seed)."""
+    # The seed's 32-bit words, lowest first, padded with zeros to four.
+    pool = [seed >> s & _M32 for s in (range(0, seed.bit_length(), 32)
+                                       if seed >> 128 else (0, 32, 64, 96))]
+    for k in range(4):
+        v = (pool[k] ^ _HASH_A[k]) * _HASH_A[k + 1] & _M32
+        pool[k] = v ^ v >> 16
+    mixes = _MIXES
+    if len(pool) > 4:           # each word past four mixes into the pool
+        h = _hash_a(4 * len(pool))
+        mixes = _MIXES + [(s, d, h[k], h[k + 1]) for k, (s, d) in enumerate(
+            [(s, d) for s in range(4, len(pool)) for d in range(4)], 16)]
+    for s, d, a, b in mixes:
+        v = (pool[s] ^ a) * b & _M32
+        v = 0xCA01F9DD * pool[d] - 0x4973F715 * (v ^ v >> 16) & _M32
+        pool[d] = v ^ v >> 16
+    out = 0     # 64-bit words j = (2j + 1, 2j): state u0 u1, stream u2 u3
+    for i in range(8):
+        v = (pool[i & 3] ^ _HASH_B[i]) * _HASH_B[i + 1] & _M32
+        out |= (v ^ v >> 16) << 32 * (i ^ 6)
+    inc = (out << 1 | 1) & _M128
+    return ((inc + (out >> 128)) * _MULT + inc) & _M128, inc
+
+
+class Stream:
+    """``numpy.random.default_rng(seed)`` for an integer seed >= 0:
+    ``random``, ``uniform`` and ``integers`` draw what ``Generator``'s
+    methods of those names draw, n draws being their size-n array.
+    ``integers`` is Lemire's method on 32-bit halves of the outputs, lower
+    half first, for a range of at most 2^32 values."""
+
+    def __init__(self, seed):
+        if not isinstance(seed, (int, np.integer)) or seed < 0:
+            raise DomainError("seed must be an integer >= 0, not %r" % (seed,))
+        self._state, self._inc = _pcg_seed(int(seed))
+        self._upper = None      # the kept upper half of a 64-bit output
+
+    def _next64(self) -> int:
+        s = self._state = (self._state * _MULT + self._inc) & _M128
+        x, r = (s >> 64 ^ s) & _M64, s >> 122
+        return (x >> r | x << 64 - r) & _M64
+
+    def random(self, n: int | None = None):
+        if n is None:
+            return (self._next64() >> 11) * 2.0 ** -53
+        return np.array([self.random() for _ in range(n)])
+
+    def uniform(self, low: float, high: float, n: int | None = None):
+        return low + (high - low) * self.random(n)
+
+    def disk(self, radius: float, n: int | None = None):
+        """Uniform in |z| < radius: radius sqrt(u) e^{2 pi i v}, u drawn
+        before v."""
+        return radius * np.sqrt(self.random(n)) * np.exp(
+            2j * np.pi * self.random(n))
+
+    def integers(self, low: int, high: int | None = None) -> int:
+        low, size = (0, low) if high is None else (low, high - low)
+        if not 0 < size <= 2**32:
+            raise DomainError("integers needs 0 < high - low <= 2^32")
+        m = None if size > 1 else 0     # numpy draws nothing for one value
+        while m is None or m & _M32 < 2**32 % size:
+            if self._upper is None:
+                v = self._next64()
+                self._upper, v = v >> 32, v & _M32
+            else:
+                v, self._upper = self._upper, None
+            m = v * size
+        return low + (m >> 32)
+
+
+# ---------------------------------------------------------------------------
+# Recipes and specs
 
 
 def _fmt(x) -> str:
@@ -180,7 +281,7 @@ def random_schwarz(
     """
     if not 1 <= depth <= 8:
         raise DomainError("depth must be in [1, 8]")
-    rng = np.random.default_rng(seed)
+    rng = Stream(seed)
     kinds = ["identity", "rotation", "power", "blaschke"]
     if not inner_only:
         kinds.append("contraction")
@@ -190,13 +291,11 @@ def random_schwarz(
         if kind == "rotation":
             f = Factor("rotation", complex(2 * math.pi * rng.random()))
         elif kind == "power":
-            f = Factor("power", complex(int(rng.integers(2, 4))))
+            f = Factor("power", complex(rng.integers(2, 4)))
         elif kind == "contraction":
             f = Factor("contraction", complex(rng.uniform(0.3, 0.7)))
         elif kind == "blaschke":
-            rad = 0.8 * math.sqrt(rng.random())
-            ang = 2 * math.pi * rng.random()
-            f = Factor("blaschke", rad * np.exp(1j * ang))
+            f = Factor("blaschke", rng.disk(0.8))
         else:
             f = Factor("identity")
         factors.append(f)
@@ -304,16 +403,16 @@ def random_large_function(
     alpha is kept in [0.8, pi] so circle-sampled evaluation of the cover
     stays cheap; the artifact itself accepts any alpha > 0.
     """
-    rng = np.random.default_rng(seed)
+    rng = Stream(seed)
     if inner_only is None:
         inner_only = bool(rng.random() < 0.5)
     while True:
-        a = complex(*rng.uniform(-1.5, 1.5, 2))
-        b = complex(*rng.uniform(-1.5, 1.5, 2))
+        a = complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))
+        b = complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))
         if abs(a - b) >= 0.3:
             break
     alpha = rng.uniform(0.8, math.pi)
-    phi = random_schwarz(int(rng.integers(2**32)), int(rng.integers(1, 5)),
+    phi = random_schwarz(rng.integers(2**32), rng.integers(1, 5),
                          inner_only=inner_only)
     return make_large_function(a, b, alpha, phi, order)
 
@@ -323,10 +422,8 @@ def random_polynomial(seed: int, degree: int) -> TruncatedSeries:
     deterministic."""
     if degree > 16:
         raise DomainError("degree is capped at 16")
-    rng = np.random.default_rng(seed)
-    rad = np.sqrt(rng.random(degree + 1))
-    ang = 2 * np.pi * rng.random(degree + 1)
-    return TruncatedSeries(rad * np.exp(1j * ang), "random polynomial")
+    return TruncatedSeries(Stream(seed).disk(1.0, degree + 1),
+                           "random polynomial")
 
 
 def random_mobius_bounded(seed: int, order: int = 64) -> TruncatedSeries:
@@ -334,9 +431,8 @@ def random_mobius_bounded(seed: int, order: int = 64) -> TruncatedSeries:
 
     The label ``mobius(c=..., u=...)`` records both parameters.
     """
-    rng = np.random.default_rng(seed)
-    rad = 0.9 * math.sqrt(rng.random())
-    c = rad * np.exp(2j * np.pi * rng.random())
+    rng = Stream(seed)
+    c = rng.disk(0.9)
     u = np.exp(2j * np.pi * rng.random())
     # (c + u z) sum_n h_n z^n with h_n = (-conj(c) u)^n.
     h = np.cumprod(np.concatenate(([1.0], np.full(order, -np.conj(c) * u))))

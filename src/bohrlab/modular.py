@@ -52,7 +52,7 @@ def log_coeffs_exact(top: int) -> list[int]:
     return kl
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def j_coeffs_exact(order: int) -> tuple[int, ...]:
     """Exact integer coefficients of J up to the given degree, at most
     ``MAX_SERIES_ORDER``: e = exp(L) from n e_n = sum_k k L_k e_{n-k} in
@@ -71,7 +71,7 @@ def j_coeffs_exact(order: int) -> tuple[int, ...]:
     return (0,) + tuple(16 * c for c in e)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def j_series(order: int) -> TruncatedSeries:
     """The one float series of J, to the given degree: each coefficient
     is the double nearest to its exact integer from ``j_coeffs_exact``.

@@ -23,8 +23,8 @@ from .errors import DomainError
 class TruncatedSeries:
     """Coefficient prefix c_0..c_N of an analytic function.
 
-    ``coeffs`` always has exactly ``order + 1`` entries and every entry is
-    finite.  ``label`` is a free-form provenance string.
+    ``coeffs`` always has exactly ``order + 1`` entries, all finite (else
+    ``DomainError``).  ``label`` is a free-form provenance string.
     """
 
     coeffs: np.ndarray
@@ -35,7 +35,8 @@ class TruncatedSeries:
         if c.ndim != 1 or c.size == 0:
             raise ValueError("coeffs must be a nonempty 1-d sequence")
         if not np.isfinite(c).all():
-            raise ValueError("series coefficients must be finite")
+            raise DomainError("series coefficients must be finite, not "
+                              "past the double range or NaN")
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
 
@@ -162,10 +163,10 @@ def inverse(f: np.ndarray, order: int) -> np.ndarray:
     return g
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def unit_ring(nodes: int) -> np.ndarray:
-    """The read-only ring e^{2 pi i k / nodes}, k = 0..nodes-1, cached per
-    node count; every circle sample in the package scales or shifts it."""
+    """The read-only ring e^{2 pi i k / nodes}, k = 0..nodes-1, cached for
+    8 node counts; every circle sample in the package scales or shifts it."""
     ring = np.exp(1j * (2 * np.pi * np.arange(nodes) / nodes))
     ring.setflags(write=False)
     return ring

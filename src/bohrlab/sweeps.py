@@ -143,8 +143,7 @@ def _harmonic_mu(ts: int, t: int, order: int) -> TruncatedSeries:
     if kind == 0:
         return TruncatedSeries([0.0], "mu=0")
     if kind == 1:
-        rng = np.random.default_rng(ts)
-        c = math.sqrt(rng.random()) * np.exp(2j * np.pi * rng.random())
+        c = gen.Stream(ts).disk(1.0)
         return TruncatedSeries([c], "mu=const(%s)" % gen._fmt(c))
     mu = gen.random_mobius_bounded(ts, order)
     return TruncatedSeries(mu.coeffs, "mu=" + mu.label)
@@ -196,11 +195,10 @@ def run_algebra(seed: int = 7, trials: int = 100) -> SuiteResult:
     order, r = 8, 0.5
     for t in range(trials):
         ts = _trial_seed(seed, t)
-        rng = np.random.default_rng(ts)
-        f = TruncatedSeries(rng.standard_normal(order + 1)
-                            + 1j * rng.standard_normal(order + 1))
-        g = TruncatedSeries(rng.standard_normal(order + 1)
-                            + 1j * rng.standard_normal(order + 1))
+        rng = gen.Stream(ts)
+        f, g = (TruncatedSeries(rng.uniform(-1.0, 1.0, order + 1)
+                                + 1j * rng.uniform(-1.0, 1.0, order + 1))
+                for _ in range(2))
         for rep in bohr.algebra_properties_check(f, g, r):
             res.rows.append(rep.row() | {"trial": t, "seed": ts})
     res.summary = {"r": r, "order": order}
@@ -243,16 +241,15 @@ def run_max_modulus(seed: int = 7, trials: int = 20) -> SuiteResult:
 def run_density_distance(seed: int = 7, trials: int = 200) -> SuiteResult:
     """lambda * d on the disk identity and at ``trials`` Q-cover points."""
     res = SuiteResult("density-distance", trials)
-    rng = np.random.default_rng(seed)
+    rng = gen.Stream(seed)
     # Exact identity on the disk: lambda * d = 1/(1+|w|).
-    w = 0.98 * np.sqrt(rng.random(100)) * np.exp(2j * np.pi * rng.random(100))
+    w = rng.disk(0.98, 100)
     prods = geometry.density_distance_products(w)
     gap = float(np.abs(prods - 1.0 / (1.0 + np.abs(w))).max())
     res.rows.append(bohr.InequalityCheck(
         "disk-identity-product", gap, 0.0, 1e-14).row())
     # The Q cover of the twice-punctured plane: lambda * d <= 1.
-    z = 0.8 * np.sqrt(rng.random(trials)) * np.exp(
-        2j * np.pi * rng.random(trials))
+    z = rng.disk(0.8, trials)
     worst = float(geometry.density_distance_products(z, math.pi).max())
     res.rows.append(bohr.InequalityCheck(
         "density-distance", worst, 1.0, 1e-6).row())

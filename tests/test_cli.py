@@ -221,6 +221,24 @@ def test_runtime_imports_only_numpy():
     assert loaded - set(sys.stdlib_module_names) <= {"bohrlab", "numpy"}
 
 
+def test_report_loads_no_numpy_random():
+    """A report draws from ``generators.Stream`` and builds its quadrature
+    with ``numpy.linalg``, so neither ``numpy.random`` (nor the ``secrets``
+    and ``hashlib`` it pulls in) nor ``numpy.polynomial`` is imported."""
+    code = ("import contextlib, io, sys; from bohrlab.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    rc = main(['report', '--all', '--seed', '7'])\n"
+            "print(rc, *sorted(m for m in ('numpy.random', 'numpy.polynomial',"
+            " 'secrets', 'hashlib') if m in sys.modules))")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1"]
+
+
 def test_report_seed7_matches_reference(capsys):
     ref = json.loads(REFERENCE.read_text())
     code, out, _ = run(capsys, "report", "--all", "--seed", "7")

@@ -16,14 +16,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bohrlab.bohr import littlewood_check, main_theorem_check
+from bohrlab.bohr import (bohr_operator, littlewood_check, main_theorem_check,
+                         von_neumann_check)
 from bohrlab.errors import DomainError
 from bohrlab.generators import (Factor, SchwarzFunction, identity_schwarz,
-                                make_large_function)
+                                make_large_function, random_large_function,
+                                random_mobius_bounded, random_polynomial,
+                                random_schwarz)
 from bohrlab.geometry import boundary_distance, density_distance_products
+from bohrlab.harmonic import (build_pair, harmonic_bohr_check,
+                              mg_integral_identity_check)
 from bohrlab.modular import (j_deriv, j_eval, q_deriv, q_eval, q_series,
                              starlike_certificate)
-from bohrlab.series import unit_ring
+from bohrlab.series import TruncatedSeries, unit_ring
 
 CONTRACT = settings(derandomize=True, database=None, max_examples=100,
                     deadline=2000)
@@ -68,11 +73,19 @@ omitted = st.one_of(
     st.builds(complex, subnormal, subnormal),
     st.builds(complex, st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
 )
+#: Polynomials: a dilatation mu for the harmonic checks, a p for von Neumann.
+polynomials = st.lists(omitted, min_size=1, max_size=4).map(TruncatedSeries)
 
 
 def _finite(*values):
     for v in values:
         assert np.isfinite(np.asarray(v)).all(), values
+
+
+def _finite_row(row):
+    """A check's row, or None for a DomainError, has finite numbers."""
+    if row is not None:
+        _finite(row.lhs, row.rhs, row.slack)
 
 
 def _holds(call, *args):
@@ -126,6 +139,57 @@ def test_large_function_and_its_checks(a, b, alpha, phi, order, c):
         row = _holds(main_theorem_check, s)
         if row is not None:
             _finite(row.lhs, row.rhs, row.slack)
+
+
+@CONTRACT
+@given(omitted, omitted, alphas, schwarz, st.integers(1, 64), polynomials,
+       disk_radii, st.floats(0.0, 1.0))
+def test_harmonic_and_von_neumann_checks(a, b, alpha, phi, order, poly, r,
+                                         distance):
+    """``poly`` is mu for the harmonic pair and p for von Neumann;
+    ``distance`` stands in for a boundary distance below one."""
+    spec = _holds(make_large_function, a, b, alpha, phi, order)
+    if spec is None:
+        return
+    pair = _holds(build_pair, spec, poly)
+    if pair is not None:
+        _finite(pair.g.coeffs)
+        _finite_row(_holds(harmonic_bohr_check, pair, distance))
+        _finite_row(_holds(mg_integral_identity_check, pair, r))
+    _finite_row(_holds(von_neumann_check, spec, poly, distance))
+
+
+@CONTRACT
+@given(polynomials | st.lists(finite, min_size=1, max_size=4).map(
+    TruncatedSeries), disk_radii, st.integers(0, 1))
+def test_bohr_operator(f, r, from_degree):
+    total = _holds(bohr_operator, f, r, from_degree)
+    if total is not None:
+        _finite(total)
+
+
+#: The four seeded generators as functions of the seed alone, each giving
+#: the numbers it drew or built.
+SEEDED = (lambda s: [f.param for f in random_schwarz(s, 3).factors],
+          lambda s: random_large_function(s, 8).series.coeffs,
+          lambda s: random_polynomial(s, 4).coeffs,
+          lambda s: random_mobius_bounded(s).coeffs)
+
+
+@CONTRACT
+@given(st.integers(max_value=-1) | finite | st.just(math.nan)
+       | st.builds(complex, finite, finite) | st.just("7"))
+def test_seeds_outside_the_stream_are_domain_errors(seed):
+    for draw in SEEDED:
+        with pytest.raises(DomainError, match="seed must be"):
+            draw(seed)
+
+
+@CONTRACT
+@given(st.integers(0, 2**70))
+def test_seeded_generators(seed):
+    for draw in SEEDED:
+        _finite(draw(seed))
 
 
 @CONTRACT
@@ -216,3 +280,36 @@ def test_sampled_circle_past_the_double_range_is_skipped():
     assert not np.isfinite(values).all()
     f0 = spec.series[0]
     assert 0 < boundary_distance(spec) <= min(abs(f0), abs(f0 - spec.b))
+
+
+def test_harmonic_pair_past_the_double_range_is_a_domain_error():
+    """h' = n a_n overflows."""
+    spec = make_large_function(0, 1e297, 3.0, identity_schwarz(), 64)
+    with pytest.raises(DomainError, match="past the double range"):
+        build_pair(spec, TruncatedSeries([0.5]))
+
+
+def test_majorant_past_the_double_range_is_a_domain_error():
+    with pytest.raises(DomainError, match="majorant sum exceeds"):
+        bohr_operator(TruncatedSeries([1e308, 1e308]), 0.99)
+
+
+def test_harmonic_tail_past_the_double_range_is_a_domain_error():
+    """g is finite, but the tail bound of M(g) overflows."""
+    spec = make_large_function(0, 1j, 2.0, identity_schwarz(), 1)
+    pair = build_pair(spec, TruncatedSeries([1.6389350937208009e308j]))
+    with pytest.raises(DomainError, match="harmonic-bohr: a side is past"):
+        harmonic_bohr_check(pair, 0.0)
+
+
+@pytest.mark.parametrize("a, alpha, order, p", [
+    (0, 1.0, 1, [1.7551462404758813e308j]),
+    (4.238626339115439e-35, 1.9, 6, [0, 0, -1.7976931348623157e308j])])
+def test_von_neumann_past_the_double_range_is_a_domain_error(a, alpha,
+                                                             order, p):
+    """The tail bound overflows to inf (a constant p), or p(F) and the
+    sampled sup of |p| do (p = c w^2)."""
+    b = 1j if a == 0 else 0
+    spec = make_large_function(a, b, alpha, identity_schwarz(), order)
+    with pytest.raises(DomainError, match="double range"):
+        von_neumann_check(spec, TruncatedSeries(p), 0.5)

@@ -14,8 +14,10 @@ from bohrlab.modular import (E_HALF_PI, E_PI, CoveringParameter, a_coeffs,
                              log_coeffs_exact,
                              q_argument, q_deriv, q_eval, q_series,
                              starlike_certificate)
-from bohrlab.series import TruncatedSeries
-from bohrlab.sweeps import j_max_modulus, run_suite
+from bohrlab.harmonic import _gauss_legendre
+from bohrlab.series import TruncatedSeries, unit_ring
+from bohrlab.sweeps import (SUITE_NAMES, _spec_and_distance, j_max_modulus,
+                            run_suite)
 
 # Degree <= 5 coefficients frozen from the exact integer computation.
 J_EXACT_PREFIX = (0, 16, -128, 704, -3072, 11488)
@@ -695,3 +697,27 @@ def test_univalence_suite_at_seed_8():
     res = run_suite("univalence", 8)
     assert res.passed
     assert res.summary["collision_gap"] < 1e-13
+
+
+CACHES = (unit_ring, j_coeffs_exact, j_series, _gauss_legendre)
+
+
+def test_caches_are_bounded():
+    """Each circle, series order and node count a caller asks for is kept
+    only among the last eight."""
+    for cache in CACHES:
+        assert cache.cache_info().maxsize == 8
+    for nodes in range(3000, 3400):
+        starlike_certificate(0.1, nodes)
+        assert unit_ring.cache_info().currsize <= 8
+
+
+def test_seed7_report_hits_its_caches():
+    """A seed-7 report reads 2 rings, 1 exact series, 1 float series and 1
+    quadrature rule, and every later read is a hit."""
+    for cache in CACHES + (_spec_and_distance,):
+        cache.cache_clear()
+    for name in SUITE_NAMES:
+        run_suite(name, 7)
+    assert [cache.cache_info()[:2] for cache in CACHES] \
+        == [(204, 2), (0, 1), (99, 1), (49, 1)]

@@ -34,7 +34,7 @@ def test_coeffs_are_immutable():
 
 
 def test_rejects_nonfinite():
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError, match="past the double range or NaN"):
         TruncatedSeries([1.0, np.inf])
     with pytest.raises(ValueError):
         TruncatedSeries([])
