@@ -72,6 +72,13 @@ def _pcg_seed(seed: int) -> tuple[int, int]:
     return ((inc + (out >> 128)) * _MULT + inc) & _M128, inc
 
 
+def _checked_seed(seed) -> int:
+    """``seed`` as an int; ``DomainError`` unless it is an integer >= 0."""
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise DomainError("seed must be an integer >= 0, not %r" % (seed,))
+    return int(seed)
+
+
 class Stream:
     """``numpy.random.default_rng(seed)`` for an integer seed >= 0:
     ``random``, ``uniform`` and ``integers`` draw what ``Generator``'s
@@ -80,9 +87,7 @@ class Stream:
     half first, for a range of at most 2^32 values."""
 
     def __init__(self, seed):
-        if not isinstance(seed, (int, np.integer)) or seed < 0:
-            raise DomainError("seed must be an integer >= 0, not %r" % (seed,))
-        self._state, self._inc = _pcg_seed(int(seed))
+        self._state, self._inc = _pcg_seed(_checked_seed(seed))
         self._upper = None      # the kept upper half of a 64-bit output
 
     def _next64(self) -> int:
@@ -401,7 +406,9 @@ def random_large_function(
     """Draw a spec with well-separated omitted points.
 
     alpha is kept in [0.8, pi] so circle-sampled evaluation of the cover
-    stays cheap; the artifact itself accepts any alpha > 0.
+    stays cheap; the artifact itself accepts any alpha > 0.  phi(0) = 0,
+    so F(0) = a + (b - a) J(e^-alpha) lies on the segment [a, b], at the
+    relative position J(e^-alpha) in [1/2, J(e^-0.8)] ~ [0.5, 0.99993].
     """
     rng = Stream(seed)
     if inner_only is None:

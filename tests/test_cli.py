@@ -158,6 +158,18 @@ def test_usage_errors(capsys):
                "--tolerance", "nope=1")[0] == 2
 
 
+@pytest.mark.parametrize("argv", [("verify", "littlewood"),
+                                  ("verify", "density-distance"),
+                                  ("report", "--all")],
+                         ids=["verify-littlewood", "verify-density-distance",
+                              "report-all"])
+def test_negative_seed_exits_2_before_any_suite_runs(capsys, argv):
+    code, out, err = run(capsys, *argv, "--seed", "-1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: seed must be an integer >= 0, not -1\n"
+
+
 def run_cli(*argv):
     """The CLI in a fresh interpreter, so warnings reach stderr as users
     see them."""
@@ -222,9 +234,9 @@ def test_runtime_imports_only_numpy():
 
 
 def test_report_loads_no_numpy_random():
-    """A report draws from ``generators.Stream`` and builds its quadrature
-    with ``numpy.linalg``, so neither ``numpy.random`` (nor the ``secrets``
-    and ``hashlib`` it pulls in) nor ``numpy.polynomial`` is imported."""
+    """A report draws from ``generators.Stream``, so neither
+    ``numpy.random`` (nor the ``secrets`` and ``hashlib`` it pulls in) nor
+    ``numpy.polynomial`` is imported."""
     code = ("import contextlib, io, sys; from bohrlab.cli import main\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    rc = main(['report', '--all', '--seed', '7'])\n"

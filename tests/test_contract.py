@@ -25,7 +25,7 @@ from bohrlab.generators import (Factor, SchwarzFunction, identity_schwarz,
                                 random_schwarz)
 from bohrlab.geometry import boundary_distance, density_distance_products
 from bohrlab.harmonic import (build_pair, harmonic_bohr_check,
-                              mg_integral_identity_check)
+                              majorant_domination_check)
 from bohrlab.modular import (j_deriv, j_eval, q_deriv, q_eval, q_series,
                              starlike_certificate)
 from bohrlab.series import TruncatedSeries, unit_ring
@@ -155,7 +155,7 @@ def test_harmonic_and_von_neumann_checks(a, b, alpha, phi, order, poly, r,
     if pair is not None:
         _finite(pair.g.coeffs)
         _finite_row(_holds(harmonic_bohr_check, pair, distance))
-        _finite_row(_holds(mg_integral_identity_check, pair, r))
+        _finite_row(_holds(majorant_domination_check, pair, r))
     _finite_row(_holds(von_neumann_check, spec, poly, distance))
 
 

@@ -1,7 +1,6 @@
 import math
 
 import numpy as np
-import numpy.polynomial.polynomial as P
 import pytest
 
 import bohrlab.generators
@@ -11,12 +10,12 @@ from bohrlab.bohr import bohr_operator, main_theorem_check
 from bohrlab.generators import (identity_schwarz, make_large_function,
                                 random_large_function, random_mobius_bounded)
 from bohrlab.geometry import boundary_distance
-from bohrlab.harmonic import (HarmonicPair, _gauss_legendre, build_pair,
-                              harmonic_bohr_check, mg_integral_identity_check)
+from bohrlab.harmonic import (HarmonicPair, build_pair, harmonic_bohr_check,
+                              majorant_domination_check)
 from bohrlab.modular import E_PI
 from bohrlab.reporting import apply_tolerance_override
 from bohrlab.series import TruncatedSeries
-from bohrlab.sweeps import SuiteResult, run_suite
+from bohrlab.sweeps import SuiteResult, harmonic_trial, run_suite
 
 
 def central_spec(order=64):
@@ -80,28 +79,29 @@ def test_mobius_dilatation_passes_for_good_specs():
         assert rep.passed, (seed, rep)
 
 
-def test_mg_integral_identity():
+def test_majorant_domination_for_a_mobius_dilatation():
     spec = central_spec()
     mu = random_mobius_bounded(9, order=64)
     pair = build_pair(spec, mu)
-    rep = mg_integral_identity_check(pair, 0.2)
+    rep = majorant_domination_check(pair, 0.2)
     assert rep.passed
-    assert rep.lhs < 1e-9
+    assert rep.rhs == 0.0
     # |mu| <= 1 forces M(g) <= M(h - a_0) termwise after integration.
-    assert bohr_operator(pair.h, 0.2, from_degree=1) \
-        - bohr_operator(pair.g, 0.2, from_degree=1) >= -1e-12
+    assert rep.lhs == bohr_operator(pair.g, 0.2, from_degree=1) \
+        - bohr_operator(pair.h, 0.2, from_degree=1)
+    assert rep.lhs < 0
 
 
 def test_identity_row_holds_the_domination():
-    """g = 2 (h - h_0) with mu = 0 satisfies the integral identity but not
-    M(g) <= M(h - h_0).  The row must say so in its own numbers, so that
-    re-judging it at its own slack keeps it failing."""
+    """g = 2 (h - h_0) with mu = 0 breaks M(g) <= M(h - h_0).  The row
+    must say so in its own numbers, so that re-judging it at its own slack
+    keeps it failing."""
     spec = central_spec()
     h = spec.series
     g = 2.0 * h.coeffs
     g[0] = 0.0
     pair = HarmonicPair(spec, h, TruncatedSeries(g), TruncatedSeries([0.0]))
-    rep = mg_integral_identity_check(pair, 0.2)
+    rep = majorant_domination_check(pair, 0.2)
     assert not rep.passed
     assert rep.lhs == pytest.approx(bohr_operator(pair.g, 0.2, from_degree=1)
                                     - bohr_operator(h, 0.2, from_degree=1))
@@ -111,24 +111,47 @@ def test_identity_row_holds_the_domination():
     assert not result.passed
 
 
-@pytest.mark.parametrize("order", [8, 32, 64])
-def test_gauss_legendre_matches_exact_antiderivative(order):
-    """The identity row's integral of M(g') from 0 to r, rebuilt from the
-    same rule, is within its rounding budget 4 size eps |integral| of the
-    exact antiderivative."""
-    eps = np.finfo(float).eps
-    for seed in (1, 2, 3):
-        spec = random_large_function(seed, order)
-        pair = build_pair(spec, random_mobius_bounded(seed + 50, order))
-        gp_mags = np.abs(pair.g.differentiate().coeffs)
-        antiderivative = P.polyint(gp_mags)
-        t, w = _gauss_legendre(gp_mags.size // 2 + 1)
-        for r in (0.2, 0.5, 0.9):
-            powers = (r * t)[:, None] ** np.arange(gp_mags.size)
-            integral = r * float(w @ (powers @ gp_mags))
-            exact = P.polyval(r, antiderivative)
-            assert abs(integral - exact) <= 4 * gp_mags.size * eps \
-                * abs(integral)
+@pytest.mark.parametrize("seed", [7, 8, 11])
+def test_every_dilatation_the_sweep_draws_is_bounded_by_one(seed):
+    """mu = 0, a constant c with |c| < 1, or a Moebius map whose
+    coefficients are those of (c + u z)/(1 + conj(c) u z) with |c| < 1 and
+    |u| = 1, read back as c = mu_0 and u = mu_1/(1 - |c|^2)."""
+    kinds = []
+    for row in run_suite("harmonic", seed).rows[::2]:
+        mu = np.array(row["mu_coeffs"])
+        kind = row["mu"].split("(")[0]
+        kinds.append(kind)
+        if kind == "mu=0":
+            assert list(mu) == [0.0]
+        elif kind == "mu=const":
+            assert mu.size == 1 and abs(mu[0]) < 1
+        else:
+            assert kind == "mu=mobius"
+            c = mu[0]
+            u = mu[1] / (1 - abs(c) ** 2)
+            assert abs(c) < 1
+            assert abs(u) == pytest.approx(1.0, abs=1e-15)
+            n = np.arange(1, mu.size)
+            assert np.allclose(mu[1:], u * (1 - abs(c) ** 2)
+                               * (-np.conj(c) * u) ** (n - 1),
+                               rtol=1e-13, atol=0)
+    assert set(kinds) == {"mu=0", "mu=const", "mu=mobius"}
+
+
+@pytest.mark.parametrize("seed", [7, 8, 11])
+def test_majorant_domination_is_checked_on_every_trial(seed):
+    """One majorant-domination row per trial, each M(g)(0.2) - M(h -
+    h(0))(0.2) of its own pair and passing; seed 8 trial 41 and seed 11
+    trial 47, whose truncated mu exceeds 1 near the circle, among them."""
+    rows = [row for row in run_suite("harmonic", seed).rows
+            if row["check"] == "majorant-domination"]
+    assert [row["trial"] for row in rows] == list(range(50))
+    for row in rows:
+        pair = build_pair(*harmonic_trial(row["seed"], row["trial"]))
+        assert row["lhs"] == bohr_operator(pair.g, 0.2, from_degree=1) \
+            - bohr_operator(pair.h, 0.2, from_degree=1)
+        assert row["pass"], row
+        assert row["lhs"] <= 0.0
 
 
 def test_harmonic_sweep_reuses_von_neumann_trials(monkeypatch):

@@ -46,6 +46,14 @@ def test_forced_failing_row_fails_the_suite():
     assert (res.failed, res.passed) == (1, False)
 
 
+@pytest.mark.parametrize("seed", [-1, 7.0, None])
+def test_every_suite_refuses_a_seed_outside_the_stream(seed):
+    """Also the suites that draw nothing from their seed."""
+    for name in SUITE_NAMES:
+        with pytest.raises(DomainError, match="seed must be an integer"):
+            run_suite(name, seed)
+
+
 def test_unknown_suite():
     with pytest.raises(DomainError):
         run_suite("frobnicate")
