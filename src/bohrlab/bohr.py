@@ -55,24 +55,19 @@ class BohrRadiusResult:
     iterations: int
 
 
-def bohr_radius_solve(order: int = 200,
-                      bracket: tuple[float, float] = (0.01, 0.1)
-                      ) -> BohrRadiusResult:
-    """Root of sum_n 16 A_n r^{n+1} = 1 by bisection.
+def bohr_radius_solve(order: int = 200) -> BohrRadiusResult:
+    """Root of sum_n 16 A_n r^{n+1} = 1 by bisection on [0.01, 0.1].
 
     The coefficients are strictly positive, so the left side is strictly
-    increasing and the root in the bracket is unique; it is the Bohr radius
-    e^{-pi}.
+    increasing, below -J(-0.01) < 1 at 0.01 and above its first term 1.6 at
+    0.1: the root is unique, and it is the Bohr radius e^{-pi}.
     """
     if order < 100:
         raise DomainError("order must be >= 100")
     a = np.array(a_coeffs(order), dtype=float)
     # polynomial 16 (A_0 r + A_1 r^2 + ...) - 1, highest degree first
     poly = np.concatenate([16.0 * a[::-1], [-1.0]])
-    lo, hi = bracket
-    if not (np.polyval(poly, lo) < 0 < np.polyval(poly, hi)):
-        raise DomainError("no sign change of the majorant sum on %r"
-                          % (bracket,))
+    lo, hi = 0.01, 0.1
     iterations = 0
     while hi - lo > 1e-15:
         mid = 0.5 * (lo + hi)
@@ -169,7 +164,7 @@ def von_neumann_check(spec: LargeFunctionSpec, p: TruncatedSeries,
     if distance >= 1.0:
         raise DomainError("boundary distance %.6g is not < 1" % distance)
     order, f = spec.order, spec.series
-    composed = TruncatedSeries.constant(p[p.order])
+    composed = TruncatedSeries([p[p.order]])
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(p.order - 1, -1, -1):
             composed = composed.mul(f, order) + p[k]
@@ -197,7 +192,7 @@ def algebra_properties_check(f: TruncatedSeries, g: TruncatedSeries,
     mf, mg = bohr_operator(f, r), bohr_operator(g, r)
     prod = f.mul(g)
     mprod = bohr_operator(prod, r)
-    unit = bohr_operator(TruncatedSeries.constant(1.0), r)
+    unit = bohr_operator(TruncatedSeries([1.0]), r)
     return [
         InequalityCheck("algebra-additive", msum, mf + mg, BASE_SLACK),
         InequalityCheck("algebra-multiplicative", mprod, mf * mg,

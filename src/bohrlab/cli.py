@@ -8,6 +8,7 @@ every requested check passes, 1 when a check ran to completion and failed,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 
@@ -81,6 +82,8 @@ def _parse_overrides(pairs) -> dict:
             out[name] = float(value)
         except ValueError:
             raise BohrlabError("bad tolerance value in %r" % item)
+        if not math.isfinite(out[name]):
+            raise BohrlabError("tolerance must be finite, got %r" % item)
     return out
 
 

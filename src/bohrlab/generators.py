@@ -219,15 +219,21 @@ class Factor:
         return "%s(%s)" % (self.kind, _fmt(self.param.real))
 
 
+def _mobius_coeffs(c: complex, u: complex, order: int) -> np.ndarray:
+    """Coefficients of (c + u z) / (1 + conj(c) u z) to ``order``:
+    (c + u z) sum_n h_n z^n with h_n = (-conj(c) u)^n."""
+    h = np.cumprod(np.concatenate(([1.0], np.full(order, -np.conj(c) * u))))
+    coeffs = c * h
+    coeffs[1:] += u * h[:-1]
+    return coeffs
+
+
 def _blaschke_series(c: complex, order: int) -> TruncatedSeries:
-    """Series of z (z + c) / (1 + conj(c) z) to ``order``:
-    z (z + c) sum_n g_n z^n with g_n = (-conj(c))^n."""
+    """Series of z (z + c) / (1 + conj(c) z) to ``order``: z times the
+    Moebius series (c + z) / (1 + conj(c) z)."""
     coeffs = np.zeros(order + 1, dtype=complex)
     if order >= 1:
-        g = np.cumprod(np.concatenate(([1.0],
-                                       np.full(order - 1, -np.conj(c)))))
-        coeffs[1:] = c * g
-        coeffs[2:] += g[:-1]
+        coeffs[1:] = _mobius_coeffs(c, 1.0, order - 1)
     return TruncatedSeries(coeffs)
 
 
@@ -441,8 +447,5 @@ def random_mobius_bounded(seed: int, order: int = 64) -> TruncatedSeries:
     rng = Stream(seed)
     c = rng.disk(0.9)
     u = np.exp(2j * np.pi * rng.random())
-    # (c + u z) sum_n h_n z^n with h_n = (-conj(c) u)^n.
-    h = np.cumprod(np.concatenate(([1.0], np.full(order, -np.conj(c) * u))))
-    coeffs = c * h
-    coeffs[1:] += u * h[:-1]
-    return TruncatedSeries(coeffs, "mobius(c=%s, u=%s)" % (_fmt(c), _fmt(u)))
+    return TruncatedSeries(_mobius_coeffs(c, u, order),
+                           "mobius(c=%s, u=%s)" % (_fmt(c), _fmt(u)))

@@ -8,8 +8,9 @@ a dilatation mu through g' = mu h', g(0) = 0.  The verified estimate is
 at the Bohr radius r = e^{-pi}, where d is ``geometry.boundary_distance``
 of the analytic part.  The sup-of-mu reading is used for the right-hand
 side (a pointwise |mu(z)| does not give a single number).  That sampled
-sup may undershoot, which only makes a pass harder; the tails of M(h) and
-M(g) are closed-form upper bounds from ``LargeFunctionSpec.modulus_bound``.
+sup may undershoot, which only makes a pass harder.  The tail of M(h) is
+``cauchy_tail_bound`` of ``LargeFunctionSpec.modulus_bound``, and that of
+M(g) is the same bound times M(mu)(``TAIL_RHO``); both are upper bounds.
 A second row checks the domination M(g)(r) <= M(h - h(0))(r) at r = 0.2,
 a theorem for |mu| <= 1, which every dilatation the sweep draws meets in
 closed form; nothing is sampled to decide it.
@@ -51,38 +52,25 @@ def build_pair(spec: LargeFunctionSpec, mu: TruncatedSeries) -> HarmonicPair:
     return HarmonicPair(spec, h, gprime.integrate(), mu)
 
 
-def _g_tail_bound(pair: HarmonicPair, m_rho: float) -> float:
-    """Tail of M(g) past the stored order at r = e^-pi.
-
-    mu is an exact polynomial, so tail error in g comes from the tail of h:
-    |(mu h')_m| <= S sum_{j<=m} (j+1) M_rho / rho^{j+1}, integrated
-    termwise, with rho = TAIL_RHO.  M_rho is the closed form
-    ``spec.modulus_bound``, and S = M(mu)(0.999) is at least sup|mu|
-    on |z| <= 0.999 and at least sum_k |mu_k| rho^k, so neither is sampled.
-    The resulting majorant decays like (r/rho)^n and the finite sum below
-    overshoots the true tail.
-    """
-    order, rho = pair.g.order, TAIL_RHO
-    mu_bound = bohr_operator(pair.mu, 0.999)
-    n = np.arange(order + 1, order + 200)
-    terms = (n + 1.0) ** 2 / (1.0 - rho) * m_rho * (E_PI / rho) ** n
-    return float(mu_bound * terms.sum())
-
-
 def harmonic_bohr_check(pair: HarmonicPair,
                         distance: float) -> InequalityCheck:
     """Verify the (1 + sup|mu|) boundary-distance bound at r = e^-pi.
 
     ``distance`` is ``boundary_distance(pair.spec)``, passed in by the
     caller so that a sweep sharing the spec samples its boundary once.
+
+    The tail of M(g) is an upper bound: M = ``spec.modulus_bound`` bounds
+    |h| on |z| <= rho = ``TAIL_RHO``, so |h_j| <= M / rho^j (Cauchy), and
+    G = integral of mu h' has |G_{m+1}| = |sum_k mu_k (m-k+1) h_{m-k+1}| /
+    (m+1) <= M(mu)(rho) M / rho^{m+1}.  As g_n = G_n for n <= N, the tail
+    past N is at most M(mu)(rho) ``cauchy_tail_bound``(M, N).
     """
     h, g, r = pair.h, pair.g, E_PI
     mh = bohr_operator(h, r, from_degree=1)
     mg = bohr_operator(g, r, from_degree=1)
-    m_rho = pair.spec.modulus_bound
-    tail_h = cauchy_tail_bound(m_rho, h.order)
+    tail_h = cauchy_tail_bound(pair.spec.modulus_bound, h.order)
+    tail_g = bohr_operator(pair.mu, TAIL_RHO) * tail_h
     with np.errstate(over="ignore", invalid="ignore"):
-        tail_g = _g_tail_bound(pair, m_rho)
         sup_mu = circle_sup(pair.mu, r, 1024)
     lhs = mh + mg + tail_h + tail_g
     rhs = (1.0 + sup_mu) * distance

@@ -52,7 +52,6 @@ def log_coeffs_exact(top: int) -> list[int]:
     return kl
 
 
-@lru_cache(maxsize=8)
 def j_coeffs_exact(order: int) -> tuple[int, ...]:
     """Exact integer coefficients of J up to the given degree, at most
     ``MAX_SERIES_ORDER``: e = exp(L) from n e_n = sum_k k L_k e_{n-k} in

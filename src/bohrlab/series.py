@@ -49,10 +49,6 @@ class TruncatedSeries:
     def __getitem__(self, n: int) -> complex:
         return complex(self.coeffs[n]) if 0 <= n <= self.order else 0j
 
-    @staticmethod
-    def constant(c) -> "TruncatedSeries":
-        return TruncatedSeries([c])
-
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other) -> "TruncatedSeries":
@@ -143,7 +139,7 @@ def _coerce(x) -> TruncatedSeries:
     if isinstance(x, TruncatedSeries):
         return x
     if np.isscalar(x):
-        return TruncatedSeries.constant(x)
+        return TruncatedSeries([x])
     raise TypeError("cannot interpret %r as a series" % (x,))
 
 

@@ -73,14 +73,13 @@ def run_littlewood(seed: int = 7, trials: int = 100) -> SuiteResult:
     return res
 
 
-def theorem4_spec(trial_seed: int, t: int,
-                  order: int = ORDER) -> gen.LargeFunctionSpec:
+def theorem4_spec(trial_seed: int, t: int) -> gen.LargeFunctionSpec:
     """The spec of trial `t` of the theorem4 sweep, from its trial seed.
 
     Even trials draw an inner phi, so at least half of the trials have an
     exact boundary distance.
     """
-    return gen.random_large_function(trial_seed, order,
+    return gen.random_large_function(trial_seed, ORDER,
                                      inner_only=(t % 2 == 0))
 
 
@@ -102,13 +101,12 @@ def run_theorem4(seed: int = 7, trials: int = 100) -> SuiteResult:
 
 
 @lru_cache(maxsize=64)
-def _spec_and_distance(trial_seed: int, order: int
-                       ) -> tuple[gen.LargeFunctionSpec, float]:
+def _spec_and_distance(trial_seed: int) -> tuple[gen.LargeFunctionSpec, float]:
     """The spec of a von-neumann or harmonic trial and its boundary
-    distance.  Both suites draw ``random_large_function(trial_seed, order)``
+    distance.  Both suites draw ``random_large_function(trial_seed, ORDER)``
     for the same trial seeds, so a report builds and samples each spec once.
     The cache holds more than the 50 default trials of a suite."""
-    spec = gen.random_large_function(trial_seed, order)
+    spec = gen.random_large_function(trial_seed, ORDER)
     return spec, geometry.boundary_distance(spec)
 
 
@@ -116,7 +114,7 @@ def run_von_neumann(seed: int = 7, trials: int = 50) -> SuiteResult:
     res = SuiteResult("von-neumann", trials)
     for t in range(trials):
         ts = _trial_seed(seed, t)
-        spec, dist = _spec_and_distance(ts, ORDER)
+        spec, dist = _spec_and_distance(ts)
         # Normalize: the Banach-algebra reading of the inequality concerns
         # elements of small majorant norm, and the hypothesis needs the
         # boundary distance below one.  Both scale linearly.
@@ -138,7 +136,7 @@ def run_von_neumann(seed: int = 7, trials: int = 50) -> SuiteResult:
     return res
 
 
-def _harmonic_mu(ts: int, t: int, order: int) -> TruncatedSeries:
+def _harmonic_mu(ts: int, t: int) -> TruncatedSeries:
     """mu = 0, a constant |c| < 1 or ``random_mobius_bounded``'s map, by t
     mod 3: each bounded by 1 on the disk in closed form, as
     ``harmonic.majorant_domination_check`` needs."""
@@ -148,19 +146,19 @@ def _harmonic_mu(ts: int, t: int, order: int) -> TruncatedSeries:
     if kind == 1:
         c = gen.Stream(ts).disk(1.0)
         return TruncatedSeries([c], "mu=const(%s)" % gen._fmt(c))
-    mu = gen.random_mobius_bounded(ts, order)
+    mu = gen.random_mobius_bounded(ts, ORDER)
     return TruncatedSeries(mu.coeffs, "mu=" + mu.label)
 
 
-def harmonic_trial(trial_seed: int, t: int, order: int = ORDER
+def harmonic_trial(trial_seed: int, t: int
                    ) -> tuple[gen.LargeFunctionSpec, TruncatedSeries]:
     """The spec and dilatation of trial `t` of the harmonic sweep.
 
     mu cycles through zero, a constant and a Moebius map with the trial.
     The spec is the von-neumann suite's spec of the same trial seed.
     """
-    return (_spec_and_distance(trial_seed, order)[0],
-            _harmonic_mu(trial_seed + 17, t, order))
+    return (_spec_and_distance(trial_seed)[0],
+            _harmonic_mu(trial_seed + 17, t))
 
 
 def run_harmonic(seed: int = 7, trials: int = 50) -> SuiteResult:
@@ -169,8 +167,7 @@ def run_harmonic(seed: int = 7, trials: int = 50) -> SuiteResult:
         ts = _trial_seed(seed, t)
         spec, mu = harmonic_trial(ts, t)
         pair = harmonic.build_pair(spec, mu)
-        rep = harmonic.harmonic_bohr_check(
-            pair, _spec_and_distance(ts, ORDER)[1])
+        rep = harmonic.harmonic_bohr_check(pair, _spec_and_distance(ts)[1])
         dom = harmonic.majorant_domination_check(pair, 0.2)
         tags = {"trial": t, "seed": ts, "spec": spec.text(),
                 "mu": mu.label, "mu_coeffs": [complex(c) for c in mu.coeffs],

@@ -163,8 +163,6 @@ def test_radius_recovers_exp_minus_pi():
 
 
 def test_radius_bad_bracket():
-    with pytest.raises(DomainError, match="no sign change"):
-        bohr_radius_solve(bracket=(0.2, 0.3))
     with pytest.raises(DomainError):
         bohr_radius_solve(order=50)
 

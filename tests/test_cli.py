@@ -158,6 +158,20 @@ def test_usage_errors(capsys):
                "--tolerance", "nope=1")[0] == 2
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+def test_non_finite_tolerance_exits_2_before_any_suite_runs(capsys, tmp_path,
+                                                           value):
+    path = tmp_path / "rows.csv"
+    code, out, err = run(capsys, "report", "--suite", "algebra", "--suite",
+                         "theorem4", "--tolerance", "algebra=" + value,
+                         "--csv", str(path))
+    assert code == 2
+    assert out == ""
+    assert "suite " not in err
+    assert "tolerance must be finite" in err
+    assert not path.exists()
+
+
 @pytest.mark.parametrize("argv", [("verify", "littlewood"),
                                   ("verify", "density-distance"),
                                   ("report", "--all")],

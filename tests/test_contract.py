@@ -295,9 +295,10 @@ def test_majorant_past_the_double_range_is_a_domain_error():
 
 
 def test_harmonic_tail_past_the_double_range_is_a_domain_error():
-    """g is finite, but the tail bound of M(g) overflows."""
-    spec = make_large_function(0, 1j, 2.0, identity_schwarz(), 1)
-    pair = build_pair(spec, TruncatedSeries([1.6389350937208009e308j]))
+    """g is finite, but the tail bound of M(g), M(mu)(0.3) = 3e300 times
+    the Cauchy tail of an |F| near 1e10, overflows."""
+    spec = make_large_function(1e10, 1e10 + 1j, 2.0, identity_schwarz(), 1)
+    pair = build_pair(spec, TruncatedSeries([1e301]))
     with pytest.raises(DomainError, match="harmonic-bohr: a side is past"):
         harmonic_bohr_check(pair, 0.0)
 

@@ -5,17 +5,20 @@ import pytest
 
 import bohrlab.generators
 import bohrlab.geometry
+import bohrlab.harmonic
 import bohrlab.sweeps
-from bohrlab.bohr import bohr_operator, main_theorem_check
-from bohrlab.generators import (identity_schwarz, make_large_function,
-                                random_large_function, random_mobius_bounded)
+from bohrlab.bohr import bohr_operator, cauchy_tail_bound, main_theorem_check
+from bohrlab.generators import (TAIL_RHO, identity_schwarz,
+                                make_large_function, random_large_function,
+                                random_mobius_bounded)
 from bohrlab.geometry import boundary_distance
 from bohrlab.harmonic import (HarmonicPair, build_pair, harmonic_bohr_check,
                               majorant_domination_check)
 from bohrlab.modular import E_PI
 from bohrlab.reporting import apply_tolerance_override
 from bohrlab.series import TruncatedSeries
-from bohrlab.sweeps import SuiteResult, harmonic_trial, run_suite
+from bohrlab.sweeps import (SuiteResult, _trial_seed, harmonic_trial,
+                            run_suite)
 
 
 def central_spec(order=64):
@@ -77,6 +80,36 @@ def test_mobius_dilatation_passes_for_good_specs():
         rep = harmonic_bohr_check(build_pair(spec, mu),
                                   boundary_distance(spec))
         assert rep.passed, (seed, rep)
+
+
+def test_g_tail_bound_dominates_coefficients_and_true_tail():
+    """On the seed-7 harmonic trials, |g_n| <= M(mu)(rho) M / rho^n for the
+    stored g, and rebuilt at order 300 the tail of M(g) past 64 is at most
+    M(mu)(rho) times h's Cauchy tail, as ``harmonic_bohr_check`` adds."""
+    n = np.arange(1, 65)
+    for t in range(50):
+        spec, mu = harmonic_trial(_trial_seed(7, t), t)
+        m, m_mu = spec.modulus_bound, bohr_operator(mu, TAIL_RHO)
+        g = build_pair(spec, mu).g.coeffs
+        assert np.all(np.abs(g[1:]) <= m_mu * m / TAIL_RHO ** n), t
+        spec300 = make_large_function(spec.a, spec.b, spec.alpha, spec.phi,
+                                      300)
+        g300 = build_pair(spec300, mu).g.coeffs
+        tail = float(np.dot(np.abs(g300[65:]), E_PI ** np.arange(65, 301)))
+        assert tail <= m_mu * cauchy_tail_bound(m, 64), t
+
+
+def test_g_tail_is_the_mu_majorant_times_h_tail(monkeypatch):
+    """The tails are below an ulp of the lhs, so h's is forced to 1: the
+    lhs then adds 1 + M(mu)(TAIL_RHO) to the two majorant sums."""
+    monkeypatch.setattr(bohrlab.harmonic, "cauchy_tail_bound",
+                        lambda m_rho, order: 1.0)
+    mu = random_mobius_bounded(9, order=64)
+    pair = build_pair(central_spec(), mu)
+    sums = (bohr_operator(pair.h, E_PI, from_degree=1)
+            + bohr_operator(pair.g, E_PI, from_degree=1))
+    assert harmonic_bohr_check(pair, 0.0).lhs - sums == pytest.approx(
+        1.0 + bohr_operator(mu, TAIL_RHO), rel=1e-12)
 
 
 def test_majorant_domination_for_a_mobius_dilatation():

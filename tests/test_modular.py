@@ -698,7 +698,7 @@ def test_univalence_suite_at_seed_8():
     assert res.summary["collision_gap"] < 1e-13
 
 
-CACHES = (unit_ring, j_coeffs_exact, j_series)
+CACHES = (unit_ring, j_series)
 
 
 def test_caches_are_bounded():
@@ -712,11 +712,11 @@ def test_caches_are_bounded():
 
 
 def test_seed7_report_hits_its_caches():
-    """A seed-7 report reads 2 rings, 1 exact series and 1 float series,
-    and every later read is a hit."""
+    """A seed-7 report reads 2 rings and 1 float series, and every later
+    read is a hit."""
     for cache in CACHES + (_spec_and_distance,):
         cache.cache_clear()
     for name in SUITE_NAMES:
         run_suite(name, 7)
     assert [cache.cache_info()[:2] for cache in CACHES] \
-        == [(154, 2), (0, 1), (99, 1)]
+        == [(154, 2), (99, 1)]

@@ -103,7 +103,7 @@ def test_random_mobius_and_harmonic_mu_replay_numpy():
         assert (random_mobius_bounded(seed, 3).coeffs == coeffs).all()
         rng = np.random.default_rng(seed)
         c = math.sqrt(rng.random()) * np.exp(2j * np.pi * rng.random())
-        assert _harmonic_mu(seed, 1, 8).coeffs.tolist() == [c]
+        assert _harmonic_mu(seed, 1).coeffs.tolist() == [c]
 
 
 def test_vectors_replay_numpy():
