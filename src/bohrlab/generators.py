@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DomainError
 from .modular import CoveringParameter, j_eval, q_eval, q_series
-from .series import TruncatedSeries
+from .series import TruncatedSeries, compose
 
 #: Radius of the circle on which ``LargeFunctionSpec.modulus_bound`` bounds
 #: |F|; every Cauchy tail bound of the inequality checks reads it.
@@ -204,9 +204,9 @@ class Factor:
         outer = outer[: order + 1]
         if self.kind == "identity":
             return outer
-        if self.kind == "blaschke":
-            return TruncatedSeries(outer).compose(
-                _blaschke_series(self.param, order), order).coeffs
+        if self.kind == "blaschke":     # z times the Moebius series
+            inner = np.append(0j, _mobius_coeffs(self.param, 1.0, order))
+            return compose(outer, inner, order)
         return outer * self.eval(1.0) ** np.arange(order + 1)
 
     def text(self) -> str:
@@ -226,15 +226,6 @@ def _mobius_coeffs(c: complex, u: complex, order: int) -> np.ndarray:
     coeffs = c * h
     coeffs[1:] += u * h[:-1]
     return coeffs
-
-
-def _blaschke_series(c: complex, order: int) -> TruncatedSeries:
-    """Series of z (z + c) / (1 + conj(c) z) to ``order``: z times the
-    Moebius series (c + z) / (1 + conj(c) z)."""
-    coeffs = np.zeros(order + 1, dtype=complex)
-    if order >= 1:
-        coeffs[1:] = _mobius_coeffs(c, 1.0, order - 1)
-    return TruncatedSeries(coeffs)
 
 
 @dataclass(frozen=True)

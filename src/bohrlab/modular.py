@@ -21,7 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError
-from .series import TruncatedSeries, inverse, unit_ring
+from .series import TruncatedSeries, _truncmul, inverse, unit_ring
 
 #: The Bohr radius for functions omitting two values.
 E_PI = math.exp(-math.pi)
@@ -303,26 +303,45 @@ def _nome_powers(beta: float, ks: np.ndarray, order: int) -> np.ndarray:
     bounded by 1; where e^{-k beta} would underflow, 2^-shift is kept aside.
     A column whose Cauchy bound on |z| = 1/2, e^{-k beta / 3} 2^order, is
     below 2^-1075 rounds to zeros and is left at zero, unrecurred.
+    Blocks of s <= isqrt(order) rows, as in Paterson-Stockmeyer: s baby
+    steps run all blocks from the starts (1, 0) and (0, 1), and a giant
+    step per block fills its rows from the block before.  A step grows a
+    column at most 2t + 3 times: s log2(2 t_max + 3) <= 400 and a per-block
+    2^-600 rescale of columns past 2^600 keep values below 2^1000.
     """
     live = ks <= 3.0 * math.log(2.0) * (order + 1075) / beta
     t = beta * ks[live]
     shift = np.floor(np.maximum(t - 700.0, 0.0) / math.log(2.0))
     watch = shift.any()
-    out = np.zeros((order + 2, t.size))             # out[j + 1] = [z^j]
-    out[1] = np.exp(shift * math.log(2.0) - t)
-    j = np.arange(order)[:, None]
-    a, b = (2.0 * j - 2.0 * t) / (j + 1), ((j - 1) / (j + 1)).ravel().tolist()
-    scratch = np.empty(t.size)
-    rows, mul, sub = list(out), np.multiply, np.subtract    # row views
-    for ai, bi, prev, cur, row in zip(a, b, rows, rows[1:], rows[2:]):
-        mul(ai, cur, out=row)
+    s = max(1, min(math.isqrt(order),
+                   int(400.0 / math.log2(2.0 * t.max(initial=0.0) + 3.0))))
+    blocks = -(-order // s)
+    # Step j = m s + i at [i, start, m], for the starts (1, 0) and (0, 1).
+    j = np.arange(float(blocks * s)).reshape(blocks, s).T[:, None, :, None]
+    shape = (s, 2, blocks, t.size)
+    a = np.divide(2.0 * (j - t), j + 1.0, out=np.empty(shape))
+    b = np.divide(j - 1.0, j + 1.0, out=np.empty(shape))
+    transfer = np.zeros((s + 2,) + shape[1:])
+    transfer[0, 0] = transfer[1, 1] = 1.0
+    steps, scratch, mul = list(transfer), np.empty(shape[1:]), np.multiply
+    for ai, bi, prev, cur, new in zip(a, b, steps, steps[1:], steps[2:]):
+        mul(ai, cur, out=new)                   # baby steps
         mul(bi, prev, out=scratch)
-        sub(row, scratch, out=row)
-        if watch and (big := np.abs(row) > 2.0 ** 600).any():
+        new -= scratch
+    out = np.zeros((blocks * s + 2, t.size))        # out[j + 1] = [z^j]
+    out[1] = np.exp(shift * math.log(2.0) - t)
+    u, v = transfer[2:].transpose(1, 2, 0, 3)
+    for m, um, vm in zip(range(0, blocks * s, s), u, v):
+        rows = out[m + 2 : m + s + 2]           # giant step: one block
+        mul(um, out[m], out=rows)
+        rows += vm * out[m + 1]
+        if watch and (big := np.abs(rows).max(axis=0) > 2.0 ** 600).any():
             out[:, big] *= 2.0 ** -600
             shift[big] -= 600
+    if live.all() and not watch:
+        return out[1 : order + 2]
     powers = np.zeros((order + 1, ks.size))
-    powers[:, live] = np.ldexp(out[1:], -shift.astype(int))
+    powers[:, live] = np.ldexp(out[1 : order + 2], -shift.astype(int))
     return powers
 
 
@@ -335,9 +354,10 @@ def q_series(alpha, order: int) -> TruncatedSeries:
     stop at n = ceil(sqrt((2 order + 40) / beta)) + 1: by Cauchy on
     |z| = rho, an omitted q^k moves [z^j] by at most
     e^{-k beta (1 - rho)/(1 + rho)} rho^{-j}, below e^{-105} for q^100 at
-    beta = pi and j = 64.  All in real float64 arrays: theta_3 is inverted
-    by Newton doubling (``series.inverse``), then three products.  Not
-    cached: each random spec draws a new alpha.
+    beta = pi and j = 64.  In real float64 arrays: q^k by ``_nome_powers``,
+    1/theta_3 by Newton doubling (``series.inverse``), four ``_truncmul``
+    products, and 1 - lambda(-z) by a sign flip.  Not cached: each random
+    spec draws a new alpha.
     """
     if order < 1:
         raise DomainError("order must be >= 1")
@@ -348,12 +368,12 @@ def q_series(alpha, order: int) -> TruncatedSeries:
     powers = _nome_powers(beta, np.concatenate([n * n, n * (n + 1)]), order)
     sums = powers.reshape(order + 1, 2, n.size).sum(axis=2) * (2.0, 1.0)
     sums[0] += 1.0                          # theta_3 and sum q^{n(n+1)}
-    ratio = np.convolve(sums[:, 1], inverse(sums[:, 0], order))[: order + 1]
-    square = np.convolve(ratio, ratio)[: order + 1]
-    fourth = np.convolve(square, square)[: order + 1]
-    lam = np.convolve(fourth, 16.0 * powers[:, 0])[: order + 1]
-    if dual:
-        lam = -lam * (-1.0) ** np.arange(order + 1)
+    ratio = _truncmul(sums[:, 1], inverse(sums[:, 0], order), order)
+    square = _truncmul(ratio, ratio, order)
+    fourth = _truncmul(square, square, order)
+    lam = _truncmul(fourth, 16.0 * powers[:, 0], order)
+    if dual:                                # 1 - lambda(-z)
+        lam[::2] *= -1.0
         lam[0] += 1.0
     return TruncatedSeries(lam)
 

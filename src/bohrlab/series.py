@@ -18,6 +18,11 @@ import numpy as np
 
 from .errors import DomainError
 
+try:
+    from numpy._core.multiarray import correlate as _correlate
+except ImportError:                     # numpy < 2, where it does not warn
+    from numpy.core.multiarray import correlate as _correlate
+
 
 @dataclass(frozen=True)
 class TruncatedSeries:
@@ -66,45 +71,7 @@ class TruncatedSeries:
         order = full if order is None else order
         if order > full:
             raise ValueError("requested order exceeds the exact product order")
-        coeffs = np.convolve(self.coeffs, other.coeffs)[: order + 1]
-        return TruncatedSeries(coeffs)
-
-    def compose(self, inner: "TruncatedSeries", order: int) -> "TruncatedSeries":
-        """Coefficients of self(inner(z)) up to ``order``.
-
-        The inner series u must vanish exactly at 0: only then does a
-        degree-N prefix of u determine the composite exactly to degree N,
-        and outer degrees beyond ``order`` cannot reach back.
-
-        Paterson-Stockmeyer with b = max(1, isqrt(top)), ``top`` the
-        highest nonzero outer degree <= ``order``: one matrix product with
-        u^0..u^{b-1} forms the blocks sum_{i<b} c_{jb+i} u^i, and Horner
-        runs over the blocks in g = u^b.  That is b - 1 + top // b
-        truncated products instead of top (15 instead of 64 at top = 64);
-        for top <= 3, b = 1 and it is Horner on the coefficients.
-        """
-        if inner[0] != 0:
-            raise DomainError(
-                "inner series has constant term %r" % inner[0]
-            )
-        nonzero = np.flatnonzero(self.coeffs[: order + 1])
-        top = int(nonzero[-1]) if nonzero.size else 0
-        b = max(1, isqrt(top))
-        powers = np.zeros((b + 1, order + 1), dtype=complex)
-        powers[0, 0] = 1.0
-        powers[1, : inner.order + 1] = inner.coeffs[: order + 1]
-        u = powers[1]
-        for i in range(2, b + 1):
-            powers[i] = np.convolve(powers[i - 1], u)[: order + 1]
-        nblocks = top // b + 1
-        c = np.zeros(nblocks * b, dtype=complex)
-        c[: top + 1] = self.coeffs[: top + 1]
-        blocks = c.reshape(nblocks, b) @ powers[:b]
-        g = powers[b]
-        acc = blocks[-1]
-        for j in range(nblocks - 2, -1, -1):
-            acc = np.convolve(acc, g)[: order + 1] + blocks[j]
-        return TruncatedSeries(acc)
+        return TruncatedSeries(_truncmul(self.coeffs, other.coeffs, order))
 
     # -- calculus -----------------------------------------------------------
 
@@ -143,6 +110,50 @@ def _coerce(x) -> TruncatedSeries:
     raise TypeError("cannot interpret %r as a series" % (x,))
 
 
+def _truncmul(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """The one truncated product: ``np.convolve(a, b)[: n + 1]`` bit for
+    bit, from its kernel (longer operand first, the other reversed) without
+    its Python wrapper."""
+    a, b = (b, a) if b.size > a.size else (a, b)
+    return _correlate(a, b[::-1], 2)[: n + 1]
+
+
+def compose(outer: np.ndarray, inner: np.ndarray, order: int) -> np.ndarray:
+    """Coefficients of outer(inner(z)) up to ``order``, from their arrays.
+
+    The inner series u must vanish exactly at 0: only then does a
+    degree-N prefix of u determine the composite exactly to degree N,
+    and outer degrees beyond ``order`` cannot reach back.
+
+    Paterson-Stockmeyer with b = max(1, isqrt(top)), ``top`` the
+    highest nonzero outer degree <= ``order``: one matrix product with
+    u^0..u^{b-1} forms the blocks sum_{i<b} c_{jb+i} u^i, and Horner
+    runs over the blocks in g = u^b.  That is b - 1 + top // b
+    truncated products instead of top (15 instead of 64 at top = 64);
+    for top <= 3, b = 1 and it is Horner on the coefficients.
+    """
+    if inner[0] != 0:
+        raise DomainError("inner series has constant term %r"
+                          % complex(inner[0]))
+    nonzero = np.flatnonzero(outer[: order + 1])
+    top = int(nonzero[-1]) if nonzero.size else 0
+    b = max(1, isqrt(top))
+    powers = np.zeros((b + 1, order + 1), dtype=complex)
+    powers[0, 0] = 1.0
+    powers[1, : min(inner.size, order + 1)] = inner[: order + 1]
+    u = powers[1]
+    for i in range(2, b + 1):
+        powers[i] = _truncmul(powers[i - 1], u, order)
+    nblocks = top // b + 1
+    c = np.zeros(nblocks * b, dtype=complex)
+    c[: top + 1] = outer[: top + 1]
+    blocks = c.reshape(nblocks, b) @ powers[:b]
+    acc = blocks[-1]
+    for j in range(nblocks - 2, -1, -1):
+        acc = _truncmul(acc, powers[b], order) + blocks[j]
+    return acc
+
+
 def inverse(f: np.ndarray, order: int) -> np.ndarray:
     """Coefficients g_0..g_order of 1/f in f's dtype, by Newton doubling
     g <- g (2 - f g) (Brent and Kung, 1978): ceil(log2(order + 1)) steps,
@@ -153,9 +164,9 @@ def inverse(f: np.ndarray, order: int) -> np.ndarray:
     g = 1.0 / f[:1]
     while g.size <= order:
         n = min(2 * g.size, order + 1)
-        e = -np.convolve(f[:n], g)[:n]
+        e = -_truncmul(f[:n], g, n - 1)
         e[0] += 2.0
-        g = np.convolve(g, e)[:n]
+        g = _truncmul(g, e, n - 1)
     return g
 
 
