@@ -204,9 +204,8 @@ class Factor:
         outer = outer[: order + 1]
         if self.kind == "identity":
             return outer
-        if self.kind == "blaschke":     # z times the Moebius series
-            inner = np.append(0j, _mobius_coeffs(self.param, 1.0, order))
-            return compose(outer, inner, order)
+        if self.kind == "blaschke":
+            return compose(outer, _z_mobius(self.param, 1.0, order), order)
         return outer * self.eval(1.0) ** np.arange(order + 1)
 
     def text(self) -> str:
@@ -219,13 +218,16 @@ class Factor:
         return "%s(%s)" % (self.kind, _fmt(self.param.real))
 
 
-def _mobius_coeffs(c: complex, u: complex, order: int) -> np.ndarray:
-    """Coefficients of (c + u z) / (1 + conj(c) u z) to ``order``:
-    (c + u z) sum_n h_n z^n with h_n = (-conj(c) u)^n."""
-    h = np.cumprod(np.concatenate(([1.0], np.full(order, -np.conj(c) * u))))
-    coeffs = c * h
-    coeffs[1:] += u * h[:-1]
-    return coeffs
+def _z_mobius(c: complex, u: complex, order: int) -> np.ndarray:
+    """Coefficients 0..order + 1 of z (c + u z) / (1 + conj(c) u z), in one
+    array: z (c + u z) sum_n h_n z^n with h_n = (-conj(c) u)^n."""
+    out = np.full(order + 2, -np.conj(c) * u)
+    out[:2] = 0.0, 1.0
+    h = np.cumprod(out[1:], out=out[1:])
+    shifted = u * h[:-1]
+    np.multiply(c, h, out=h)            # c h: h c rounds differently
+    h[1:] += shifted
+    return out
 
 
 @dataclass(frozen=True)
@@ -376,7 +378,7 @@ def make_large_function(a, b, alpha, phi: SchwarzFunction,
     As phi = O(z^v), v = ``phi.valuation``, Q is built only to degree
     order // v (at least 1, which ``q_series`` needs); when v > order only
     Q(0) reaches F.  A coefficient or an omitted point whose modulus is
-    past the double range raises ``DomainError``."""
+    past the double range raises ``DomainError`` (one pass, no copy)."""
     a, b = complex(a), complex(b)
     if not isinstance(alpha, CoveringParameter):
         alpha = CoveringParameter(float(alpha))
@@ -391,7 +393,8 @@ def _checked_spec(a, b, alpha, phi, coeffs) -> LargeFunctionSpec:
     """The spec of series ``coeffs``, called with numpy's overflow warnings
     off; ``DomainError`` when a coefficient, a, b or b - a has a modulus
     past the double range."""
-    if not np.isfinite(np.abs(np.append(coeffs, (a, b, b - a)))).all():
+    if not (math.isfinite(np.abs(coeffs).max())
+            and math.isfinite(np.abs((a, b, b - a)).max())):
         raise DomainError("a coefficient or an omitted point of F exceeds "
                           "the double range")
     return LargeFunctionSpec(a, b, alpha, phi, TruncatedSeries(coeffs))
@@ -438,5 +441,5 @@ def random_mobius_bounded(seed: int, order: int = 64) -> TruncatedSeries:
     rng = Stream(seed)
     c = rng.disk(0.9)
     u = np.exp(2j * np.pi * rng.random())
-    return TruncatedSeries(_mobius_coeffs(c, u, order),
+    return TruncatedSeries(_z_mobius(c, u, order)[1:],
                            "mobius(c=%s, u=%s)" % (_fmt(c), _fmt(u)))

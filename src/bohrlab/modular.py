@@ -295,35 +295,43 @@ def q_deriv(alpha, z):
     return out
 
 
+@lru_cache(maxsize=32)
+def _steps(order: int, s: int, ncol: int):
+    """Read-only j = m s + i, j + 1, (j - 1) / (j + 1) at [i, start, m, k]."""
+    i, _, m, _ = np.indices((s, 2, -(-order // s), ncol), dtype=float)
+    j = m * s + i
+    return [np.broadcast_to(x, x.shape) for x in (j, j + 1, (j - 1) / (j + 1))]
+
+
 def _nome_powers(beta: float, ks: np.ndarray, order: int) -> np.ndarray:
     """[z^j] q^k = e^{-k beta} L_j^{(-1)}(x), x = 2 k beta, for
     q = e^{-beta (1+z)/(1-z)} (DLMF 18.12.13), in row j and column k, by
     (j+1) L_{j+1} = (2j - x) L_j - (j-1) L_{j-1} (DLMF 18.9.13) for all k.
     Started from e^{-k beta}, the values are coefficients of a function
-    bounded by 1; where e^{-k beta} would underflow, 2^-shift is kept aside.
-    A column whose Cauchy bound on |z| = 1/2, e^{-k beta / 3} 2^order, is
-    below 2^-1075 rounds to zeros and is left at zero, unrecurred.
+    bounded by 1; where e^{-k beta} would underflow (t = k beta > 700),
+    2^-shift is kept aside.  A column whose Cauchy bound on |z| = 1/2,
+    e^{-k beta / 3} 2^order, is below 2^-1075 rounds to zeros and is left
+    at zero, unrecurred; cut and shifts are formed only when asked for.
     Blocks of s <= isqrt(order) rows, as in Paterson-Stockmeyer: s baby
     steps run all blocks from the starts (1, 0) and (0, 1), and a giant
     step per block fills its rows from the block before.  A step grows a
     column at most 2t + 3 times: s log2(2 t_max + 3) <= 400 and a per-block
-    2^-600 rescale of columns past 2^600 keep values below 2^1000.
-    """
-    live = ks <= 3.0 * math.log(2.0) * (order + 1075) / beta
-    t = beta * ks[live]
-    shift = np.floor(np.maximum(t - 700.0, 0.0) / math.log(2.0))
-    watch = shift.any()
+    2^-600 rescale of columns past 2^600 keep values below 2^1000.  Step
+    factors of up to 4096 order-columns (0.24 MB) are kept by ``_steps``."""
+    cut = 3.0 * math.log(2.0) * (order + 1075) / beta
+    live = None if ks.max(initial=0) <= cut else ks <= cut
+    t = beta * (ks if live is None else ks[live])
+    watch = (t_max := t.max(initial=0.0)) > 700.0
+    shift = np.floor(np.maximum(t - 700, 0) / math.log(2.0)) if watch else 0
     s = max(1, min(math.isqrt(order),
-                   int(400.0 / math.log2(2.0 * t.max(initial=0.0) + 3.0))))
-    blocks = -(-order // s)
-    # Step j = m s + i at [i, start, m], for the starts (1, 0) and (0, 1).
-    j = np.arange(float(blocks * s)).reshape(blocks, s).T[:, None, :, None]
-    shape = (s, 2, blocks, t.size)
-    a = np.divide(2.0 * (j - t), j + 1.0, out=np.empty(shape))
-    b = np.divide(j - 1.0, j + 1.0, out=np.empty(shape))
-    transfer = np.zeros((s + 2,) + shape[1:])
+                   int(400.0 / math.log2(2.0 * t_max + 3.0))))
+    j, j1, b = (_steps if order * t.size <= 4096 else _steps.__wrapped__)(
+        order, s, t.size)                       # [i, start, m, k]
+    a = np.divide(2.0 * (j - t), j1)
+    blocks, shape = j.shape[2], j.shape[1:]
+    transfer = np.zeros((s + 2,) + shape)
     transfer[0, 0] = transfer[1, 1] = 1.0
-    steps, scratch, mul = list(transfer), np.empty(shape[1:]), np.multiply
+    steps, scratch, mul = list(transfer), np.empty(shape), np.multiply
     for ai, bi, prev, cur, new in zip(a, b, steps, steps[1:], steps[2:]):
         mul(ai, cur, out=new)                   # baby steps
         mul(bi, prev, out=scratch)
@@ -338,11 +346,14 @@ def _nome_powers(beta: float, ks: np.ndarray, order: int) -> np.ndarray:
         if watch and (big := np.abs(rows).max(axis=0) > 2.0 ** 600).any():
             out[:, big] *= 2.0 ** -600
             shift[big] -= 600
-    if live.all() and not watch:
-        return out[1 : order + 2]
-    powers = np.zeros((order + 1, ks.size))
-    powers[:, live] = np.ldexp(out[1 : order + 2], -shift.astype(int))
-    return powers
+    powers = out[1 : order + 2]
+    if watch:
+        powers = np.ldexp(powers, -shift.astype(int))
+    if live is None:
+        return powers
+    full = np.zeros((order + 1, ks.size))
+    full[:, live] = powers
+    return full
 
 
 def q_series(alpha, order: int) -> TruncatedSeries:
@@ -355,20 +366,20 @@ def q_series(alpha, order: int) -> TruncatedSeries:
     |z| = rho, an omitted q^k moves [z^j] by at most
     e^{-k beta (1 - rho)/(1 + rho)} rho^{-j}, below e^{-105} for q^100 at
     beta = pi and j = 64.  In real float64 arrays: q^k by ``_nome_powers``,
-    1/theta_3 by Newton doubling (``series.inverse``), four ``_truncmul``
-    products, and 1 - lambda(-z) by a sign flip.  Not cached: each random
-    spec draws a new alpha.
+    1/theta_3 by Newton doubling (``series.inverse``) of 2 (theta_3 / 2),
+    four ``_truncmul`` products, and 1 - lambda(-z) by an in-place sign
+    flip.  Not cached: each random spec draws a new alpha.
     """
     if order < 1:
         raise DomainError("order must be >= 1")
     alpha = _alpha_value(alpha)
     dual = alpha < math.pi
     beta = _PI_SQ / alpha if dual else alpha
-    n = np.arange(1, math.ceil(math.sqrt((2 * order + 40) / beta)) + 2)
-    powers = _nome_powers(beta, np.concatenate([n * n, n * (n + 1)]), order)
-    sums = powers.reshape(order + 1, 2, n.size).sum(axis=2) * (2.0, 1.0)
-    sums[0] += 1.0                          # theta_3 and sum q^{n(n+1)}
-    ratio = _truncmul(sums[:, 1], inverse(sums[:, 0], order), order)
+    n = np.arange(1.0, math.ceil(math.sqrt((2 * order + 40) / beta)) + 2)
+    powers = _nome_powers(beta, np.concatenate((n * n, n * (n + 1.0))), order)
+    sums = powers.reshape(order + 1, 2, n.size).sum(axis=2)
+    sums[0] += 0.5, 1.0                     # theta_3 / 2, sum q^{n(n+1)}
+    ratio = _truncmul(sums[:, 1], inverse(2.0 * sums[:, 0], order), order)
     square = _truncmul(ratio, ratio, order)
     fourth = _truncmul(square, square, order)
     lam = _truncmul(fourth, 16.0 * powers[:, 0], order)

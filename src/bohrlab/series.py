@@ -150,21 +150,22 @@ def compose(outer: np.ndarray, inner: np.ndarray, order: int) -> np.ndarray:
     blocks = c.reshape(nblocks, b) @ powers[:b]
     acc = blocks[-1]
     for j in range(nblocks - 2, -1, -1):
-        acc = _truncmul(acc, powers[b], order) + blocks[j]
+        acc = np.add(_truncmul(acc, powers[b], order), blocks[j], out=acc)
     return acc
 
 
 def inverse(f: np.ndarray, order: int) -> np.ndarray:
-    """Coefficients g_0..g_order of 1/f in f's dtype, by Newton doubling
-    g <- g (2 - f g) (Brent and Kung, 1978): ceil(log2(order + 1)) steps,
-    each doubling the correct prefix with two truncated products."""
+    """Coefficients g_0..g_order of 1/f in f's dtype by Newton doubling,
+    g <- g (2 - f g) (Brent and Kung, 1978), negating f g in place: each of
+    ceil(log2(order + 1)) steps doubles the correct prefix in two products."""
     if f[0] == 0:
         raise DomainError("cannot invert a series vanishing at 0")
-    f = np.append(f, np.zeros(max(0, order + 1 - f.size), f.dtype))
+    f = f if f.size > order else np.pad(f, (0, order + 1 - f.size))
     g = 1.0 / f[:1]
     while g.size <= order:
         n = min(2 * g.size, order + 1)
-        e = -_truncmul(f[:n], g, n - 1)
+        e = _truncmul(f[:n], g, n - 1)
+        np.negative(e, out=e)
         e[0] += 2.0
         g = _truncmul(g, e, n - 1)
     return g

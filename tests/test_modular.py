@@ -626,6 +626,25 @@ def test_nome_powers_at_the_largest_live_t(order):
     assert np.linalg.norm(blocked) <= 2.0 * np.linalg.norm(plain)
 
 
+@pytest.mark.parametrize("beta,ks", [
+    (700.0, np.array([1.0, 2.0, 3.0, 4.0, 6.0])),   # live t past 700
+    (1.0, np.array([10.0, 300.0, 600.0, 5000.0])),  # no live t past 700
+])
+def test_cut_columns_leave_the_live_ones_bit_for_bit(beta, ks):
+    """Columns are independent where the block cap does not bind: the live
+    columns of a call with cut columns are, bit for bit, the call on the
+    live columns alone, and the cut columns are zeros."""
+    order = 64
+    live = ks <= 3.0 * math.log(2.0) * (order + 1075) / beta
+    assert 0 < live.sum() < ks.size
+    t_max = beta * ks[live].max()
+    assert math.isqrt(order) * math.log2(2.0 * t_max + 3.0) <= 400.0
+    got = modular._nome_powers(beta, ks, order)
+    assert not got[:, ~live].any()
+    assert got[:, live].tobytes() \
+        == modular._nome_powers(beta, ks[live], order).tobytes()
+
+
 @pytest.mark.parametrize("order", [64, 1000])
 @pytest.mark.parametrize("alpha", [1e-3, 0.05, 50.0, 700.0, 1e4])
 def test_q_series_far_from_the_sweep_range(alpha, order):
@@ -749,25 +768,31 @@ def test_univalence_suite_at_seed_8():
     assert res.summary["collision_gap"] < 1e-13
 
 
-CACHES = (unit_ring, j_series)
+CACHES = (unit_ring, j_series, modular._steps)
 
 
 def test_caches_are_bounded():
     """Each circle, series order and node count a caller asks for is kept
-    only among the last eight."""
-    for cache in CACHES:
-        assert cache.cache_info().maxsize == 8
+    only among the last eight, and each recurrence shape among the last
+    32; step tables of more than 4096 order-columns are not kept."""
+    assert [cache.cache_info().maxsize for cache in CACHES] == [8, 8, 32]
     for nodes in range(3000, 3400):
         starlike_certificate(0.1, nodes)
         assert unit_ring.cache_info().currsize <= 8
+    for order in range(1, 1001):
+        modular._nome_powers(math.pi, np.array([1.0, 2.0]), order)
+        assert modular._steps.cache_info().currsize <= 32
+    before = modular._steps.cache_info()
+    q_series(1.7, 1000)                 # 1001 rows times 40 columns
+    assert modular._steps.cache_info() == before
 
 
 def test_seed7_report_hits_its_caches():
-    """A seed-7 report reads 2 rings and 1 float series, and every later
-    read is a hit."""
+    """A seed-7 report reads 2 rings, 1 float series and 19 recurrence
+    shapes for its 150 Q series, and every later read is a hit."""
     for cache in CACHES + (_spec_and_distance,):
         cache.cache_clear()
     for name in SUITE_NAMES:
         run_suite(name, 7)
     assert [cache.cache_info()[:2] for cache in CACHES] \
-        == [(154, 2), (99, 1)]
+        == [(154, 2), (99, 1), (131, 19)]
