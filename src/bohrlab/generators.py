@@ -378,7 +378,7 @@ def make_large_function(a, b, alpha, phi: SchwarzFunction,
     As phi = O(z^v), v = ``phi.valuation``, Q is built only to degree
     order // v (at least 1, which ``q_series`` needs); when v > order only
     Q(0) reaches F.  A coefficient or an omitted point whose modulus is
-    past the double range raises ``DomainError`` (one pass, no copy)."""
+    past the double range raises ``DomainError``, each checked once."""
     a, b = complex(a), complex(b)
     if not isinstance(alpha, CoveringParameter):
         alpha = CoveringParameter(float(alpha))
@@ -391,12 +391,11 @@ def make_large_function(a, b, alpha, phi: SchwarzFunction,
 
 def _checked_spec(a, b, alpha, phi, coeffs) -> LargeFunctionSpec:
     """The spec of series ``coeffs``, called with numpy's overflow warnings
-    off; ``DomainError`` when a coefficient, a, b or b - a has a modulus
-    past the double range."""
-    if not (math.isfinite(np.abs(coeffs).max())
-            and math.isfinite(np.abs((a, b, b - a)).max())):
-        raise DomainError("a coefficient or an omitted point of F exceeds "
-                          "the double range")
+    off; ``DomainError`` when a, b or b - a has a modulus past the double
+    range, or (from ``TruncatedSeries``, the one check on coefficient
+    moduli) a coefficient does."""
+    if not math.isfinite(np.abs((a, b, b - a)).max()):
+        raise DomainError("an omitted point of F exceeds the double range")
     return LargeFunctionSpec(a, b, alpha, phi, TruncatedSeries(coeffs))
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -112,26 +113,38 @@ def test_compose_oracle():
 
 def _full_horner(outer, inner, order):
     """compose as a Horner loop over every outer coefficient up to
-    ``order``, zero or not."""
-    inner = inner[: order + 1]
+    ``order``, zero or not, each step the product by u that compose makes
+    at this order: rows 1.. of u's Toeplitz matrix up to the Toeplitz
+    bound, else the truncated product."""
+    u = np.zeros(order + 1, dtype=complex)
+    u[: min(inner.size, order + 1)] = inner[: order + 1]
+    if order <= series.TOEPLITZ_MAX_ORDER:
+        rows = u[series._toeplitz_index(order + 1)][1:]
+        times_u = lambda acc: np.concatenate([[0], rows.dot(acc)])
+    else:
+        times_u = lambda acc: series._truncmul(acc, u, order)
     acc = np.zeros(order + 1, dtype=complex)
     acc[0] = outer[order]
     for k in range(order - 1, -1, -1):
-        acc = np.convolve(acc, inner)[: order + 1]
+        acc = times_u(acc)
         acc[0] += outer[k]
     return acc
 
 
 @pytest.mark.parametrize("degree", [None, 0, 1, 2, 3])
 def test_compose_from_top_coefficient_matches_full_horner(degree):
+    """At the sweep order and above the Toeplitz bound, one per route."""
     rng = np.random.default_rng(11)
-    coeffs = np.zeros(65, dtype=complex)
-    if degree is not None:
-        coeffs[: degree + 1] = rng.standard_normal(degree + 1) \
-            + 1j * rng.standard_normal(degree + 1)
-    c = rng.standard_normal(65) + 1j * rng.standard_normal(65)
-    c[0] = 0
-    assert np.array_equal(compose(coeffs, c, 64), _full_horner(coeffs, c, 64))
+    for order in (64, series.TOEPLITZ_MAX_ORDER + 1):
+        coeffs = np.zeros(order + 1, dtype=complex)
+        if degree is not None:
+            coeffs[: degree + 1] = rng.standard_normal(degree + 1) \
+                + 1j * rng.standard_normal(degree + 1)
+        c = rng.standard_normal(order + 1) \
+            + 1j * rng.standard_normal(order + 1)
+        c[0] = 0
+        assert np.array_equal(compose(coeffs, c, order),
+                              _full_horner(coeffs, c, order)), order
 
 
 def _dyadic(values):
@@ -164,14 +177,21 @@ def _exact_compose(outer, inner, top, order):
     return [(Fraction(re, den), Fraction(im, den)) for re, im in acc]
 
 
-@pytest.mark.parametrize("top", [4, 8, 9, 15, 16, 17, 63, 64])
-def test_compose_within_rounding_budget_of_exact(top):
+@pytest.mark.parametrize("top, order", [
+    *(pytest.param(top, 64, id=str(top))
+      for top in (4, 8, 9, 15, 16, 17, 63, 64)),
+    pytest.param(9, series.TOEPLITZ_MAX_ORDER + 1, id="9-above-toeplitz"),
+])
+def test_compose_within_rounding_budget_of_exact(top, order):
     """Paterson-Stockmeyer against exact rational arithmetic on the same
-    float inputs, coefficient by coefficient, at order N = 64.
+    float inputs, coefficient by coefficient, at order N = 64 (Toeplitz
+    products) and at one order above the Toeplitz bound (truncated
+    products), so both product routes of compose meet one budget.
 
     Budget.  Let u = eps/2 and theta = sqrt(2) gamma_{2(N+1)}, with
     gamma_m = m u / (1 - m u).  Every step of compose (a truncated
-    product, a row of the block matrix product) is a complex sum of at most
+    product, a row of a Toeplitz matrix-vector product or of the block
+    matrix product) is a complex sum of at most
     N + 1 products; evaluated in any order, by complex or by separate real
     and imaginary accumulation, its error is at most theta sum |a_k||b_k|.
     If inputs are within (F_a - 1) and (F_b - 1) of their majorants A, B
@@ -182,13 +202,12 @@ def test_compose_within_rounding_budget_of_exact(top):
     the result is within F = (1 + u)^J (1 + theta)^(b (J + 1)) of the
     majorant (|outer| o |inner|)_n.  With b (J + 1) + J <= top + b +
     top / b <= 2 top + 1, F - 1 <= (2 top + 1) theta / (1 - (2 top + 1)
-    theta) <= 2 sqrt(2) (1 + 1e-11) (N + 1)(top + 1) eps at N = 64.  The
+    theta) <= 2 sqrt(2) (1 + 1e-10) (N + 1)(top + 1) eps at N <= 129.  The
     test allows gamma (top + 1) eps (|outer| o |inner|)_n with
     gamma = 3 (N + 1), which also covers the rounding of the float
     majorant (all its terms are positive).  The error is one-sided: it is
     an upper bound on |computed - exact|, never an estimate of it.
     """
-    order = 64
     rng = np.random.default_rng(top)
     outer = np.zeros(order + 1, dtype=complex)
     outer[: top + 1] = rng.standard_normal(top + 1) \
@@ -212,6 +231,30 @@ def test_compose_within_rounding_budget_of_exact(top):
         err = math.hypot(float(Fraction(c.real) - re),
                          float(Fraction(c.imag) - im))
         assert err <= budget[n], (n, err, budget[n])
+
+
+def test_toeplitz_index_cache_is_bounded():
+    """compose keeps the Toeplitz index of an order up to the bound only
+    among the last 16 orders, and none above the bound: there every
+    product is the truncated product, so a composition at order 4096
+    allocates nothing near one (4097 x 4097) matrix."""
+    cache = series._toeplitz_index
+    assert cache.cache_info().maxsize == 16
+    u = np.zeros(4097, dtype=complex)
+    u[1] = 1.0
+    outer = np.ones(17, dtype=complex)
+    for order in range(1, series.TOEPLITZ_MAX_ORDER + 1):
+        compose(outer, u, order)
+        assert cache.cache_info().currsize <= 16
+    before = cache.cache_info()
+    tracemalloc.start()
+    try:
+        compose(outer, u, 4096)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cache.cache_info() == before
+    assert peak < 4097 * 4097 * 16 / 100
 
 
 def test_compose_requires_vanishing_inner():
