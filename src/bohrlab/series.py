@@ -41,7 +41,9 @@ class TruncatedSeries:
         c = np.asarray(self.coeffs, dtype=complex)
         if c.ndim != 1 or c.size == 0:
             raise ValueError("coeffs must be a nonempty 1-d sequence")
-        if not isfinite(np.abs(c).max()):
+        with np.errstate(over="ignore"):
+            modulus = np.abs(c).max()
+        if not isfinite(modulus):
             raise DomainError("series coefficient moduli must be finite, "
                               "not past the double range or NaN")
         c.setflags(write=False)
@@ -120,21 +122,22 @@ def _truncmul(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
     return _correlate(a, b[::-1], 2)[: n + 1]
 
 
-#: Highest order at which ``compose`` multiplies by Toeplitz matrices.  One
-#: holds (N + 1)^2 numbers at order N (266 kB at 128, 268 MB at 4096), and
-#: on one core its products took twice ``_truncmul``'s time at order 512.
-TOEPLITZ_MAX_ORDER = 128
+#: Highest order at which ``compose`` multiplies by Toeplitz matrices: the
+#: sweeps' order.  A matrix holds (N + 1)^2 numbers (268 MB at order 4096),
+#: and from order 65 every product crosses OpenBLAS's threading threshold
+#: (4096 elements), where on two shared cores the threads cost more than
+#: they give.
+TOEPLITZ_MAX_ORDER = 64
 
 
-@lru_cache(maxsize=16)
-def _toeplitz_index(n: int) -> np.ndarray:
-    """The read-only n x n index max(r - s, 0), for 16 sizes n.  For v with
-    v[0] = 0, v[index] is v's lower-triangular Toeplitz matrix: times x,
-    it is v x truncated at degree n - 1."""
-    r = np.arange(n)
-    index = np.maximum(r[:, None] - r, 0)
-    index.setflags(write=False)
-    return index
+def _toeplitz_view(padded: np.ndarray) -> np.ndarray:
+    """The n x n lower-triangular Toeplitz matrix T[r, s] = v[r - s] (0 for
+    s > r) of the series v that ``padded`` holds after n - 1 zeros, as a
+    view of ``padded``: T @ x is v x truncated at degree n - 1."""
+    n = (padded.size + 1) // 2
+    step = padded.itemsize
+    return np.ndarray((n, n), padded.dtype, padded, (n - 1) * step,
+                      (step, -step))
 
 
 def compose(outer: np.ndarray, inner: np.ndarray, order: int) -> np.ndarray:
@@ -153,9 +156,10 @@ def compose(outer: np.ndarray, inner: np.ndarray, order: int) -> np.ndarray:
 
     Each of those products multiplies by u or by g, so up to
     ``TOEPLITZ_MAX_ORDER`` it is a BLAS matrix-vector product with the
-    Toeplitz matrix of u or of g, each gathered once, g's into u's buffer;
-    as u^i and g vanish below degrees i and b, only rows i.. and b.. are
-    multiplied.  Above the bound each is ``_truncmul``.
+    Toeplitz matrix of u or of g, each copied once from ``_toeplitz_view``,
+    g's into u's buffer; as u^i and g vanish below degrees i and b, only
+    rows i.. and b.. are multiplied.  Above the bound each is
+    ``_truncmul``, and no matrix is built.
     """
     if inner[0] != 0:
         raise DomainError("inner series has constant term %r"
@@ -166,28 +170,34 @@ def compose(outer: np.ndarray, inner: np.ndarray, order: int) -> np.ndarray:
     powers = np.zeros((b + 1, order + 1), dtype=complex)
     powers[0, 0] = 1.0
     powers[1, : min(inner.size, order + 1)] = inner[: order + 1]
+    u = powers[1]
     toeplitz = order <= TOEPLITZ_MAX_ORDER
     if toeplitz:
-        index = _toeplitz_index(order + 1)
-        t = powers[1][index]
+        padded = np.zeros(2 * order + 1, dtype=complex)
+        padded[order:] = u
+        view = _toeplitz_view(padded)
+        t = view.copy()
         for i in range(2, b + 1):
             t[i:].dot(powers[i - 1], out=powers[i, i:])
     else:
         for i in range(2, b + 1):
-            powers[i] = _truncmul(powers[i - 1], powers[1], order)
+            powers[i] = _truncmul(powers[i - 1], u, order)
     nblocks = top // b + 1
     c = np.zeros(nblocks * b, dtype=complex)
     c[: top + 1] = outer[: top + 1]
     blocks = c.reshape(nblocks, b) @ powers[:b]
     if toeplitz:
-        # In range, the indices wrap nowhere; "raise" would buffer ``out``.
-        g = powers[b].take(index[b:], out=t[b:], mode="wrap")
+        padded[order:] = powers[b]
+        g = t[b:]
+        g[...] = view[b:]
         for j in range(nblocks - 2, -1, -1):
-            blocks[j, b:] += g.dot(blocks[j + 1])
-    else:
-        for j in range(nblocks - 2, -1, -1):
-            blocks[j] += _truncmul(blocks[j + 1], powers[b], order)
-    return blocks[0]
+            row = blocks[j, b:]
+            np.add(g.dot(blocks[j + 1]), row, out=row)
+        return blocks[0]
+    acc = blocks[-1]
+    for j in range(nblocks - 2, -1, -1):
+        acc = np.add(_truncmul(acc, powers[b], order), blocks[j], out=acc)
+    return acc
 
 
 def inverse(f: np.ndarray, order: int) -> np.ndarray:

@@ -277,19 +277,6 @@ def test_only_blaschke_factors_compose(monkeypatch, factors, blaschke):
     assert calls == stage_degrees(40)
 
 
-def test_spec_build_batch_hits_the_toeplitz_index_cache():
-    """100 spec-build operations at seed 7 (a spec at order 64 and its
-    Littlewood pull-back to degree 40) make 94 compositions at 8 orders:
-    each order's Toeplitz index is built once and read from the cache
-    after."""
-    cache = bohrlab.series._toeplitz_index
-    cache.cache_clear()
-    for i in range(100):
-        spec = random_large_function((7 * 1_000_003 + i) % 2**63, 64)
-        littlewood_check(spec.phi, 64, 40)
-    assert cache.cache_info()[:2] == (86, 8)
-
-
 @pytest.mark.parametrize("factors,q_order", [
     ((Factor("power", 2), Factor("identity"), Factor("power", 3)), 10),
     ((Factor("blaschke", 0.3 - 0.2j), Factor("power", 2)), 32),
