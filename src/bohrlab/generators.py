@@ -14,12 +14,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import DomainError
-from .modular import CoveringParameter, j_eval, q_eval, q_series
-from .series import TruncatedSeries, compose
+from .modular import CoveringParameter, _q_coeffs, j_eval, q_eval
+from .series import (TOEPLITZ_MAX_ORDER, TruncatedSeries, _compose_powers,
+                     _power_table, compose)
 
 #: Radius of the circle on which ``LargeFunctionSpec.modulus_bound`` bounds
 #: |F|; every Cauchy tail bound of the inequality checks reads it.
@@ -195,7 +197,8 @@ class Factor:
         first ``order // valuation + 1`` coefficients of ``outer``, the
         only ones that reach it.  Only a Blaschke factor needs a general
         composition: c z multiplies [z^j] by c^j, and z^k moves it to
-        degree j k exactly."""
+        degree j k exactly.  Up to ``TOEPLITZ_MAX_ORDER`` a Blaschke factor
+        reads its parameter's cached power table (``_blaschke_powers``)."""
         if self.kind == "power":
             k = self.valuation
             moved = np.zeros(order + 1, dtype=complex)
@@ -204,9 +207,11 @@ class Factor:
         outer = outer[: order + 1]
         if self.kind == "identity":
             return outer
-        if self.kind == "blaschke":
-            return compose(outer, _z_mobius(self.param, 1.0, order), order)
-        return outer * self.eval(1.0) ** np.arange(order + 1)
+        if self.kind != "blaschke":
+            return outer * self.eval(1.0) ** np.arange(order + 1)
+        if order <= TOEPLITZ_MAX_ORDER:
+            return _compose_powers(outer, _blaschke_powers(self.param), order)
+        return compose(outer, _z_mobius(self.param, 1.0, order), order)
 
     def text(self) -> str:
         if self.kind == "identity":
@@ -228,6 +233,15 @@ def _z_mobius(c: complex, u: complex, order: int) -> np.ndarray:
     np.multiply(c, h, out=h)            # c h: h c rounds differently
     h[1:] += shifted
     return out
+
+
+@lru_cache(maxsize=8)
+def _blaschke_powers(c: complex) -> np.ndarray:
+    """``series._power_table`` of z (c + z) / (1 + conj(c) z) to degree 64
+    with b = 8, for eight c: a pull-back to degree d <= 64 reads its
+    leading d + 1 columns, so its bits depend on c alone."""
+    n = TOEPLITZ_MAX_ORDER
+    return _power_table(_z_mobius(c, 1.0, n), n, math.isqrt(n))
 
 
 @dataclass(frozen=True)
@@ -372,19 +386,19 @@ class LargeFunctionSpec:
 
 def make_large_function(a, b, alpha, phi: SchwarzFunction,
                         order: int) -> LargeFunctionSpec:
-    """Assemble the spec and its truncated series: Q's coefficients pulled
-    back through phi's factors (``SchwarzFunction.pull_back``), so only a
-    Blaschke factor costs a series composition, then a + (b - a) Q(phi).
-    As phi = O(z^v), v = ``phi.valuation``, Q is built only to degree
-    order // v (at least 1, which ``q_series`` needs); when v > order only
-    Q(0) reaches F.  A coefficient or an omitted point whose modulus is
-    past the double range raises ``DomainError``, each checked once."""
+    """Assemble the spec and its one ``TruncatedSeries``: Q's coefficient
+    array (``modular._q_coeffs``) pulled back through phi's factors
+    (``SchwarzFunction.pull_back``), then a + (b - a) Q(phi).  As
+    phi = O(z^v), v = ``phi.valuation``, Q is built only to degree
+    order // v (at least 1); when v > order only Q(0) reaches F.  A
+    coefficient or an omitted point whose modulus is past the double
+    range raises ``DomainError``, each checked once."""
     a, b = complex(a), complex(b)
     if not isinstance(alpha, CoveringParameter):
         alpha = CoveringParameter(float(alpha))
-    q = q_series(alpha, max(1, order // phi.valuation))
+    q = _q_coeffs(alpha, max(1, order // phi.valuation))
     with np.errstate(over="ignore", invalid="ignore"):
-        coeffs = phi.pull_back(q.coeffs, order) * (b - a)
+        coeffs = phi.pull_back(q, order) * (b - a)
         coeffs[0] += a
         return _checked_spec(a, b, alpha, phi, coeffs)
 

@@ -357,7 +357,12 @@ def _nome_powers(beta: float, ks: np.ndarray, order: int) -> np.ndarray:
 
 
 def q_series(alpha, order: int) -> TruncatedSeries:
-    """Series of Q about 0 from theta sums in the nome; no J point.
+    """Series of Q about 0: the ``TruncatedSeries`` of ``_q_coeffs``."""
+    return TruncatedSeries(_q_coeffs(alpha, order))
+
+
+def _q_coeffs(alpha, order: int) -> np.ndarray:
+    """Coefficients of Q about 0 from theta sums in the nome; no J point.
 
     lambda = 16 q (sum_{n>=0} q^{n(n+1)})^4 / (1 + 2 sum_{n>=1} q^{n^2})^4
     with q = e^{-beta (1+z)/(1-z)}: Q = lambda at beta = alpha >= pi, else
@@ -386,7 +391,7 @@ def q_series(alpha, order: int) -> TruncatedSeries:
     if dual:                                # 1 - lambda(-z)
         lam[::2] *= -1.0
         lam[0] += 1.0
-    return TruncatedSeries(lam)
+    return lam
 
 
 # ---------------------------------------------------------------------------

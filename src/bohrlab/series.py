@@ -147,57 +147,59 @@ def compose(outer: np.ndarray, inner: np.ndarray, order: int) -> np.ndarray:
     degree-N prefix of u determine the composite exactly to degree N,
     and outer degrees beyond ``order`` cannot reach back.
 
-    Paterson-Stockmeyer with b = max(1, isqrt(top)), ``top`` the
-    highest nonzero outer degree <= ``order``: one matrix product with
-    u^0..u^{b-1} forms the blocks sum_{i<b} c_{jb+i} u^i, and Horner
-    runs over the blocks in g = u^b.  That is b - 1 + top // b
-    truncated products instead of top (15 instead of 64 at top = 64);
-    for top <= 3, b = 1 and it is Horner on the coefficients.
-
-    Each of those products multiplies by u or by g, so up to
-    ``TOEPLITZ_MAX_ORDER`` it is a BLAS matrix-vector product with the
-    Toeplitz matrix of u or of g, each copied once from ``_toeplitz_view``,
-    g's into u's buffer; as u^i and g vanish below degrees i and b, only
-    rows i.. and b.. are multiplied.  Above the bound each is
-    ``_truncmul``, and no matrix is built.
+    Paterson-Stockmeyer with b = max(1, isqrt(top)), ``top`` the highest
+    nonzero outer degree <= ``order``: ``_power_table`` builds u^0..u^b,
+    then ``_compose_powers`` forms the blocks sum_{i<b} c_{jb+i} u^i in
+    one matrix product and runs Horner over them in g = u^b: b - 1 +
+    top // b products instead of top (15 instead of 64 at top = 64).  Up
+    to ``TOEPLITZ_MAX_ORDER`` each is a BLAS matrix-vector product with
+    rows i.. of u's or b.. of g's Toeplitz matrix (u^i and g vanish below
+    degrees i and b); above it, where no workload composes, each is
+    ``_truncmul`` and no matrix is built.  A Blaschke pull-back up to the
+    bound reads a shared table instead (``generators._blaschke_powers``).
     """
     if inner[0] != 0:
         raise DomainError("inner series has constant term %r"
                           % complex(inner[0]))
-    nonzero = np.flatnonzero(outer[: order + 1])
-    top = int(nonzero[-1]) if nonzero.size else 0
-    b = max(1, isqrt(top))
+    top = int(nz[-1]) if (nz := np.flatnonzero(outer[: order + 1])).size else 0
+    powers = _power_table(inner, order, max(1, isqrt(top)))
+    return _compose_powers(outer, powers, order)
+
+
+def _power_table(inner: np.ndarray, order: int, b: int) -> np.ndarray:
+    """Read-only rows u^0..u^b to degree ``order``, u = ``inner``."""
     powers = np.zeros((b + 1, order + 1), dtype=complex)
     powers[0, 0] = 1.0
-    powers[1, : min(inner.size, order + 1)] = inner[: order + 1]
     u = powers[1]
-    toeplitz = order <= TOEPLITZ_MAX_ORDER
-    if toeplitz:
-        padded = np.zeros(2 * order + 1, dtype=complex)
-        padded[order:] = u
-        view = _toeplitz_view(padded)
-        t = view.copy()
+    u[: min(inner.size, order + 1)] = inner[: order + 1]
+    if order <= TOEPLITZ_MAX_ORDER:
+        t = _toeplitz_view(np.concatenate((np.zeros(order), u))).copy()
         for i in range(2, b + 1):
             t[i:].dot(powers[i - 1], out=powers[i, i:])
     else:
         for i in range(2, b + 1):
             powers[i] = _truncmul(powers[i - 1], u, order)
+    powers.setflags(write=False)
+    return powers
+
+
+def _compose_powers(outer: np.ndarray, powers: np.ndarray,
+                    order: int) -> np.ndarray:
+    """outer(u) to degree ``order`` from a ``_power_table`` of u."""
+    b, toeplitz = powers.shape[0] - 1, order <= TOEPLITZ_MAX_ORDER
+    g = powers[b, : order + 1]
+    top = int(nz[-1]) if (nz := np.flatnonzero(outer[: order + 1])).size else 0
     nblocks = top // b + 1
     c = np.zeros(nblocks * b, dtype=complex)
     c[: top + 1] = outer[: top + 1]
-    blocks = c.reshape(nblocks, b) @ powers[:b]
-    if toeplitz:
-        padded[order:] = powers[b]
-        g = t[b:]
-        g[...] = view[b:]
-        for j in range(nblocks - 2, -1, -1):
-            row = blocks[j, b:]
-            np.add(g.dot(blocks[j + 1]), row, out=row)
-        return blocks[0]
-    acc = blocks[-1]
+    blocks = c.reshape(nblocks, b) @ powers[:b, : order + 1]
+    if toeplitz and nblocks > 1:
+        g = _toeplitz_view(np.concatenate((np.zeros(order), g)))[b:].copy()
     for j in range(nblocks - 2, -1, -1):
-        acc = np.add(_truncmul(acc, powers[b], order), blocks[j], out=acc)
-    return acc
+        row = blocks[j, b:] if toeplitz else blocks[j]
+        np.add(g.dot(blocks[j + 1]) if toeplitz
+               else _truncmul(blocks[j + 1], g, order), row, out=row)
+    return blocks[0]
 
 
 def inverse(f: np.ndarray, order: int) -> np.ndarray:

@@ -16,13 +16,15 @@ from bohrlab.bohr import (BASE_SLACK, algebra_properties_check, bohr_operator,
                           main_theorem_check, von_neumann_check)
 from bohrlab.errors import DomainError
 from bohrlab.generators import (TAIL_RHO, Factor, SchwarzFunction,
-                                identity_schwarz, make_large_function,
-                                random_large_function, random_mobius_bounded,
-                                random_polynomial, random_schwarz)
+                                _blaschke_powers, identity_schwarz,
+                                make_large_function, random_large_function,
+                                random_mobius_bounded, random_polynomial,
+                                random_schwarz)
 from bohrlab.geometry import boundary_distance
 from bohrlab.harmonic import build_pair, harmonic_bohr_check
-from bohrlab.modular import E_PI, j_series, q_series
-from bohrlab.series import (TruncatedSeries, circle_sup, compose, inverse,
+from bohrlab.modular import E_PI, _q_coeffs, j_series, q_series
+from bohrlab.series import (TOEPLITZ_MAX_ORDER, TruncatedSeries,
+                            _compose_powers, circle_sup, compose, inverse,
                             unit_ring)
 from bohrlab.sweeps import run_von_neumann
 
@@ -250,12 +252,18 @@ def test_only_blaschke_factors_compose(monkeypatch, factors, blaschke):
     a Blaschke factor costs a general series composition, last factor
     first, at the degree the factors applied before it keep: order over
     the product of their power exponents (for (power(2), blaschke), 32
-    for Q at order 64 and 20 for -J(-z) at kmax 40)."""
+    for Q at order 64 and 20 for -J(-z) at kmax 40).  At these degrees
+    each composition reads the factor's shared power table, built once
+    per Blaschke parameter across both pull-backs, and none calls
+    ``compose``."""
     calls = []
 
-    def counting(outer, inner, order):
+    def counting(outer, powers, order):
         calls.append(order)
-        return compose(outer, inner, order)
+        return _compose_powers(outer, powers, order)
+
+    def refuse(*args):
+        raise AssertionError("a pull-back at degree <= 64 called compose")
 
     def stage_degrees(order):
         degrees, v = [], 1
@@ -266,7 +274,9 @@ def test_only_blaschke_factors_compose(monkeypatch, factors, blaschke):
                 v *= int(f.param.real)
         return degrees[::-1]
 
-    monkeypatch.setattr(bohrlab.generators, "compose", counting)
+    monkeypatch.setattr(bohrlab.generators, "_compose_powers", counting)
+    monkeypatch.setattr(bohrlab.generators, "compose", refuse)
+    _blaschke_powers.cache_clear()
     phi = SchwarzFunction(factors)
     make_large_function(0.0, 1.0, 1.7, phi, 64)
     assert len(calls) == blaschke
@@ -275,6 +285,71 @@ def test_only_blaschke_factors_compose(monkeypatch, factors, blaschke):
     littlewood_check(phi, 64, 40)
     assert len(calls) == blaschke
     assert calls == stage_degrees(40)
+    info = _blaschke_powers.cache_info()
+    assert (info.misses, info.hits) == (blaschke, blaschke)
+
+
+def _seed7_blaschke_parameters(ops):
+    """The Blaschke parameters of the first ``ops`` seed-7 spec-build
+    operations, in the order their pull-backs read them, after running
+    each operation's two pull-backs."""
+    params = []
+    for i in range(ops):
+        spec = random_large_function(7 * 1_000_003 + i, 64)
+        littlewood_check(spec.phi, 64, 40)
+        params += [f.param for f in spec.phi.factors[::-1]
+                   if f.kind == "blaschke"]
+    return params
+
+
+def test_blaschke_power_tables_are_bounded():
+    """Pull-backs keep the power tables of the last eight Blaschke
+    parameters, each exactly the (isqrt(64) + 1) x 65 rows u^0..u^8 and
+    no O(N^2) array; a pull-back above ``TOEPLITZ_MAX_ORDER`` keeps
+    none."""
+    cache = _blaschke_powers
+    assert cache.cache_info().maxsize == 8
+    cache.cache_clear()
+    params = _seed7_blaschke_parameters(300)
+    info = cache.cache_info()
+    assert info.currsize <= 8 and info.misses > 8
+    kept = list(dict.fromkeys(params[::-1]))[:8]
+    for c in kept:
+        table = cache(c)
+        assert table.shape == (math.isqrt(64) + 1, 65)
+        assert table.dtype == complex and table.base is None
+        assert not table.flags.writeable
+    assert cache.cache_info().hits == info.hits + len(kept)
+    before = cache.cache_info()
+    outer = np.ones(TOEPLITZ_MAX_ORDER + 2, dtype=complex)
+    Factor("blaschke", 0.3 + 0.2j).pull_back(outer, TOEPLITZ_MAX_ORDER + 1)
+    assert cache.cache_info() == before
+
+
+def test_blaschke_pull_back_bits_do_not_depend_on_the_cache():
+    """A pull-back reads the same table bits whichever call built it: each
+    degree gives the same array with the table cold and warm, and
+    ``littlewood_check`` and ``make_large_function`` give the same bits
+    before and after each other on one phi."""
+    f = Factor("blaschke", 0.45 - 0.6j)
+    rng = np.random.default_rng(5)
+    outer = rng.standard_normal(65) + 1j * rng.standard_normal(65)
+    degrees = (64, 40, 21, 8, 7, 1)
+    cold = {}
+    for d in degrees:
+        _blaschke_powers.cache_clear()
+        cold[d] = f.pull_back(outer, d)
+    for d in degrees[::-1]:
+        assert np.array_equal(f.pull_back(outer, d), cold[d]), d
+    phi = SchwarzFunction((Factor("blaschke", 0.3 + 0.5j), Factor("power", 2),
+                           Factor("blaschke", -0.6 + 0.1j)))
+    _blaschke_powers.cache_clear()
+    lhs = littlewood_check(phi, 64, 40).lhs
+    spec = make_large_function(0.2, 1.1j, 1.7, phi, 64)
+    assert littlewood_check(phi, 64, 40).lhs == lhs
+    _blaschke_powers.cache_clear()
+    again = make_large_function(0.2, 1.1j, 1.7, phi, 64)
+    assert np.array_equal(again.series.coeffs, spec.series.coeffs)
 
 
 @pytest.mark.parametrize("factors,q_order", [
@@ -285,14 +360,15 @@ def test_only_blaschke_factors_compose(monkeypatch, factors, blaschke):
 ])
 def test_q_is_built_only_to_the_degree_phi_keeps(monkeypatch, factors,
                                                  q_order):
-    """F reads Q only to degree order // v(phi), so Q is built to it."""
+    """F reads Q only to degree order // v(phi), so Q's coefficient array
+    (``modular._q_coeffs``, the core of ``q_series``) is built to it."""
     orders = []
 
     def recording(alpha, order):
         orders.append(order)
-        return q_series(alpha, order)
+        return _q_coeffs(alpha, order)
 
-    monkeypatch.setattr(bohrlab.generators, "q_series", recording)
+    monkeypatch.setattr(bohrlab.generators, "_q_coeffs", recording)
     make_large_function(0.0, 1.0, 1.7, SchwarzFunction(factors), 64)
     assert orders == [q_order]
 

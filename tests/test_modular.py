@@ -6,7 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from bohrlab import modular, series
+from bohrlab import generators, modular, series
 from bohrlab.errors import DomainError
 from bohrlab.modular import (E_HALF_PI, E_PI, CoveringParameter, a_coeffs,
                              collision_search, j_coeffs_exact, j_deriv,
@@ -768,14 +768,16 @@ def test_univalence_suite_at_seed_8():
     assert res.summary["collision_gap"] < 1e-13
 
 
-CACHES = (unit_ring, j_series, modular._steps)
+CACHES = (unit_ring, j_series, modular._steps, generators._blaschke_powers)
 
 
 def test_caches_are_bounded():
     """Each circle, series order and node count a caller asks for is kept
     only among the last eight, and each recurrence shape among the last
-    32; step tables of more than 4096 order-columns are not kept."""
-    assert [cache.cache_info().maxsize for cache in CACHES] == [8, 8, 32]
+    32, and each Blaschke power table among the last eight (more in
+    tests/test_bohr.py); step tables of more than 4096 order-columns are
+    not kept."""
+    assert [cache.cache_info().maxsize for cache in CACHES] == [8, 8, 32, 8]
     for nodes in range(3000, 3400):
         starlike_certificate(0.1, nodes)
         assert unit_ring.cache_info().currsize <= 8
@@ -789,10 +791,12 @@ def test_caches_are_bounded():
 
 def test_seed7_report_hits_its_caches():
     """A seed-7 report reads 2 rings, 1 float series and 19 recurrence
-    shapes for its 150 Q series, and every later read is a hit."""
+    shapes for its 150 Q series, and every later read is a hit.  Its 126
+    Blaschke pull-backs build 126 power tables and reuse none: no suite
+    pulls two series back through one phi."""
     for cache in CACHES + (_spec_and_distance,):
         cache.cache_clear()
     for name in SUITE_NAMES:
         run_suite(name, 7)
     assert [cache.cache_info()[:2] for cache in CACHES] \
-        == [(154, 2), (99, 1), (131, 19)]
+        == [(154, 2), (99, 1), (131, 19), (0, 126)]

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bohrlab.errors import DomainError
-from bohrlab import series
+from bohrlab import generators, series
 from bohrlab.series import TruncatedSeries, compose, inverse
 
 
@@ -248,6 +248,40 @@ def test_compose_within_rounding_budget_of_exact(top, order):
         err = math.hypot(float(Fraction(c.real) - re),
                          float(Fraction(c.imag) - im))
         assert err <= budget[n], (n, err, budget[n])
+
+
+def test_shared_table_pull_back_within_rounding_budget_of_exact():
+    """A Blaschke pull-back to degree d <= 64 reads the leading d + 1
+    columns of one order-64 power table with b = 8
+    (``generators._blaschke_powers``), not a table of its own b.  At every
+    degree 1..64 it meets the budget of
+    ``test_compose_within_rounding_budget_of_exact`` at N = top = d.  As
+    u vanishes at 0, the degree-d prefix of one exact composition at
+    order 64 is the exact composite of outer's degree-d prefix, and so is
+    that of the majorant.  That budget grows with |u|'s majorant, so the
+    pull-back is also held to ``compose`` at degree d, which builds its
+    own table with b = isqrt(d), within 4e-15 of the largest
+    coefficient."""
+    c = 0.6 + 0.5j
+    rng = np.random.default_rng(64)
+    outer = rng.standard_normal(65) + 1j * rng.standard_normal(65)
+    inner = generators._z_mobius(c, 1.0, 64)[:65]
+    exact = _exact_compose(outer, inner, 64, 64)
+    majorant = np.zeros(65)
+    for k in range(64, -1, -1):
+        majorant = np.convolve(majorant, np.abs(inner))[:65]
+        majorant[0] += abs(outer[k])
+    factor = generators.Factor("blaschke", c)
+    for d in range(1, 65):
+        got = factor.pull_back(outer, d)
+        own = compose(outer, generators._z_mobius(c, 1.0, d), d)
+        assert np.abs(got - own).max() <= 4e-15 * np.abs(own).max(), d
+        budget = 3 * (d + 1) ** 2 * np.finfo(float).eps * majorant
+        for n, (re, im) in enumerate(exact[: d + 1]):
+            g = complex(got[n])
+            err = math.hypot(float(Fraction(g.real) - re),
+                             float(Fraction(g.imag) - im))
+            assert err <= budget[n], (d, n, err, budget[n])
 
 
 def test_compose_above_the_bound_builds_no_matrix():
