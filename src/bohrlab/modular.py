@@ -5,9 +5,10 @@ twice-punctured plane C \\ {0, 1} from the punctured unit disk.  This module
 provides its series expansion as exact integers and as their nearest
 doubles (``j_series``, the one float series of J), the positive integers
 A_n of -J(-z) = 16 z sum A_n z^n, checked in exact arithmetic,
-pointwise evaluation of J and J' (modular reduction of the nome, then
-theta sums, in bounded blocks; non-finite results raise DomainError), the
-induced covering map Q(z) = J(exp(-alpha (1+z)/(1-z))), a certificate
+pointwise evaluation of J, J', the covering map Q(z) = J(e^sigma) with
+sigma = -alpha (1+z)/(1-z), and Q', by one kernel on log-nomes (modular
+reduction, then theta sums, in bounded blocks; Q feeds it sigma itself;
+non-finite results raise DomainError), a certificate
 that J is starlike, hence univalent, on a circle below its univalence
 radius, and a closed-form pair with J(z1) = J(z2) beyond it.
 """
@@ -99,13 +100,13 @@ def a_coeffs(order: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 # Evaluation by modular reduction
 #
-# With w = e^{i pi tau}, J(w) = lambda(tau) = (theta_2 / theta_3)^4 at nome w.
-# The modular group acts on lambda through the anharmonic group:
-# lambda(tau + 1) = lambda / (lambda - 1), which is w -> -w, and
-# lambda(-1/tau) = 1 - lambda, which is log w -> pi^2 / log w.  Reducing
-# tau to |Re tau| <= 1/2, |tau| >= _FLIP_BELOW leaves |w| <= _REDUCED_RADIUS,
-# where three terms of each theta series reach double precision: the first
-# omitted one, 2 w^16 in theta_3, is below 4e-19.
+# With w = e^sigma, sigma = i pi tau, J(w) = lambda(tau) = (theta_2 /
+# theta_3)^4 at nome w.  The modular group acts on lambda through the
+# anharmonic group (DLMF 23.15-23.18): lambda(tau + 1) = lambda / (lambda - 1)
+# is sigma -> sigma + i pi, and lambda(-1/tau) = 1 - lambda is sigma ->
+# pi^2 / sigma.  Reducing tau to |Re tau| <= 1/2, |tau| >= _FLIP_BELOW leaves
+# |w| <= _REDUCED_RADIUS, where three terms of each theta series reach double
+# precision: the first omitted one, 2 w^16 in theta_3, is below 4e-19.
 
 #: A reduction step inverts tau when |tau| is below this.  It sits under 1
 #: so that rounding cannot undo an inversion: each one multiplies Im tau by
@@ -113,7 +114,7 @@ def a_coeffs(order: int) -> tuple[int, ...]:
 _FLIP_BELOW = 0.995
 
 #: Largest |w| of a reduced point, e^{-pi sqrt(_FLIP_BELOW^2 - 1/4)} ≈ 0.067;
-#: points inside it are summed as they are.
+#: J's points inside it are summed as they are.
 _REDUCED_RADIUS = math.exp(-math.pi * math.sqrt(_FLIP_BELOW ** 2 - 0.25))
 
 #: Points per evaluation block; bounds the temporaries of large inputs.
@@ -123,121 +124,128 @@ _PI_SQ = math.pi ** 2
 
 # The anharmonic group as Moebius maps x -> (a x + b) / (c x + d), indexed
 # 0..5: x, 1 - x (tau -> -1/tau), x / (x - 1) (tau -> tau + 1), 1/x,
-# 1 / (1 - x) and (x - 1) / x.  _AFTER_INVERT[g] and _AFTER_SHIFT[g] are
-# the indices of g composed with 1 - x and with x / (x - 1).
+# 1 / (1 - x) and (x - 1) / x; _MOBIUS holds rows a, b, c, d over g.
+# _AFTER_INVERT[g] and _AFTER_SHIFT[g] index g composed with 1 - x and with
+# x / (x - 1), _AFTER_STEP[p, g] an inversion and then p shifts (mod 2).
 _MOBIUS = np.array([(1, 0, 0, 1), (-1, 1, 0, 1), (1, 0, 1, -1),
-                    (0, 1, 1, 0), (0, 1, -1, 1), (1, -1, 1, 0)], dtype=np.int8)
-_DET = _MOBIUS[:, 0] * _MOBIUS[:, 3] - _MOBIUS[:, 1] * _MOBIUS[:, 2]
+                    (0, 1, 1, 0), (0, 1, -1, 1), (1, -1, 1, 0)],
+                   dtype=complex).T
+_DET = _MOBIUS[0] * _MOBIUS[3] - _MOBIUS[1] * _MOBIUS[2]
 _SHIFT = 2
 _AFTER_INVERT = np.array([1, 0, 5, 4, 3, 2])
 _AFTER_SHIFT = np.array([2, 4, 0, 5, 1, 3])
+_AFTER_STEP = np.stack((_AFTER_INVERT, _AFTER_SHIFT[_AFTER_INVERT]))
 
 
-def _reduce(w: np.ndarray, deriv: bool):
-    """Move the nomes w into |w| <= _REDUCED_RADIUS.
+def _lambda_at(sigma: np.ndarray, g: np.ndarray, deriv: bool) -> np.ndarray:
+    """M_g(lambda) at the log-nomes sigma (Re sigma < 0), or when ``deriv``
+    its derivative in sigma; reduces sigma and g in place.
 
-    Returns the reduced nomes, the index g of the anharmonic map with
-    J(w_in) = M_g(J(w_out)), and, when ``deriv``, d tau_out / d tau_in.
-    The first shift negates w, which is exact; later ones act on log w,
-    where the inversion already rounds.
-    """
-    neg = w.real < 0
-    sigma = np.log(np.where(neg, -w, w))           # i pi tau
-    g = np.where(neg, _SHIFT, 0)
-    dtau = np.ones_like(w) if deriv else None
-    live = np.arange(w.size)         # a point not inverted is done
-    while True:
-        s = sigma[live]
-        flip = np.abs(s) < math.pi * _FLIP_BELOW
-        if not flip.any():
-            return np.exp(sigma), g, dtau
-        live, s = live[flip], _PI_SQ / s[flip]
-        gl = _AFTER_INVERT[g[live]]
+    Each pass inverts the points with |tau| < _FLIP_BELOW and shifts them
+    back to |Re tau| <= 1/2, composing g with the maps it undoes; only the
+    points still to invert are gathered.  Then lambda at w = e^sigma and
+    w lambda'(w) are carried back through M_g by the chain rule."""
+    dtau = np.ones_like(sigma) if deriv else None
+    live = np.flatnonzero(np.abs(sigma) < math.pi * _FLIP_BELOW)
+    while live.size:
+        s = _PI_SQ / sigma[live]
         if deriv:              # d(-1/tau)/d tau = (-1/tau)^2 = -sigma^2/pi^2
             dtau[live] = dtau[live] * s * s / -_PI_SQ
         shift = np.rint(s.imag / math.pi)         # lambda has period 2
         s.imag -= math.pi * shift
         sigma[live] = s
-        g[live] = np.where(shift % 2 == 0, gl, _AFTER_SHIFT[gl])
+        g[live] = _AFTER_STEP[shift.astype(np.intp) & 1, g[live]]
+        live = live[np.abs(s) < math.pi * _FLIP_BELOW]
+    w = np.exp(sigma)
+    lam, dlam = _theta_lambda(w, deriv)
+    a, b, c, d = np.take(_MOBIUS, g, axis=1)
+    if not deriv:
+        return (a * lam + b) / (c * lam + d)
+    den = c * lam + d
+    return dlam * _DET[g] / (den * den) * dtau * w
 
 
-def _theta_terms(w: np.ndarray):
-    """J(w) / w and theta_3(w) for |w| <= _REDUCED_RADIUS.
-
-    theta_2^4 = 16 w (1 + w^2 + w^6 + w^12)^4 and
-    theta_3 = 1 + 2 (w + w^4 + w^9), both in Horner form.
-    """
+def _theta_lambda(w: np.ndarray, deriv: bool):
+    """lambda(w) and, when ``deriv``, lambda'(w) for |w| <= _REDUCED_RADIUS,
+    from theta_2^4 = 16 w (1 + w^2 + w^6 + w^12)^4 and
+    theta_3 = 1 + 2 (w + w^4 + w^9), both in Horner form, and
+    w lambda'(w) = lambda (1 - lambda) theta_3^4."""
     w2 = w * w
     p = w2 * w                                  # w^3
     s3 = 1.0 + 2.0 * w * (1.0 + p * (1.0 + p * w2))
     p = w2 * w2                                 # w^4
     ratio = (1.0 + w2 * (1.0 + p * (1.0 + p * w2))) / s3
     ratio = ratio * ratio
-    return 16.0 * ratio * ratio, s3
-
-
-def _evaluate_block(w: np.ndarray, deriv: bool) -> np.ndarray:
-    """J(w), or J'(w) when ``deriv``, on a flat block of disk points."""
-    far = np.abs(w) > _REDUCED_RADIUS
-    any_far = far.any()
-    wr = w.copy()
-    if any_far:
-        wr[far], g, dtau = _reduce(w[far], deriv)
+    j_over_w = 16.0 * ratio * ratio
+    lam = w * j_over_w
     if not deriv:
-        lam = wr * _theta_terms(wr)[0]
-        if any_far:
-            x = lam[far]
-            a, b, c, d = _MOBIUS[g].T
-            lam[far] = (a * x + b) / (c * x + d)
-        return lam
-    # w lambda'(w) = lambda (1 - lambda) theta_3^4 at the reduced point;
-    # the chain rule through J = M_g(lambda(tau_out)), w = e^{i pi tau_in}
-    # carries it back.
-    j_over_w, theta3 = _theta_terms(wr)
-    lam = wr * j_over_w
-    t2 = theta3 * theta3
-    out = j_over_w * (1.0 - lam) * t2 * t2
-    if any_far:
-        _, _, c, d = _MOBIUS[g].T
-        den = c * lam[far] + d
-        out[far] = out[far] * _DET[g] / (den * den) * dtau * wr[far] / w[far]
+        return lam, None
+    s3 = s3 * s3
+    return lam, j_over_w * (1.0 - lam) * s3 * s3
+
+
+def _j_block(w: np.ndarray, deriv: bool) -> np.ndarray:
+    """J(w), or J'(w) when ``deriv``, on a flat block of disk points: theta
+    sums at w inside the reduced radius, the kernel at log(+-w) outside."""
+    far = np.abs(w) > _REDUCED_RADIUS
+    every = far.all()
+    if not every:
+        out = _theta_lambda(w, deriv)[deriv]    # lambda, or lambda' if deriv
+        if not far.any():
+            return out
+    x = w if every else w[far]
+    neg = x.real < 0            # the first shift negates w, which is exact
+    y = _lambda_at(np.log(np.where(neg, -x, x)), np.where(neg, _SHIFT, 0),
+                   deriv)
+    y = y / x if deriv else y               # J' = (dJ / d sigma) / w
+    if every:
+        return y
+    out[far] = y
     return out
 
 
-def _evaluate(z, deriv: bool):
-    z = np.asarray(z, dtype=complex)
-    _check_disk(z)
-    flat = z.reshape(-1)
-    with np.errstate(all="ignore"):
-        if flat.size <= _BLOCK:            # no separate output array
-            out = _evaluate_block(flat, deriv)
-        else:
-            out = np.empty_like(flat)
-            for k in range(0, flat.size, _BLOCK):
-                out[k:k + _BLOCK] = _evaluate_block(flat[k:k + _BLOCK], deriv)
+def _q_block(sigma: np.ndarray, deriv: bool) -> np.ndarray:
+    """Q, or dQ / d sigma if ``deriv``, at a flat block of log-nomes sigma."""
+    shift = np.rint(sigma.imag / math.pi)
+    sigma.imag -= math.pi * shift
+    return _lambda_at(sigma, _SHIFT * (shift.astype(np.intp) & 1), deriv)
+
+
+@np.errstate(all="ignore")
+def _evaluate(block, x: np.ndarray, deriv: bool, message: str,
+              factor=None):
+    """block(x, deriv) in flat blocks of _BLOCK points, times ``factor``,
+    in the shape of x; ``DomainError(message)`` if a value is not finite."""
+    flat = x.reshape(-1)
+    out = (block(flat, deriv) if flat.size <= _BLOCK else np.concatenate(
+        [block(flat[k:k + _BLOCK], deriv)
+         for k in range(0, flat.size, _BLOCK)])).reshape(x.shape)
+    if factor is not None:
+        out = out * factor
     if not np.isfinite(out).all():
-        raise DomainError("%s exceeds the double range near a cusp"
-                          % ("J'" if deriv else "J"))
-    return complex(out[0]) if z.ndim == 0 else out.reshape(z.shape)
+        raise DomainError(message)
+    return complex(out) if x.ndim == 0 else out
 
 
-def _check_disk(z: np.ndarray):
+def _disk_points(z) -> np.ndarray:
+    z = np.asarray(z, dtype=complex)
     if not (np.abs(z) < 1).all():
         if not np.isfinite(z).all():
             raise DomainError("input is not finite")
         raise DomainError("evaluation requires |z| < 1")
+    return z
 
 
 def j_eval(z):
-    """J(z) by modular reduction and theta sums, in blocks of _BLOCK
-    points; keeps the shape of array input."""
-    return _evaluate(z, deriv=False)
+    """J(z) by modular reduction; keeps the shape of array input."""
+    return _evaluate(_j_block, _disk_points(z), False,
+                     "J exceeds the double range near a cusp")
 
 
 def j_deriv(z):
-    """J'(z) from w J'(w) = J (1 - J) theta_3(w)^4 at the reduced point,
-    carried back through the reduction by the chain rule."""
-    return _evaluate(z, deriv=True)
+    """J'(z) by modular reduction; keeps the shape of array input."""
+    return _evaluate(_j_block, _disk_points(z), True,
+                     "J' exceeds the double range near a cusp")
 
 
 # ---------------------------------------------------------------------------
@@ -262,37 +270,39 @@ def _alpha_value(alpha) -> float:
             else CoveringParameter(float(alpha))).alpha
 
 
-def q_argument(alpha, z):
-    """exp(-alpha (1+z)/(1-z)); maps the disk into the punctured disk.
-    In floating point it rounds to modulus 1 when alpha Re (1+z)/(1-z) is
-    below about 1e-16, and is NaN when alpha Im (1+z)/(1-z) passes the
-    double range; both raise ``DomainError``.  Past it, Re gives 0."""
-    a = _alpha_value(alpha)
-    z = np.asarray(z, dtype=complex)
-    _check_disk(np.atleast_1d(z))
-    with np.errstate(over="ignore", invalid="ignore"):
-        w = np.exp(-a * (1.0 + z) / (1.0 - z))
-    if not (np.abs(w) < 1).all():             # NaN fails it too
+@np.errstate(over="ignore", invalid="ignore")
+def _q_sigma(alpha: float, z: np.ndarray) -> np.ndarray:
+    """Q's log-nome sigma = -alpha (1+z)/(1-z), in Re sigma < 0.  The nome
+    e^sigma rounds to modulus 1 where exp(Re sigma) does (alpha Re (1+z)/(1-z)
+    below about 1e-16), and is NaN where Im sigma passes the double range
+    and Re sigma does not: both raise ``DomainError``.  Past it, it is 0."""
+    sigma = -alpha * (1.0 + z) / (1.0 - z)
+    ok = np.exp(sigma.real) < 1                 # NaN fails it too
+    ok &= np.isfinite(sigma.imag) | (sigma.real == -math.inf)
+    if not ok.all():
         raise DomainError("the nome exp(-alpha (1+z)/(1-z)) rounds to "
-                          "modulus 1 or is NaN (alpha = %r)" % a)
-    return w
+                          "modulus 1 or is NaN (alpha = %r)" % alpha)
+    return sigma
 
 
 def q_eval(alpha, z):
-    """Q(z): covering map onto C \\ {0, 1} with Q(0) = J(e^{-alpha})."""
-    return j_eval(q_argument(alpha, z))
+    """Q(z): covering map onto C \\ {0, 1} with Q(0) = J(e^{-alpha}), from
+    the kernel at its log-nome sigma = -alpha (1+z)/(1-z); keeps the shape
+    of array input."""
+    sigma = _q_sigma(_alpha_value(alpha), _disk_points(z))
+    return _evaluate(_q_block, sigma, False,
+                     "Q exceeds the double range near a cusp")
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def q_deriv(alpha, z):
-    """Q'(z) by the chain rule through J'; ``DomainError`` if not finite."""
+    """Q'(z) = (dQ / d sigma) sigma'(z), sigma' = -2 alpha / (1-z)^2;
+    ``DomainError`` if not finite."""
     a = _alpha_value(alpha)
-    z = np.asarray(z, dtype=complex)
-    w = q_argument(a, z)
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = j_deriv(w) * w * (-2.0 * a / (1.0 - z) ** 2)
-    if not np.isfinite(out).all():
-        raise DomainError("Q' is not finite (alpha = %r)" % a)
-    return out
+    z = _disk_points(z)
+    return _evaluate(_q_block, _q_sigma(a, z), True,
+                     "Q' is not finite (alpha = %r)" % a,
+                     -2.0 * a / (1.0 - z) ** 2)
 
 
 @lru_cache(maxsize=32)

@@ -101,15 +101,16 @@ def test_closed_form_tail_dominates_true_tail():
 
 
 def _count_j_points(monkeypatch):
+    """Sizes of the calls to the kernel that J and Q share; a J point
+    inside the reduced radius is summed without it."""
     points = []
-    j_eval = bohrlab.modular.j_eval
+    kernel = bohrlab.modular._lambda_at
 
-    def counting(w):
-        points.append(np.size(w))
-        return j_eval(w)
+    def counting(sigma, g, deriv):
+        points.append(np.size(sigma))
+        return kernel(sigma, g, deriv)
 
-    monkeypatch.setattr(bohrlab.modular, "j_eval", counting)
-    monkeypatch.setattr(bohrlab.generators, "j_eval", counting)
+    monkeypatch.setattr(bohrlab.modular, "_lambda_at", counting)
     return points
 
 

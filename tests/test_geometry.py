@@ -149,15 +149,15 @@ def test_boundary_distance_matches_eleven_circles():
 
 def test_boundary_distance_evaluates_one_circle(monkeypatch):
     points = []
-    j_eval = bohrlab.modular.j_eval
+    kernel = bohrlab.modular._lambda_at
     sampled = _sampled_specs()[0]
     inner = make_large_function(0.0, 1.0, math.pi, identity_schwarz(), 48)
 
-    def counting(w):
-        points.append(np.size(w))
-        return j_eval(w)
+    def counting(sigma, g, deriv):
+        points.append(np.size(sigma))
+        return kernel(sigma, g, deriv)
 
-    monkeypatch.setattr(bohrlab.modular, "j_eval", counting)
+    monkeypatch.setattr(bohrlab.modular, "_lambda_at", counting)
     boundary_distance(sampled)
     assert sum(points) == 4096
     points.clear()

@@ -6,17 +6,18 @@ import mpmath
 import numpy as np
 import pytest
 
-from bohrlab import generators, modular, series
+from bohrlab import generators, geometry, modular, series
 from bohrlab.errors import DomainError
 from bohrlab.modular import (E_HALF_PI, E_PI, CoveringParameter, a_coeffs,
                              collision_search, j_coeffs_exact, j_deriv,
                              j_eval, j_series,
                              log_coeffs_exact,
-                             q_argument, q_deriv, q_eval, q_series,
+                             q_deriv, q_eval, q_series,
                              starlike_certificate)
 from bohrlab.series import TruncatedSeries, unit_ring
-from bohrlab.sweeps import (SUITE_NAMES, _spec_and_distance, j_max_modulus,
-                            run_suite)
+from bohrlab.sweeps import (ORDER, SUITE_NAMES, _spec_and_distance,
+                            _trial_seed, j_max_modulus, run_suite,
+                            theorem4_spec)
 
 # Degree <= 5 coefficients frozen from the exact integer computation.
 J_EXACT_PREFIX = (0, 16, -128, 704, -3072, 11488)
@@ -258,7 +259,7 @@ GRID = [r * cmath.exp(1j * a) for r in RADII for a in ANGLES] + [
 
 def test_anharmonic_tables():
     def apply(g, x):
-        a, b, c, d = modular._MOBIUS[g]
+        a, b, c, d = modular._MOBIUS[:, g]
         return (a * x + b) / (c * x + d)
 
     for x in (0.3 + 0.7j, -2.1 + 0.4j):
@@ -325,17 +326,14 @@ def test_blocks_match_scalar_calls_bit_for_bit():
         assert np.array_equal(whole, single)
 
 
-def _reduce_every_point(w, deriv):
-    """The reduction as it was before it skipped finished points: every
+def _lambda_every_point(sigma, g, deriv):
+    """The kernel as it was before it skipped finished points: every
     pass tests, inverts and shifts all of them."""
-    neg = w.real < 0
-    sigma = np.log(np.where(neg, -w, w))
-    g = np.where(neg, modular._SHIFT, 0)
-    dtau = np.ones_like(w) if deriv else None
+    dtau = np.ones_like(sigma) if deriv else None
     while True:
         flip = np.abs(sigma) < math.pi * modular._FLIP_BELOW
         if not flip.any():
-            return np.exp(sigma), g, dtau
+            break
         sigma = np.where(flip, modular._PI_SQ / sigma, sigma)
         g = np.where(flip, modular._AFTER_INVERT[g], g)
         if deriv:
@@ -344,6 +342,13 @@ def _reduce_every_point(w, deriv):
         shift = np.rint(sigma.imag / math.pi)
         sigma.imag -= math.pi * shift
         g = np.where(shift % 2 == 0, g, modular._AFTER_SHIFT[g])
+    w = np.exp(sigma)
+    lam, dlam = modular._theta_lambda(w, deriv)
+    a, b, c, d = modular._MOBIUS[:, g]
+    if not deriv:
+        return (a * lam + b) / (c * lam + d)
+    den = c * lam + d
+    return dlam * modular._DET[g] / (den * den) * dtau * w
 
 
 def test_reduction_of_live_points_is_bit_identical(monkeypatch):
@@ -356,7 +361,7 @@ def test_reduction_of_live_points_is_bit_identical(monkeypatch):
     assert (w.real < 0).sum() > 4000 and (w.real > 0).sum() > 4000
     assert max(reduction_steps(x) for x in w[-100:]) >= 3
     new = (j_eval(w), j_deriv(w))
-    monkeypatch.setattr(modular, "_reduce", _reduce_every_point)
+    monkeypatch.setattr(modular, "_lambda_at", _lambda_every_point)
     assert np.array_equal(new[0], j_eval(w))
     assert np.array_equal(new[1], j_deriv(w))
 
@@ -416,10 +421,10 @@ def test_covering_parameter_rejects_non_finite_alpha(alpha):
             f()
 
 
-def test_q_argument_lands_in_punctured_disk():
+def test_q_sigma_nome_lands_in_punctured_disk():
     rng = np.random.default_rng(3)
     z = 0.95 * np.sqrt(rng.random(200)) * np.exp(2j * np.pi * rng.random(200))
-    w = q_argument(2.0, z)
+    w = np.exp(modular._q_sigma(2.0, z))
     assert np.all(np.abs(w) < 1)
     assert np.all(np.abs(w) > 0)
 
@@ -428,10 +433,82 @@ def test_q_argument_lands_in_punctured_disk():
                                      (0.5, -0.9999999999999999)])
 def test_q_names_a_nome_rounded_to_modulus_one(alpha, z):
     """|z| < 1, but alpha (1+z)/(1-z) is so small that the nome rounds to
-    1; Q, Q' and the nome itself say so, not that |z| >= 1."""
-    for f in (q_argument, q_eval, q_deriv):
+    1; Q, Q' and the log-nome itself say so, not that |z| >= 1."""
+    def sigma(alpha, z):
+        return modular._q_sigma(alpha, np.asarray(z, dtype=complex))
+
+    for f in (sigma, q_eval, q_deriv):
         with pytest.raises(DomainError, match="rounds to modulus 1"):
             f(alpha, z)
+
+
+def mp_q(alpha, z):
+    """Q(z) at the working precision: sigma from the double z, tau =
+    sigma / (i pi) reduced by lambda's modular transformations in mpmath,
+    then the theta sums at the reduced nome."""
+    z = mpmath.mpc(z)
+    tau = -alpha * (1 + z) / (1 - z) / (1j * mpmath.pi)
+    maps = []
+    while True:
+        k = mpmath.nint(tau.real)
+        tau -= k
+        maps += ["shift"] * int(k % 2)          # lambda -> lambda/(lambda-1)
+        if abs(tau) >= 1:
+            break
+        tau = -1 / tau                          # lambda -> 1 - lambda
+        maps.append("invert")
+    q = mpmath.exp(1j * mpmath.pi * tau)
+    lam = (mpmath.jtheta(2, 0, q) / mpmath.jtheta(3, 0, q)) ** 4
+    for m in reversed(maps):
+        lam = lam / (lam - 1) if m == "shift" else 1 - lam
+    return lam
+
+
+def _cusp_point(alpha, tau):
+    """The z with tau(z) = -1/tau, so |sigma| = pi / |tau|: near z = -1,
+    with Q = 1 - lambda(tau) away from 0 and 1 for a moderate Im tau."""
+    sigma = -1j * math.pi / tau
+    return -(alpha + sigma) / (alpha - sigma)
+
+
+CUSP_POINTS = [(1.7, complex(-0.9999, 0.0099))] + [
+    (alpha, _cusp_point(alpha, complex(x, y))) for alpha, x, y in (
+        (0.8, -390, 3), (0.8, 240, 1), (0.8, -200, 4), (1.2, -340, 1),
+        (1.7, 165, 2), (1.7, -390, 4), (math.pi, -390, 4), (math.pi, 130, 1),
+        (math.pi, -160, 3), (5.0, 390, 2), (5.0, -390, 4), (5.0, 156, 3))]
+
+
+@pytest.mark.parametrize("alpha,z", CUSP_POINTS)
+def test_q_near_the_cusp_against_the_theta_oracle(alpha, z):
+    """|sigma| <= 0.05, where a nome e^sigma near 1 loses sigma's digits to
+    its own rounding: Q and Q' come from sigma itself.  The error of Q is
+    measured against the distance min(|Q|, |1 - Q|) that the density
+    reads, that of Q' against |Q'|."""
+    assert abs(-alpha * (1 + z) / (1 - z)) <= 0.05
+    with mpmath.workdps(60):
+        exact = mp_q(mpmath.mpf(alpha), z)
+        slope = mpmath.diff(lambda t: mp_q(mpmath.mpf(alpha), t),
+                            mpmath.mpc(z))
+        scale = min(abs(exact), abs(1 - exact))
+        assert scale > 1e-5                     # Q is not saturated
+        assert abs(q_eval(alpha, z) - exact) <= 1e-11 * scale
+        assert abs(q_deriv(alpha, z) - slope) <= 1e-11 * abs(slope)
+
+
+def test_q_from_sigma_matches_j_at_the_nome_on_the_report_circles():
+    """The seed-7 report samples 34 boundary circles of F = a + (b - a) Q(phi):
+    Q from its log-nome agrees with J at the nome e^sigma there."""
+    specs = [theorem4_spec(_trial_seed(7, t), t) for t in range(100)]
+    specs += [generators.random_large_function(_trial_seed(7, t), ORDER)
+              for t in range(50)]
+    ring = geometry._BOUNDARY_RADIUS * unit_ring(geometry._BOUNDARY_NODES)
+    circles = [(s.alpha.alpha, s.phi.eval(ring)) for s in specs
+               if not s.phi.is_inner]
+    assert len(circles) == 34
+    for alpha, z in circles:
+        via_nome = j_eval(np.exp(modular._q_sigma(alpha, z)))
+        assert np.all(np.abs(q_eval(alpha, z) - via_nome)
+                      <= 1e-14 * np.abs(via_nome))
 
 
 def test_q_omits_zero_and_one():
