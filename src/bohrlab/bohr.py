@@ -12,7 +12,7 @@ from .errors import DomainError
 from .generators import TAIL_RHO, LargeFunctionSpec, SchwarzFunction
 from .geometry import boundary_distance
 from .modular import E_PI, a_coeffs, j_eval, j_series
-from .series import TruncatedSeries, circle_sup
+from .series import TruncatedSeries, _truncmul, circle_sup
 
 #: Absolute slack of the checks whose sides are sums of many rounded terms
 #: (the Bohr majorants, the algebra of M and the harmonic identity); any
@@ -155,7 +155,8 @@ def von_neumann_check(spec: LargeFunctionSpec, p: TruncatedSeries,
     """Check M(p(F))(r) <= sup of |p| on the unit circle at r = e^-pi.
 
     Requires the boundary distance ``distance`` of F to be below 1.  p(F)
-    is Horner's rule over F's truncated series.  The tail uses
+    is Horner's rule over F's coefficients, each step a ``_truncmul`` and
+    p_k added in place.  The tail uses
     |p(F)| <= sum_k |p_k| M^k, M = ``spec.modulus_bound``, and the
     right side samples |p| at 4096 points.  Both sides are reported whether
     or not the inequality holds; past the double range it raises
@@ -163,14 +164,15 @@ def von_neumann_check(spec: LargeFunctionSpec, p: TruncatedSeries,
     """
     if distance >= 1.0:
         raise DomainError("boundary distance %.6g is not < 1" % distance)
-    order, f = spec.order, spec.series
-    composed = TruncatedSeries([p[p.order]])
+    order, f = spec.order, spec.series.coeffs
+    composed = p.coeffs[-1:]
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(p.order - 1, -1, -1):
-            composed = composed.mul(f, order) + p[k]
+            composed = _truncmul(composed, f, order)
+            composed[0] += p.coeffs[k]
         m_p = float(np.polyval(np.abs(p.coeffs[::-1]), spec.modulus_bound))
         rhs = circle_sup(p, 1.0, 4096)
-    lhs = bohr_operator(composed, E_PI, from_degree=0)
+    lhs = bohr_operator(TruncatedSeries(composed), E_PI, from_degree=0)
     tail = cauchy_tail_bound(m_p, order)
     return InequalityCheck("von-neumann", lhs + tail, rhs, BASE_SLACK)
 
@@ -188,10 +190,13 @@ def algebra_properties_check(f: TruncatedSeries, g: TruncatedSeries,
     lhs is |M(1) - 1|, which must vanish exactly."""
     if not 0 <= r < 1:
         raise DomainError("r must lie in [0, 1)")
-    msum = bohr_operator(f + g, r)
+    total = np.zeros(max(f.order, g.order) + 1, dtype=complex)
+    total[: f.order + 1] += f.coeffs
+    total[: g.order + 1] += g.coeffs
+    msum = bohr_operator(TruncatedSeries(total), r)
     mf, mg = bohr_operator(f, r), bohr_operator(g, r)
-    prod = f.mul(g)
-    mprod = bohr_operator(prod, r)
+    prod = _truncmul(f.coeffs, g.coeffs, f.order + g.order)
+    mprod = bohr_operator(TruncatedSeries(prod), r)
     unit = bohr_operator(TruncatedSeries([1.0]), r)
     return [
         InequalityCheck("algebra-additive", msum, mf + mg, BASE_SLACK),

@@ -19,7 +19,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError
-from .modular import CoveringParameter, _q_coeffs, j_eval, q_eval
+from .modular import CoveringParameter, j_eval, q_eval, q_series
 from .series import (TOEPLITZ_MAX_ORDER, TruncatedSeries, _compose_powers,
                      _power_table, compose)
 
@@ -326,7 +326,8 @@ class LargeFunctionSpec:
 
     F(z) = a + (b - a) Q_alpha(phi(z)) for a covering parameter alpha and a
     Schwarz function phi.  With phi inner the image is exactly the plane
-    minus {a, b}.
+    minus {a, b}.  However it is built, ``DomainError`` unless a, b, b - a
+    and (by ``TruncatedSeries``) each coefficient have a finite modulus.
     """
 
     a: complex
@@ -336,6 +337,10 @@ class LargeFunctionSpec:
     series: TruncatedSeries = field(repr=False)
 
     def __post_init__(self):
+        with np.errstate(over="ignore"):
+            ends = np.abs((self.a, self.b, self.b - self.a))
+        if not math.isfinite(ends.max()):
+            raise DomainError("an omitted point of F exceeds the double range")
         if self.a == self.b:
             raise DomainError("omitted points must be distinct")
 
@@ -374,8 +379,9 @@ class LargeFunctionSpec:
         if c == 0:
             raise DomainError("scale factor must be nonzero")
         with np.errstate(over="ignore", invalid="ignore"):
-            return _checked_spec(self.a * c, self.b * c, self.alpha,
-                                 self.phi, self.series.coeffs * complex(c))
+            series = TruncatedSeries(self.series.coeffs * complex(c))
+            return LargeFunctionSpec(self.a * c, self.b * c, self.alpha,
+                                     self.phi, series)
 
     def text(self) -> str:
         return "a=%s b=%s alpha=%s order=%d phi=[%s]" % (
@@ -387,30 +393,20 @@ class LargeFunctionSpec:
 def make_large_function(a, b, alpha, phi: SchwarzFunction,
                         order: int) -> LargeFunctionSpec:
     """Assemble the spec and its one ``TruncatedSeries``: Q's coefficient
-    array (``modular._q_coeffs``) pulled back through phi's factors
+    array (``modular.q_series``) pulled back through phi's factors
     (``SchwarzFunction.pull_back``), then a + (b - a) Q(phi).  As
     phi = O(z^v), v = ``phi.valuation``, Q is built only to degree
     order // v (at least 1); when v > order only Q(0) reaches F.  A
     coefficient or an omitted point whose modulus is past the double
-    range raises ``DomainError``, each checked once."""
+    range raises ``DomainError``, each checked once, by the types."""
     a, b = complex(a), complex(b)
     if not isinstance(alpha, CoveringParameter):
         alpha = CoveringParameter(float(alpha))
-    q = _q_coeffs(alpha, max(1, order // phi.valuation))
+    q = q_series(alpha, max(1, order // phi.valuation))
     with np.errstate(over="ignore", invalid="ignore"):
         coeffs = phi.pull_back(q, order) * (b - a)
         coeffs[0] += a
-        return _checked_spec(a, b, alpha, phi, coeffs)
-
-
-def _checked_spec(a, b, alpha, phi, coeffs) -> LargeFunctionSpec:
-    """The spec of series ``coeffs``, called with numpy's overflow warnings
-    off; ``DomainError`` when a, b or b - a has a modulus past the double
-    range, or (from ``TruncatedSeries``, the one check on coefficient
-    moduli) a coefficient does."""
-    if not math.isfinite(np.abs((a, b, b - a)).max()):
-        raise DomainError("an omitted point of F exceeds the double range")
-    return LargeFunctionSpec(a, b, alpha, phi, TruncatedSeries(coeffs))
+        return LargeFunctionSpec(a, b, alpha, phi, TruncatedSeries(coeffs))
 
 
 def random_large_function(

@@ -26,15 +26,14 @@ from .bohr import (BASE_SLACK, InequalityCheck, bohr_operator,
                    cauchy_tail_bound)
 from .generators import TAIL_RHO, LargeFunctionSpec
 from .modular import E_PI
-from .series import TruncatedSeries, circle_sup
+from .series import TruncatedSeries, _truncmul, circle_sup
 
 
 @dataclass(frozen=True)
 class HarmonicPair:
-    """h + conj(g) with g integrated from the dilatation."""
+    """h + conj(g), h = spec.series, g integrated from the dilatation."""
 
     spec: LargeFunctionSpec
-    h: TruncatedSeries
     g: TruncatedSeries
     mu: TruncatedSeries
 
@@ -44,12 +43,14 @@ class HarmonicPair:
 
 
 def build_pair(spec: LargeFunctionSpec, mu: TruncatedSeries) -> HarmonicPair:
-    """g = integral of mu h' with g(0) = 0, both at the spec's order; past
-    the double range it raises ``DomainError``."""
-    h = spec.series
+    """g = integral of mu h' with g(0) = 0, both at the spec's order, from
+    coefficient arrays: g' = mu h' by ``_truncmul``, then g_n = g'_{n-1} / n;
+    past the double range it raises ``DomainError``."""
+    n = np.arange(1, spec.order + 1)
     with np.errstate(over="ignore", invalid="ignore"):
-        gprime = mu.mul(h.differentiate(), spec.order - 1)
-    return HarmonicPair(spec, h, gprime.integrate(), mu)
+        gprime = _truncmul(mu.coeffs, spec.series.coeffs[1:] * n, n.size - 1)
+        g = np.concatenate(([0.0], gprime / n))
+    return HarmonicPair(spec, TruncatedSeries(g), mu)
 
 
 def harmonic_bohr_check(pair: HarmonicPair,
@@ -65,7 +66,7 @@ def harmonic_bohr_check(pair: HarmonicPair,
     (m+1) <= M(mu)(rho) M / rho^{m+1}.  As g_n = G_n for n <= N, the tail
     past N is at most M(mu)(rho) ``cauchy_tail_bound``(M, N).
     """
-    h, g, r = pair.h, pair.g, E_PI
+    h, g, r = pair.spec.series, pair.g, E_PI
     mh = bohr_operator(h, r, from_degree=1)
     mg = bohr_operator(g, r, from_degree=1)
     tail_h = cauchy_tail_bound(pair.spec.modulus_bound, h.order)
@@ -89,5 +90,5 @@ def majorant_domination_check(pair: HarmonicPair,
     Only the rounding of the two sums is left, inside ``BASE_SLACK``.
     """
     lhs = (bohr_operator(pair.g, r, from_degree=1)
-           - bohr_operator(pair.h, r, from_degree=1))
+           - bohr_operator(pair.spec.series, r, from_degree=1))
     return InequalityCheck("majorant-domination", lhs, 0.0, BASE_SLACK)

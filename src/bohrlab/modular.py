@@ -366,13 +366,9 @@ def _nome_powers(beta: float, ks: np.ndarray, order: int) -> np.ndarray:
     return full
 
 
-def q_series(alpha, order: int) -> TruncatedSeries:
-    """Series of Q about 0: the ``TruncatedSeries`` of ``_q_coeffs``."""
-    return TruncatedSeries(_q_coeffs(alpha, order))
-
-
-def _q_coeffs(alpha, order: int) -> np.ndarray:
-    """Coefficients of Q about 0 from theta sums in the nome; no J point.
+def q_series(alpha, order: int) -> np.ndarray:
+    """Coefficients Q_0..Q_order of Q about 0, a real float64 array, from
+    theta sums in the nome; no J point.
 
     lambda = 16 q (sum_{n>=0} q^{n(n+1)})^4 / (1 + 2 sum_{n>=1} q^{n^2})^4
     with q = e^{-beta (1+z)/(1-z)}: Q = lambda at beta = alpha >= pi, else

@@ -5,7 +5,8 @@ A series is a finite coefficient prefix c_0..c_N with an explicit
 function, covering maps, majorant sums -- is built on these prefixes, so
 truncation error is always attributable to a known order.
 
-All values are immutable after construction; operations return new series.
+Arithmetic works on coefficient arrays (``_truncmul``, ``compose``,
+``inverse``); a ``TruncatedSeries`` only holds and evaluates a checked result.
 """
 
 from __future__ import annotations
@@ -49,49 +50,12 @@ class TruncatedSeries:
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
 
-    # -- basic structure ----------------------------------------------------
-
     @property
     def order(self) -> int:
         return self.coeffs.size - 1
 
     def __getitem__(self, n: int) -> complex:
         return complex(self.coeffs[n]) if 0 <= n <= self.order else 0j
-
-    # -- ring operations ----------------------------------------------------
-
-    def __add__(self, other) -> "TruncatedSeries":
-        other = _coerce(other)
-        n = max(self.order, other.order)
-        coeffs = np.zeros(n + 1, dtype=complex)
-        coeffs[: self.order + 1] += self.coeffs
-        coeffs[: other.order + 1] += other.coeffs
-        return TruncatedSeries(coeffs)
-
-    def mul(self, other, order: int | None = None) -> "TruncatedSeries":
-        """Cauchy product truncated at ``order`` (full product by default)."""
-        other = _coerce(other)
-        full = self.order + other.order
-        order = full if order is None else order
-        if order > full:
-            raise ValueError("requested order exceeds the exact product order")
-        return TruncatedSeries(_truncmul(self.coeffs, other.coeffs, order))
-
-    # -- calculus -----------------------------------------------------------
-
-    def differentiate(self) -> "TruncatedSeries":
-        if self.order == 0:
-            return TruncatedSeries(np.zeros(1, dtype=complex))
-        n = np.arange(1, self.order + 1)
-        return TruncatedSeries(self.coeffs[1:] * n)
-
-    def integrate(self) -> "TruncatedSeries":
-        """Antiderivative with constant term 0."""
-        n = np.arange(1, self.order + 2)
-        coeffs = np.concatenate([[0.0], self.coeffs / n])
-        return TruncatedSeries(coeffs)
-
-    # -- evaluation ---------------------------------------------------------
 
     def eval(self, z):
         """Horner evaluation of the truncated polynomial.
@@ -104,14 +68,6 @@ class TruncatedSeries:
         for k in range(self.order - 1, -1, -1):
             acc = acc * z + self.coeffs[k]
         return complex(acc) if acc.ndim == 0 else acc
-
-
-def _coerce(x) -> TruncatedSeries:
-    if isinstance(x, TruncatedSeries):
-        return x
-    if np.isscalar(x):
-        return TruncatedSeries([x])
-    raise TypeError("cannot interpret %r as a series" % (x,))
 
 
 def _truncmul(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:

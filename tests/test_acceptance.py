@@ -318,7 +318,8 @@ def test_criterion_09_harmonic_extension():
     constant_ok = (repc.passed
                    and abs(repc.rhs - (1 + c) * rep.rhs) < 1e-12
                    and abs(bohr_operator(pairc.g, E_PI, from_degree=1)
-                           - c * bohr_operator(pairc.h, E_PI, from_degree=1))
+                           - c * bohr_operator(pairc.spec.series, E_PI,
+                                              from_degree=1))
                    < 1e-12)
     # Part 3: the README counterexample, then the 50-pair sweep, whose
     # verdicts must replay and agree with the oracle.

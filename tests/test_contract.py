@@ -119,9 +119,9 @@ def test_q_and_q_prime(alpha, z):
 @CONTRACT
 @given(alphas, st.integers(1, 64))
 def test_q_series(alpha, order):
-    series = _holds(q_series, alpha, order)
-    if series is not None:
-        _finite(series.coeffs)
+    coeffs = _holds(q_series, alpha, order)
+    if coeffs is not None:
+        _finite(coeffs)
 
 
 @CONTRACT

@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 from bohrlab.errors import DomainError
-from bohrlab.generators import (Factor, SchwarzFunction, identity_schwarz,
-                                make_large_function, random_large_function,
-                                random_mobius_bounded, random_polynomial,
-                                random_schwarz)
+from bohrlab.generators import (Factor, LargeFunctionSpec, SchwarzFunction,
+                                identity_schwarz, make_large_function,
+                                random_large_function, random_mobius_bounded,
+                                random_polynomial, random_schwarz)
 from bohrlab.series import TruncatedSeries, inverse
 
 
@@ -186,6 +186,20 @@ def test_spec_f0_matches_theta_oracle(alpha):
 def test_spec_degenerate_rejected():
     with pytest.raises(DomainError, match="must be distinct"):
         make_large_function(1.0, 1.0, 2.0, identity_schwarz(), 16)
+
+
+@pytest.mark.parametrize("a, b", [(complex(1.7e308, 1.7e308), 0.0),
+                                  (0.5, math.inf), (-1.7e308, 1.7e308)])
+def test_spec_built_directly_checks_its_omitted_points(a, b):
+    """The spec checks a, b and b - a itself, however it is built: |a|
+    (parts finite), b or b - a past the double range is a DomainError that
+    names the omitted point, with no numpy warning."""
+    spec = random_large_function(5, order=8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError) as err:
+            LargeFunctionSpec(a, b, spec.alpha, spec.phi, spec.series)
+    assert str(err.value) == "an omitted point of F exceeds the double range"
 
 
 @pytest.mark.parametrize("a, b", [(0.0, 1.7e308), (-1.7e308, 1.7e308)])

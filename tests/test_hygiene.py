@@ -283,3 +283,49 @@ def test_unread_public_api_is_found():
     assert _unread_public_api(defining, readers, exported) == [
         "a.py: Box.area", "a.py: Box.exported", "a.py: Box.series",
         "a.py: _Private.grow", "a.py: orphan"]
+
+
+#: numpy names that form a product of series, or (``polynomial``) load a
+#: module of them.  Every truncated product in ``src/`` is
+#: ``series._truncmul`` or a Toeplitz product inside ``series``.
+_FOREIGN_PRODUCTS = {"convolve", "polymul", "polynomial"}
+
+
+def _foreign_products(source: str) -> list[str]:
+    """``line N: name`` for each ``convolve``, ``polymul`` or
+    ``polynomial`` that a source reads as an attribute (``np.convolve``)
+    or imports from numpy (``from numpy import polymul``,
+    ``import numpy.polynomial``)."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, ast.Import):
+            names = [part for alias in node.names
+                     if alias.name.split(".")[0] == "numpy"
+                     for part in alias.name.split(".")]
+        elif isinstance(node, ast.ImportFrom) and not node.level and \
+                (node.module or "").split(".")[0] == "numpy":
+            names = node.module.split(".") + [a.name for a in node.names]
+        else:
+            continue
+        found += ["line %d: %s" % (node.lineno, name)
+                  for name in sorted(_FOREIGN_PRODUCTS.intersection(names))]
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_every_product_is_the_package_kernel(path):
+    assert _foreign_products(path.read_text(encoding="utf-8")) == []
+
+
+def test_foreign_products_are_found():
+    source = ("import numpy as np\nimport numpy.polynomial.polynomial\n"
+              "from numpy import polymul\nfrom numpy.polynomial import P\n"
+              "from .series import _truncmul\n\n"
+              "def f(a, b):\n    return np.convolve(a, b), _truncmul(a, b, 3)"
+              "\n")
+    assert _foreign_products(source) == [
+        "line 2: polynomial", "line 3: polymul", "line 4: polynomial",
+        "line 8: convolve"]
