@@ -396,9 +396,11 @@ def make_large_function(a, b, alpha, phi: SchwarzFunction,
     array (``modular.q_series``) pulled back through phi's factors
     (``SchwarzFunction.pull_back``), then a + (b - a) Q(phi).  As
     phi = O(z^v), v = ``phi.valuation``, Q is built only to degree
-    order // v (at least 1); when v > order only Q(0) reaches F.  A
-    coefficient or an omitted point whose modulus is past the double
-    range raises ``DomainError``, each checked once, by the types."""
+    order // v (at least 1); when v > order only Q(0) reaches F.  An
+    order below 1, or a coefficient or omitted point of modulus past the
+    double range (each checked once, by the types), raises ``DomainError``."""
+    if order < 1:
+        raise DomainError("order must be >= 1")
     a, b = complex(a), complex(b)
     if not isinstance(alpha, CoveringParameter):
         alpha = CoveringParameter(float(alpha))

@@ -78,11 +78,11 @@ def _truncmul(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
     return _correlate(a, b[::-1], 2)[: n + 1]
 
 
-#: Highest order at which ``compose`` multiplies by Toeplitz matrices: the
-#: sweeps' order.  A matrix holds (N + 1)^2 numbers (268 MB at order 4096),
-#: and from order 65 every product crosses OpenBLAS's threading threshold
-#: (4096 elements), where on two shared cores the threads cost more than
-#: they give.
+#: Highest order at which ``compose`` multiplies by Toeplitz matrices, and
+#: the order of the Blaschke power tables.  A matrix holds (N + 1)^2
+#: numbers (268 MB at order 4096), and from order 65 every product crosses
+#: OpenBLAS's threading threshold (4096 elements), where on two shared
+#: cores the threads cost more than they give.
 TOEPLITZ_MAX_ORDER = 64
 
 

@@ -549,6 +549,18 @@ def test_classical_bohr_on_mobius():
         assert rep.lhs <= 1.0 + BASE_SLACK
 
 
+@pytest.mark.parametrize("order", [1, 4, 16])
+def test_classical_bohr_tail_bounds_the_dropped_terms(order):
+    """The lhs is the prefix's majorant plus r^{N+1} / (1 - r) at r = 1/3,
+    and so at least the majorant of the whole map (read at order 200)."""
+    r = 1.0 / 3.0
+    for seed in range(10):
+        f = random_mobius_bounded(seed, order)
+        lhs = classical_bohr_check(f).lhs
+        assert lhs == bohr_operator(f, r) + r ** (order + 1) / (1.0 - r)
+        assert lhs >= bohr_operator(random_mobius_bounded(seed, 200), r)
+
+
 def test_classical_bohr_is_sharp_near_one():
     # f = (c - z)/(1 - c z) with c -> 1 pushes M(f)(1/3) to 1.
     c = 0.995

@@ -125,7 +125,7 @@ def test_q_series(alpha, order):
 
 
 @CONTRACT
-@given(omitted, omitted, alphas, schwarz, st.integers(1, 64), finite)
+@given(omitted, omitted, alphas, schwarz, st.integers(0, 64), finite)
 def test_large_function_and_its_checks(a, b, alpha, phi, order, c):
     spec = _holds(make_large_function, a, b, alpha, phi, order)
     if spec is None:
@@ -144,7 +144,7 @@ def test_large_function_and_its_checks(a, b, alpha, phi, order, c):
 
 
 @CONTRACT
-@given(omitted, omitted, alphas, schwarz, st.integers(1, 64), polynomials,
+@given(omitted, omitted, alphas, schwarz, st.integers(0, 64), polynomials,
        disk_radii, st.floats(0.0, 1.0))
 def test_harmonic_and_von_neumann_checks(a, b, alpha, phi, order, poly, r,
                                          distance):

@@ -84,19 +84,22 @@ def test_mobius_dilatation_passes_for_good_specs():
 
 def test_g_tail_bound_dominates_coefficients_and_true_tail():
     """On the seed-7 harmonic trials, |g_n| <= M(mu)(rho) M / rho^n for the
-    stored g, and rebuilt at order 300 the tail of M(g) past 64 is at most
-    M(mu)(rho) times h's Cauchy tail, as ``harmonic_bohr_check`` adds."""
-    n = np.arange(1, 65)
+    stored g, and rebuilt at order 300 the tail of M(g) past the spec's
+    order N is at most M(mu)(rho) times h's Cauchy tail, as
+    ``harmonic_bohr_check`` adds."""
     for t in range(50):
         spec, mu = harmonic_trial(_trial_seed(7, t), t)
+        order = spec.order
+        n = np.arange(1, order + 1)
         m, m_mu = spec.modulus_bound, bohr_operator(mu, TAIL_RHO)
         g = build_pair(spec, mu).g.coeffs
         assert np.all(np.abs(g[1:]) <= m_mu * m / TAIL_RHO ** n), t
         spec300 = make_large_function(spec.a, spec.b, spec.alpha, spec.phi,
                                       300)
         g300 = build_pair(spec300, mu).g.coeffs
-        tail = float(np.dot(np.abs(g300[65:]), E_PI ** np.arange(65, 301)))
-        assert tail <= m_mu * cauchy_tail_bound(m, 64), t
+        tail = float(np.dot(np.abs(g300[order + 1:]),
+                            E_PI ** np.arange(order + 1, 301)))
+        assert tail <= m_mu * cauchy_tail_bound(m, order), t
 
 
 def test_g_tail_is_the_mu_majorant_times_h_tail(monkeypatch):

@@ -867,7 +867,7 @@ def test_caches_are_bounded():
 
 
 def test_seed7_report_hits_its_caches():
-    """A seed-7 report reads 2 rings, 1 float series and 19 recurrence
+    """A seed-7 report reads 2 rings, 1 float series and 16 recurrence
     shapes for its 150 Q series, and every later read is a hit.  Its 126
     Blaschke pull-backs build 126 power tables and reuse none: no suite
     pulls two series back through one phi."""
@@ -876,4 +876,4 @@ def test_seed7_report_hits_its_caches():
     for name in SUITE_NAMES:
         run_suite(name, 7)
     assert [cache.cache_info()[:2] for cache in CACHES] \
-        == [(154, 2), (99, 1), (131, 19), (0, 126)]
+        == [(154, 2), (99, 1), (134, 16), (0, 126)]

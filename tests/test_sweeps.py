@@ -1,14 +1,27 @@
 import numpy as np
 import pytest
 
+import bohrlab.bohr
+import bohrlab.harmonic
 import bohrlab.modular
-from bohrlab.bohr import BASE_SLACK, main_theorem_check
+import bohrlab.sweeps
+from bohrlab.bohr import (BASE_SLACK, bohr_operator, cauchy_tail_bound,
+                          littlewood_check, main_theorem_check)
 from bohrlab.errors import DomainError
+from bohrlab.generators import TAIL_RHO, random_schwarz
 from bohrlab.geometry import boundary_distance
 from bohrlab.harmonic import build_pair, harmonic_bohr_check
-from bohrlab.sweeps import (SUITE_NAMES, SUITES, harmonic_trial,
-                            run_harmonic, run_suite, run_theorem4,
-                            run_univalence, theorem4_spec)
+from bohrlab.series import TruncatedSeries
+from bohrlab.sweeps import (ORDER, SUITE_NAMES, SUITES, TAIL_BUDGET,
+                            _spec_and_distance, harmonic_trial, run_harmonic,
+                            run_suite, run_theorem4, run_univalence,
+                            theorem4_spec)
+
+#: Rounding allowance of an lhs, relative: 64 units in the last place, the
+#: rounding bound of a majorant sum of up to 65 nonnegative terms (Higham,
+#: ch. 3).  Rebuilt at another order, the seed-7, 8 and 11 spec rows move
+#: by at most 5.4e-16 of their lhs beyond the tail.
+ROUNDING = 64 * 2.0 ** -53
 
 
 def test_suite_names_keep_report_order():
@@ -135,3 +148,71 @@ def test_univalence_evaluates_only_the_collision_pair(monkeypatch):
     res = run_univalence(7)
     assert res.passed
     assert points == [1, 1]
+
+
+def _spec_rows(monkeypatch, order, seed):
+    """The theorem-main, von-neumann and harmonic-bohr rows of ``seed``
+    with the specs built at ``order``, each with the Cauchy tail it adds to
+    its lhs as ``tail``: one ``cauchy_tail_bound`` per row, times
+    1 + M(mu)(TAIL_RHO) on a harmonic row, which adds g's tail beside h's."""
+    tails = []
+
+    def recording(m_rho, n):
+        tails.append(cauchy_tail_bound(m_rho, n))
+        return tails[-1]
+
+    monkeypatch.setattr(bohrlab.bohr, "cauchy_tail_bound", recording)
+    monkeypatch.setattr(bohrlab.harmonic, "cauchy_tail_bound", recording)
+    monkeypatch.setattr(bohrlab.sweeps, "ORDER", order)
+    _spec_and_distance.cache_clear()     # its key is the trial seed alone
+    try:
+        rows = [row for name in ("theorem4", "von-neumann", "harmonic")
+                for row in run_suite(name, seed).rows
+                if row["check"] != "majorant-domination"]
+    finally:
+        _spec_and_distance.cache_clear()
+        monkeypatch.undo()
+    assert len(tails) == len(rows) == 200
+    for row, tail in zip(rows, tails):
+        assert f"order={order} " in row["spec"]
+        if row["check"] == "harmonic-bohr":
+            mu = TruncatedSeries(row["mu_coeffs"])
+            tail *= 1.0 + bohr_operator(mu, TAIL_RHO)
+        row["tail"] = tail
+    return rows
+
+
+@pytest.mark.parametrize("seed", [7, 8, 11])
+def test_spec_rows_keep_their_tails_within_the_budget(monkeypatch, seed):
+    """At ORDER each tail a spec row adds is within TAIL_BUDGET, and against
+    the same row built at order 64 the lhs moves up by at most that tail
+    and down by none, each up to ROUNDING."""
+    rows64 = _spec_rows(monkeypatch, 64, seed)
+    for row, row64 in zip(_spec_rows(monkeypatch, ORDER, seed), rows64):
+        assert (row["check"], row["trial"]) == (row64["check"],
+                                                 row64["trial"])
+        assert row["tail"] <= TAIL_BUDGET, row
+        eps = ROUNDING * row64["lhs"]
+        assert row64["lhs"] - eps <= row["lhs"], row
+        assert row["lhs"] <= row64["lhs"] + row["tail"] + eps, row
+
+
+def test_spec_order_is_the_smallest_multiple_of_8_in_the_budget(monkeypatch):
+    """Eight degrees fewer, a spec row's tail breaks TAIL_BUDGET at seed 7,
+    8 or 11 (von-neumann's reach 3.6e-15 at order 24)."""
+    assert ORDER % 8 == 0
+    tails = [row["tail"] for seed in (7, 8, 11)
+             for row in _spec_rows(monkeypatch, ORDER - 8, seed)]
+    assert max(tails) > TAIL_BUDGET
+
+
+def test_littlewood_compares_degrees_1_to_40_whatever_the_spec_order():
+    """The seed-7 littlewood rows are bit-identical to
+    ``littlewood_check(phi, 64, 40)``, so ORDER cannot cut their degrees."""
+    res = run_suite("littlewood", 7)
+    assert res.summary["kmax"] == 40
+    for row in res.rows:
+        phi = random_schwarz(row["seed"], 1 + row["trial"] % 4)
+        assert phi.text() == row["phi"]
+        want = littlewood_check(phi, 64, 40).row()
+        assert {key: row[key] for key in want} == want, row["trial"]
