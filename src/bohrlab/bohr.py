@@ -10,14 +10,13 @@ import numpy as np
 
 from .errors import DomainError
 from .generators import TAIL_RHO, LargeFunctionSpec, SchwarzFunction
-from .geometry import boundary_distance
 from .modular import E_PI, a_coeffs, j_eval, j_series
 from .series import TruncatedSeries, _truncmul, circle_sup
 
 #: Absolute slack of the checks whose sides are sums of many rounded terms
-#: (the Bohr majorants, the algebra of M and the harmonic identity); any
-#: tail bound is added to the lhs.  The other rows carry their own slack:
-#: 0, 1e-14, 1e-10, 1e-8 or 1e-6.
+#: (the Bohr majorants, Littlewood's ratios, the algebra of M and both
+#: harmonic rows); any tail bound is added to the lhs.  The other rows
+#: carry their own slack: 0, 1e-14, 1e-10, 1e-8 or 1e-6.
 BASE_SLACK = 1e-9
 
 
@@ -140,14 +139,14 @@ def littlewood_check(phi: SchwarzFunction, order: int,
                             BASE_SLACK)
 
 
-def main_theorem_check(spec: LargeFunctionSpec) -> InequalityCheck:
-    """Verify sum_{n>=1} |a_n| r^n <= dist(F(0), boundary of F(U)) at the
-    Bohr radius r = e^-pi; the lhs is the sum over the stored prefix plus
-    the Cauchy tail bound of the rest, from ``spec.modulus_bound``."""
+def main_theorem_check(spec: LargeFunctionSpec,
+                       distance: float) -> InequalityCheck:
+    """Verify sum_{n>=1} |a_n| r^n <= ``distance``, the caller's
+    ``geometry.boundary_distance(spec)``, at r = e^-pi; the lhs is the stored
+    prefix's sum plus the Cauchy tail bound from ``spec.modulus_bound``."""
     lhs = bohr_operator(spec.series, E_PI, from_degree=1)
     tail = cauchy_tail_bound(spec.modulus_bound, spec.order)
-    return InequalityCheck("theorem-main", lhs + tail,
-                           boundary_distance(spec), BASE_SLACK)
+    return InequalityCheck("theorem-main", lhs + tail, distance, BASE_SLACK)
 
 
 def von_neumann_check(spec: LargeFunctionSpec, p: TruncatedSeries,

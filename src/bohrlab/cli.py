@@ -21,19 +21,16 @@ from .reporting import eprint, render_json
 
 def _cmd_coeffs(args) -> int:
     a = a_coeffs(args.order)
-    print(render_json({
-        "schema": reporting.SCHEMA, "version": __version__,
+    print(render_json(reporting.document({
         "order": args.order, "exact": args.exact,
-        "a": list(a) if args.exact else [float(v) for v in a],
-    }))
+        "a": list(a) if args.exact else [float(v) for v in a]})))
     return 0
 
 
 def _cmd_eval(args) -> int:
     z = complex(args.re, args.im)
     w = complex(j_eval(z) if args.fn == "j" else q_eval(args.alpha, z))
-    doc = {"schema": reporting.SCHEMA, "version": __version__,
-           "fn": args.fn, "z": z, "value": w}
+    doc = reporting.document({"fn": args.fn, "z": z, "value": w})
     if args.fn == "q":
         doc["alpha"] = args.alpha
     print(render_json(doc))
@@ -42,11 +39,9 @@ def _cmd_eval(args) -> int:
 
 def _cmd_bohr_radius(args) -> int:
     res = bohr_radius_solve(args.order)
-    print(render_json({
-        "schema": reporting.SCHEMA, "version": __version__,
+    print(render_json(reporting.document({
         "radius": res.radius, "residual": res.residual,
-        "iterations": res.iterations, "order": args.order,
-    }))
+        "iterations": res.iterations, "order": args.order})))
     return 0
 
 
@@ -65,8 +60,7 @@ def _run_suite(name: str, seed: int, trials: int | None = None,
 
 def _cmd_verify(args) -> int:
     result = _run_suite(args.suite, args.seed, args.trials)
-    print(render_json(
-        reporting.suite_document(result, args.seed, __version__)))
+    print(render_json(reporting.suite_document(result, args.seed)))
     return 0 if result.passed else 1
 
 
@@ -98,8 +92,7 @@ def _cmd_report(args) -> int:
         rows = [row for res in results for row in res.rows]
         n = reporting.write_csv(rows, args.csv)
         eprint("wrote %d rows to %s" % (n, args.csv))
-    doc = reporting.report_document(results, args.seed, __version__,
-                                    overrides)
+    doc = reporting.report_document(results, args.seed, overrides)
     print(render_json(doc))
     return 0 if doc["pass"] else 1
 

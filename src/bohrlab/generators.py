@@ -19,7 +19,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError
-from .modular import CoveringParameter, j_eval, q_eval, q_series
+from .modular import (CoveringParameter, _covering_parameter, j_eval, q_eval,
+                      q_series)
 from .series import (TOEPLITZ_MAX_ORDER, TruncatedSeries, _compose_powers,
                      _power_table, compose)
 
@@ -402,8 +403,7 @@ def make_large_function(a, b, alpha, phi: SchwarzFunction,
     if order < 1:
         raise DomainError("order must be >= 1")
     a, b = complex(a), complex(b)
-    if not isinstance(alpha, CoveringParameter):
-        alpha = CoveringParameter(float(alpha))
+    alpha = _covering_parameter(alpha)
     q = q_series(alpha, max(1, order // phi.valuation))
     with np.errstate(over="ignore", invalid="ignore"):
         coeffs = phi.pull_back(q, order) * (b - a)

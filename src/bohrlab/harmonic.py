@@ -12,8 +12,8 @@ sup may undershoot, which only makes a pass harder.  The tail of M(h) is
 ``cauchy_tail_bound`` of ``LargeFunctionSpec.modulus_bound``, and that of
 M(g) is the same bound times M(mu)(``TAIL_RHO``); both are upper bounds.
 A second row checks the domination M(g)(r) <= M(h - h(0))(r) at r = 0.2,
-a theorem for |mu| <= 1, which every dilatation the sweep draws meets in
-closed form; nothing is sampled to decide it.
+a theorem when M(mu)(t) <= 1 for t <= 1/3, which the stored prefix of every
+dilatation the sweep draws meets; nothing is sampled to decide it.
 """
 
 from __future__ import annotations
@@ -57,8 +57,7 @@ def harmonic_bohr_check(pair: HarmonicPair,
                         distance: float) -> InequalityCheck:
     """Verify the (1 + sup|mu|) boundary-distance bound at r = e^-pi.
 
-    ``distance`` is ``boundary_distance(pair.spec)``, passed in by the
-    caller so that a sweep sharing the spec samples its boundary once.
+    ``distance`` is the caller's ``boundary_distance(pair.spec)``.
 
     The tail of M(g) is an upper bound: M = ``spec.modulus_bound`` bounds
     |h| on |z| <= rho = ``TAIL_RHO``, so |h_j| <= M / rho^j (Cauchy), and
@@ -83,12 +82,13 @@ def majorant_domination_check(pair: HarmonicPair,
     """M(g)(r) <= M(h - h(0))(r) for r <= 1/3: lhs the difference, rhs 0.
 
     A theorem, so no sample and no tail.  Let H be h, cut at order N, and
-    G = integral of mu H'.  |mu| <= 1 and Bohr's theorem give M(mu)(t) <= 1
-    for t <= 1/3; M is submultiplicative, so M(G') <= M(H'), and
-    integrating gives M(G)(r) <= M(H - H(0))(r).  The stored g is G up to
-    degree N, since g_n reads only mu_0..mu_{n-1}, so M(g)(r) <= M(G)(r).
-    Only the rounding of the two sums is left, inside ``BASE_SLACK``.
-    """
+    G = integral of mu H', mu the stored prefix of a map bounded by 1: it
+    can pass 1 on |z| = 1, but for t <= 1/3 M(mu)(t) is at most the map's
+    majorant, <= 1 by Bohr's theorem.  M is submultiplicative, so
+    M(G') <= M(H'), and integrating gives M(G)(r) <= M(H - H(0))(r).  The
+    stored g is G up to degree N, since g_n reads only mu_0..mu_{n-1}, so
+    M(g)(r) <= M(G)(r).  Only the rounding of the two sums is left, inside
+    ``BASE_SLACK``."""
     lhs = (bohr_operator(pair.g, r, from_degree=1)
            - bohr_operator(pair.spec.series, r, from_degree=1))
     return InequalityCheck("majorant-domination", lhs, 0.0, BASE_SLACK)

@@ -137,21 +137,24 @@ _AFTER_SHIFT = np.array([2, 4, 0, 5, 1, 3])
 _AFTER_STEP = np.stack((_AFTER_INVERT, _AFTER_SHIFT[_AFTER_INVERT]))
 
 
-def _lambda_at(sigma: np.ndarray, g: np.ndarray, deriv: bool) -> np.ndarray:
-    """M_g(lambda) at the log-nomes sigma (Re sigma < 0), or when ``deriv``
-    its derivative in sigma; reduces sigma and g in place.
+def _lambda_at(sigma: np.ndarray, g, deriv: bool) -> np.ndarray:
+    """M_g(lambda) at the log-nomes sigma (Re sigma < 0) from the start g
+    (per point, or one index), or when ``deriv`` its derivative in sigma.
 
-    Each pass inverts the points with |tau| < _FLIP_BELOW and shifts them
-    back to |Re tau| <= 1/2, composing g with the maps it undoes; only the
-    points still to invert are gathered.  Then lambda at w = e^sigma and
-    w lambda'(w) are carried back through M_g by the chain rule."""
+    Reduces sigma in place: shifts tau to |Re tau| <= 1/2, then inverts
+    the points with |tau| < _FLIP_BELOW and shifts them back until none is
+    left, composing g with each map undone and gathering only the points
+    still to invert; lambda and w lambda'(w) at w = e^sigma go back by M_g."""
     dtau = np.ones_like(sigma) if deriv else None
+    shift = np.rint(sigma.imag / math.pi)          # lambda has period 2
+    sigma.imag -= math.pi * shift
+    g = np.where(shift.astype(np.intp) & 1, _AFTER_SHIFT[g], g)
     live = np.flatnonzero(np.abs(sigma) < math.pi * _FLIP_BELOW)
     while live.size:
         s = _PI_SQ / sigma[live]
         if deriv:              # d(-1/tau)/d tau = (-1/tau)^2 = -sigma^2/pi^2
             dtau[live] = dtau[live] * s * s / -_PI_SQ
-        shift = np.rint(s.imag / math.pi)         # lambda has period 2
+        shift = np.rint(s.imag / math.pi)
         s.imag -= math.pi * shift
         sigma[live] = s
         g[live] = _AFTER_STEP[shift.astype(np.intp) & 1, g[live]]
@@ -206,9 +209,7 @@ def _j_block(w: np.ndarray, deriv: bool) -> np.ndarray:
 
 def _q_block(sigma: np.ndarray, deriv: bool) -> np.ndarray:
     """Q, or dQ / d sigma if ``deriv``, at a flat block of log-nomes sigma."""
-    shift = np.rint(sigma.imag / math.pi)
-    sigma.imag -= math.pi * shift
-    return _lambda_at(sigma, _SHIFT * (shift.astype(np.intp) & 1), deriv)
+    return _lambda_at(sigma, 0, deriv)
 
 
 @np.errstate(all="ignore")
@@ -265,9 +266,10 @@ class CoveringParameter:
             raise DomainError("alpha must be positive")
 
 
-def _alpha_value(alpha) -> float:
+def _covering_parameter(alpha) -> CoveringParameter:
+    """alpha, given as a ``CoveringParameter`` or as a number, checked."""
     return (alpha if isinstance(alpha, CoveringParameter)
-            else CoveringParameter(float(alpha))).alpha
+            else CoveringParameter(float(alpha)))
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -289,7 +291,7 @@ def q_eval(alpha, z):
     """Q(z): covering map onto C \\ {0, 1} with Q(0) = J(e^{-alpha}), from
     the kernel at its log-nome sigma = -alpha (1+z)/(1-z); keeps the shape
     of array input."""
-    sigma = _q_sigma(_alpha_value(alpha), _disk_points(z))
+    sigma = _q_sigma(_covering_parameter(alpha).alpha, _disk_points(z))
     return _evaluate(_q_block, sigma, False,
                      "Q exceeds the double range near a cusp")
 
@@ -298,7 +300,7 @@ def q_eval(alpha, z):
 def q_deriv(alpha, z):
     """Q'(z) = (dQ / d sigma) sigma'(z), sigma' = -2 alpha / (1-z)^2;
     ``DomainError`` if not finite."""
-    a = _alpha_value(alpha)
+    a = _covering_parameter(alpha).alpha
     z = _disk_points(z)
     return _evaluate(_q_block, _q_sigma(a, z), True,
                      "Q' is not finite (alpha = %r)" % a,
@@ -383,7 +385,7 @@ def q_series(alpha, order: int) -> np.ndarray:
     """
     if order < 1:
         raise DomainError("order must be >= 1")
-    alpha = _alpha_value(alpha)
+    alpha = _covering_parameter(alpha).alpha
     dual = alpha < math.pi
     beta = _PI_SQ / alpha if dual else alpha
     n = np.arange(1.0, math.ceil(math.sqrt((2 * order + 40) / beta)) + 2)

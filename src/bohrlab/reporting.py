@@ -13,6 +13,7 @@ import sys
 
 import numpy as np
 
+from . import __version__
 from .bohr import InequalityCheck
 
 CSV_FIELDS = ("check", "lhs", "rhs", "slack", "pass")
@@ -34,18 +35,22 @@ def render_json(obj) -> str:
     return json.dumps(obj, indent=2, allow_nan=False, default=_plain)
 
 
-def suite_document(result, seed: int, version: str) -> dict:
-    return {"schema": SCHEMA, "version": version, "suite": result.name,
-            "seed": seed, "trials": result.trials, "pass": result.passed,
-            "summary": result.summary, "failures": result.failures,
-            "checks_run": len(result.rows), "checks_failed": result.failed}
+def document(fields: dict) -> dict:
+    """A CLI document: ``schema``, ``version``, then ``fields`` in order."""
+    return {"schema": SCHEMA, "version": __version__, **fields}
 
 
-def report_document(results, seed: int, version: str,
-                    overrides: dict | None = None) -> dict:
-    doc = {"schema": SCHEMA, "version": version, "seed": seed,
-           "pass": all(r.passed for r in results),
-           "suites": [suite_document(r, seed, version) for r in results]}
+def suite_document(result, seed: int) -> dict:
+    return document({
+        "suite": result.name, "seed": seed, "trials": result.trials,
+        "pass": result.passed, "summary": result.summary,
+        "failures": result.failures, "checks_run": len(result.rows),
+        "checks_failed": result.failed})
+
+
+def report_document(results, seed: int, overrides: dict | None = None) -> dict:
+    doc = document({"seed": seed, "pass": all(r.passed for r in results),
+                    "suites": [suite_document(r, seed) for r in results]})
     if overrides:
         doc["tolerance_overrides"] = dict(overrides)
     return doc

@@ -95,7 +95,7 @@ def run_theorem4(seed: int = 7, trials: int = 100) -> SuiteResult:
     for t in range(trials):
         ts = _trial_seed(seed, t)
         spec = theorem4_spec(ts, t)
-        rep = bohr.main_theorem_check(spec)
+        rep = bohr.main_theorem_check(spec, geometry.boundary_distance(spec))
         res.rows.append(rep.row() | {"trial": t, "seed": ts,
                                      "spec": spec.text(),
                                      "exact_distance": spec.phi.is_inner})
@@ -145,8 +145,8 @@ def run_von_neumann(seed: int = 7, trials: int = 50) -> SuiteResult:
 
 def _harmonic_mu(ts: int, t: int) -> TruncatedSeries:
     """mu = 0, a constant |c| < 1 or ``random_mobius_bounded``'s map, by t
-    mod 3: each bounded by 1 on the disk in closed form, as
-    ``harmonic.majorant_domination_check`` needs."""
+    mod 3, each bounded by 1 in closed form, so by Bohr its stored prefix
+    has majorant <= 1 to radius 1/3: ``majorant_domination_check`` needs it."""
     kind = t % 3
     if kind == 0:
         return TruncatedSeries([0.0], "mu=0")

@@ -163,7 +163,7 @@ def theorem_budget(spec) -> float:
 def readme_counterexample():
     """The README spec Q_1: flagged, with the 50-digit lhs/rhs."""
     spec = make_large_function(0, 1, 1, identity_schwarz(), 64)
-    rep = main_theorem_check(spec)
+    rep = main_theorem_check(spec, boundary_distance(spec))
     o = oracle(spec)
     ok = (not rep.passed
           and abs(o.lhs / o.rhs - README_RATIO) <= 5e-11
@@ -264,7 +264,7 @@ def test_criterion_06_main_inequality_sweep():
     replay_ok, confirmed, refuted = True, [], []
     for rec in res.failures:
         spec = theorem4_spec(rec["seed"], rec["trial"])
-        rep = main_theorem_check(spec)
+        rep = main_theorem_check(spec, boundary_distance(spec))
         replay_ok &= spec.text() == rec["spec"] and replays(rec, rep.row())
         if spec.phi.is_inner:
             budget = theorem_budget(spec)
@@ -272,7 +272,7 @@ def test_criterion_06_main_inequality_sweep():
             (confirmed if ok else refuted).append(rec["trial"])
     tight = tightest_exact_pass(res.rows, "theorem-main")
     spec = theorem4_spec(tight["seed"], tight["trial"])
-    rep = main_theorem_check(spec)
+    rep = main_theorem_check(spec, boundary_distance(spec))
     tight_ok = confirms(oracle(spec), rep.lhs, rep.rhs,
                         theorem_budget(spec), False)
     ok = (readme_ok and enough_exact and replay_ok and not refuted
@@ -304,7 +304,7 @@ def test_criterion_09_harmonic_extension():
     spec = make_large_function(0.0, 1.0, math.pi, identity_schwarz(), 64)
     pair = build_pair(spec, TruncatedSeries([0.0]))
     rep = harmonic_bohr_check(pair, boundary_distance(spec))
-    base = main_theorem_check(spec)
+    base = main_theorem_check(spec, boundary_distance(spec))
     reduction_ok = (
         rep.lhs == base.lhs
         and bohr_operator(pair.g, E_PI, from_degree=1) == 0.0

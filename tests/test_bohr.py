@@ -10,7 +10,8 @@ import bohrlab.generators
 import bohrlab.geometry
 import bohrlab.modular
 import bohrlab.sweeps
-from bohrlab.bohr import (BASE_SLACK, algebra_properties_check, bohr_operator,
+from bohrlab.bohr import (BASE_SLACK, InequalityCheck,
+                          algebra_properties_check, bohr_operator,
                           bohr_radius_solve, cauchy_tail_bound,
                           classical_bohr_check, littlewood_check,
                           main_theorem_check, von_neumann_check)
@@ -23,10 +24,36 @@ from bohrlab.generators import (TAIL_RHO, Factor, SchwarzFunction,
 from bohrlab.geometry import boundary_distance
 from bohrlab.harmonic import build_pair, harmonic_bohr_check
 from bohrlab.modular import E_PI, j_series, q_series
+from bohrlab.reporting import apply_tolerance_override
 from bohrlab.series import (TOEPLITZ_MAX_ORDER, TruncatedSeries,
                             _compose_powers, _truncmul, circle_sup, compose,
                             inverse, unit_ring)
-from bohrlab.sweeps import run_von_neumann
+from bohrlab.sweeps import SuiteResult, run_von_neumann
+
+
+# -- the verdict rule --------------------------------------------------------
+
+#: (rhs, slack) pairs over many magnitudes; lhs sits at rhs + slack.
+VERDICT_EDGES = [(0.5, 1e-9), (3.0, 1e-9), (1e-12, 1e-9), (1e-3, 1e-14),
+                 (1e6, 1e-6), (1e200, 1e190), (2.0, 0.25), (0.7, 0.0),
+                 (0.0, 1e-10), (1.0, -0.5)]
+
+
+@pytest.mark.parametrize("rhs, slack", VERDICT_EDGES)
+def test_verdict_edge_is_lhs_equal_to_rhs_plus_slack(rhs, slack):
+    """A row passes at lhs = rhs + slack and fails one ulp above it, also
+    when ``apply_tolerance_override`` re-judges it with ``slack``."""
+    edge = rhs + slack
+    above = math.nextafter(edge, math.inf)
+    assert InequalityCheck("edge", edge, rhs, slack).passed
+    assert not InequalityCheck("edge", above, rhs, slack).passed
+    result = SuiteResult("edge", 2, rows=[
+        {"check": "edge", "lhs": lhs, "rhs": rhs, "slack": 1.0,
+         "pass": lhs <= rhs, "trial": t}
+        for t, lhs in enumerate((edge, above))])
+    apply_tolerance_override(result, slack)
+    assert [row["pass"] for row in result.rows] == [True, False]
+    assert [row["trial"] for row in result.failures] == [1]
 
 
 # -- majorant operator -------------------------------------------------------
@@ -86,8 +113,9 @@ def test_modulus_bound_beyond_the_double_range_is_a_domain_error():
     with pytest.raises(DomainError, match="double range"):
         spec.modulus_bound
     with pytest.raises(DomainError, match="double range"):
-        main_theorem_check(spec)
-    rep = main_theorem_check(make_large_function(0.0, 1e307, 1.0, phi, 64))
+        main_theorem_check(spec, boundary_distance(spec))
+    spec = make_large_function(0.0, 1e307, 1.0, phi, 64)
+    rep = main_theorem_check(spec, boundary_distance(spec))
     assert np.isfinite([rep.lhs, rep.rhs]).all()
 
 
@@ -123,7 +151,7 @@ def test_inner_checks_evaluate_a_few_j_points(monkeypatch):
     points = _count_j_points(monkeypatch)
     distance = boundary_distance(spec)
     assert points == []
-    main_theorem_check(spec)
+    main_theorem_check(spec, distance)
     assert points == [1]
     points.clear()
     von_neumann_check(small, TruncatedSeries([0.0, 1.0]), 0.15)
@@ -136,7 +164,7 @@ def test_inner_checks_evaluate_a_few_j_points(monkeypatch):
 def test_main_check_small_alpha_stays_finite():
     for alpha in (1e-3, 0.02, 0.1):
         spec = make_large_function(0.0, 1.0, alpha, identity_schwarz(), 64)
-        rep = main_theorem_check(spec)
+        rep = main_theorem_check(spec, boundary_distance(spec))
         tail = cauchy_tail_bound(spec.modulus_bound, spec.order)
         assert np.isfinite([rep.lhs, rep.rhs, tail]).all(), alpha
         assert rep.passed, alpha
@@ -151,7 +179,6 @@ def test_von_neumann_sweep_samples_each_distance_once(monkeypatch):
         return original(spec)
 
     monkeypatch.setattr(bohrlab.geometry, "boundary_distance", counting)
-    monkeypatch.setattr(bohrlab.bohr, "boundary_distance", counting)
     bohrlab.sweeps._spec_and_distance.cache_clear()
     run_von_neumann(seed=7, trials=50)
     assert len(calls) == 50
@@ -457,7 +484,7 @@ def test_power_chain_moves_coefficients_exactly():
 
 def test_main_check_passes_for_central_spec():
     spec = make_large_function(0.0, 1.0, math.pi, identity_schwarz(), 64)
-    rep = main_theorem_check(spec)
+    rep = main_theorem_check(spec, boundary_distance(spec))
     assert rep.passed
     assert rep.rhs == pytest.approx(0.5, abs=1e-12)
 
@@ -468,15 +495,16 @@ def test_main_check_fails_near_puncture():
     # asserted inequality is genuinely false there, and the check must
     # report that rather than mask it.
     spec = make_large_function(0.0, 1.0, 1.0, identity_schwarz(), 64)
-    rep = main_theorem_check(spec)
+    rep = main_theorem_check(spec, boundary_distance(spec))
     assert not rep.passed
     assert rep.lhs > rep.rhs * 1.2
 
 
 def test_main_check_scale_invariance():
     spec = make_large_function(0.0, 1.0, math.pi, identity_schwarz(), 64)
-    rep1 = main_theorem_check(spec)
-    rep2 = main_theorem_check(spec.scaled(3.0))
+    scaled = spec.scaled(3.0)
+    rep1 = main_theorem_check(spec, boundary_distance(spec))
+    rep2 = main_theorem_check(scaled, boundary_distance(scaled))
     assert rep2.lhs == pytest.approx(3 * rep1.lhs, rel=1e-10)
     assert rep2.rhs == pytest.approx(3 * rep1.rhs, rel=1e-10)
 
@@ -537,6 +565,54 @@ def test_von_neumann_hypothesis_guard():
     with pytest.raises(DomainError, match="is not < 1"):
         von_neumann_check(spec.scaled(10.0), TruncatedSeries([0.0, 1.0]),
                           10.0 * d)
+
+
+def _von_neumann_trials(monkeypatch, seed=7):
+    """(spec, p, row) of each von-neumann trial of a seed's sweep, with the
+    spec as the sweep scaled it."""
+    trials = []
+    check = bohrlab.bohr.von_neumann_check
+
+    def capture(spec, p, distance):
+        rep = check(spec, p, distance)
+        trials.append((spec, p, rep))
+        return rep
+
+    monkeypatch.setattr(bohrlab.bohr, "von_neumann_check", capture)
+    run_von_neumann(seed)
+    return trials
+
+
+def test_von_neumann_sides_for_the_identity_and_the_square(monkeypatch):
+    """For p = w the lhs is M(F)(e^-pi), constant term included, plus the
+    Cauchy tail of |F| <= ``modulus_bound``, bit for bit; for p = w and
+    p = w^2 the rhs, |p| sampled on the unit circle, is 1 up to rounding."""
+    seen = {"w": 0, "w^2": 0}
+    for spec, p, rep in _von_neumann_trials(monkeypatch):
+        if p.label not in seen:
+            continue
+        seen[p.label] += 1
+        assert abs(rep.rhs - 1.0) <= 4e-16, p.label
+        if p.label == "w":
+            assert rep.lhs == (bohr_operator(spec.series, E_PI, 0)
+                               + cauchy_tail_bound(spec.modulus_bound,
+                                                   spec.order))
+    assert seen == {"w": 17, "w^2": 17}
+
+
+def test_von_neumann_rhs_samples_drawn_polynomials_from_below(monkeypatch):
+    """The rhs of a drawn polynomial, |p| at 4096 nodes, is at most the
+    sample at 65,536 nodes, whose every 16th node is one of the 4096, and
+    that is at most sum |p_k|."""
+    assert np.array_equal(unit_ring(65536)[::16], unit_ring(4096))
+    drawn = 0
+    for _, p, rep in _von_neumann_trials(monkeypatch):
+        if p.label in ("w", "w^2"):
+            continue
+        drawn += 1
+        fine = float(np.abs(p.eval(unit_ring(65536))).max())
+        assert rep.rhs <= fine <= float(np.abs(p.coeffs).sum()), p.coeffs
+    assert drawn == 16
 
 
 # -- classical sanity and algebra -------------------------------------------

@@ -136,9 +136,10 @@ def test_large_function_and_its_checks(a, b, alpha, phi, order, c):
             continue
         _finite(s.a, s.b, s.series.coeffs)
         distance = _holds(boundary_distance, s)
-        if distance is not None:
-            _finite(distance)
-        row = _holds(main_theorem_check, s)
+        if distance is None:
+            continue
+        _finite(distance)
+        row = _holds(main_theorem_check, s, distance)
         if row is not None:
             _finite(row.lhs, row.rhs, row.slack)
 

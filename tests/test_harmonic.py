@@ -46,7 +46,7 @@ def test_zero_dilatation_reduces_to_analytic_case():
     spec = central_spec()
     pair = build_pair(spec, TruncatedSeries([0.0]))
     rep = harmonic_bohr_check(pair, boundary_distance(spec))
-    base = main_theorem_check(spec)
+    base = main_theorem_check(spec, boundary_distance(spec))
     assert rep.passed
     assert bohr_operator(pair.g, E_PI, from_degree=1) == 0.0
     assert rep.lhs == base.lhs
@@ -73,7 +73,7 @@ def test_constant_dilatation_scales_the_bound():
 def test_mobius_dilatation_passes_for_good_specs():
     for seed in (1, 2, 3):
         spec = random_large_function(seed, order=64)
-        base = main_theorem_check(spec)
+        base = main_theorem_check(spec, boundary_distance(spec))
         if not base.passed:
             continue  # inherits the genuine counterexample of the base case
         mu = random_mobius_bounded(seed + 50, order=64)
@@ -172,6 +172,17 @@ def test_every_dilatation_the_sweep_draws_is_bounded_by_one(seed):
                                * (-np.conj(c) * u) ** (n - 1),
                                rtol=1e-13, atol=0)
     assert set(kinds) == {"mu=0", "mu=const", "mu=mobius"}
+
+
+@pytest.mark.parametrize("seed", [7, 8, 11])
+def test_every_stored_dilatation_has_majorant_at_most_one(seed):
+    """The hypothesis of the domination row: M(mu_N)(t) <= 1 for t <= 1/3,
+    mu_N the stored prefix of each drawn mu.  M grows with t, so t = 1/3
+    decides it; the worst is 0.99907, at seed 7 trial 28, while the
+    Moebius prefixes exceed 1 on the unit circle."""
+    for t in range(50):
+        mu = harmonic_trial(_trial_seed(seed, t), t)[1]
+        assert bohr_operator(mu, 1.0 / 3.0) <= 1.0, t
 
 
 @pytest.mark.parametrize("seed", [7, 8, 11])

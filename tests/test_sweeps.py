@@ -105,7 +105,7 @@ def test_seed7_failure_records_rebuild_from_seed_and_trial():
     for rec in res.failures:
         spec = theorem4_spec(rec["seed"], rec["trial"])
         assert spec.text() == rec["spec"]
-        row = main_theorem_check(spec).row()
+        row = main_theorem_check(spec, boundary_distance(spec)).row()
         assert (row["lhs"], row["rhs"]) == (rec["lhs"], rec["rhs"])
     res = run_harmonic(7)
     assert [rec["trial"] for rec in res.failures] == [25, 35, 46]
