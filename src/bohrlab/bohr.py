@@ -4,7 +4,8 @@ inequality verifiers built on it."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,8 +48,7 @@ def cauchy_tail_bound(m_rho: float, order: int) -> float:
     return m_rho * q ** (order + 1) / (1.0 - q)
 
 
-@dataclass(frozen=True)
-class BohrRadiusResult:
+class BohrRadiusResult(NamedTuple):
     radius: float
     residual: float     # -J(-r) - 1 at the returned radius
     iterations: int
@@ -84,21 +84,18 @@ def bohr_radius_solve(order: int = 200) -> BohrRadiusResult:
 # Inequality reports
 
 
-@dataclass(frozen=True)
-class InequalityCheck:
+class InequalityCheck(namedtuple("InequalityCheck", "name lhs rhs slack")):
     """One verified inequality lhs <= rhs + slack.  ``row()`` is its report
     row; every row of ``bohr`` and ``sweeps`` is built by it, and its
     verdict is read from the three numbers of the row alone."""
 
-    name: str
-    lhs: float
-    rhs: float
-    slack: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (math.isfinite(self.lhs) and math.isfinite(self.rhs)):
+    def __new__(cls, name: str, lhs: float, rhs: float, slack: float):
+        if not (math.isfinite(lhs) and math.isfinite(rhs)):
             raise DomainError("%s: a side is past the double range or NaN"
-                              % self.name)
+                              % name)
+        return super().__new__(cls, name, lhs, rhs, slack)
 
     @property
     def passed(self) -> bool:
@@ -112,6 +109,8 @@ class InequalityCheck:
 class LittlewoodReport(InequalityCheck):
     """Coefficient domination of a subordinate to -J(-z): the largest ratio
     of |a_k| to the degree-k majorant coefficient, against 1."""
+
+    __slots__ = ()
 
     @property
     def max_ratio(self) -> float:

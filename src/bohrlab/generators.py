@@ -13,7 +13,7 @@ output (O'Neill, 2014).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import lru_cache
 
 import numpy as np
@@ -137,8 +137,7 @@ def _fmt(x) -> str:
     return "%.17g" % x
 
 
-@dataclass(frozen=True)
-class Factor:
+class Factor(namedtuple("Factor", "kind param")):
     """One zero-fixing disk self-map in a composition recipe.
 
     Kinds: identity ``z``; rotation ``e^{i theta} z``; power ``z^k``;
@@ -147,27 +146,27 @@ class Factor:
     itself, so any composition is automatically a Schwarz function.
     """
 
-    kind: str
-    param: complex = 0j
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind == "rotation":
-            object.__setattr__(self, "param", complex(self.param.real, 0.0))
-        elif self.kind == "power":
-            k = int(self.param.real)
+    def __new__(cls, kind: str, param: complex = 0j):
+        if kind == "rotation":
+            param = complex(param.real, 0.0)
+        elif kind == "power":
+            k = int(param.real)
             if k < 2:
                 raise DomainError("power factor needs exponent >= 2")
-            object.__setattr__(self, "param", complex(k, 0.0))
-        elif self.kind == "contraction":
-            s = self.param.real
+            param = complex(k, 0.0)
+        elif kind == "contraction":
+            s = param.real
             if not 0 < s <= 1:
                 raise DomainError("contraction needs 0 < s <= 1")
-            object.__setattr__(self, "param", complex(s, 0.0))
-        elif self.kind == "blaschke":
-            if abs(self.param) >= 1:
+            param = complex(s, 0.0)
+        elif kind == "blaschke":
+            if abs(param) >= 1:
                 raise DomainError("blaschke parameter needs |c| < 1")
-        elif self.kind != "identity":
-            raise DomainError("unknown factor kind %r" % self.kind)
+        elif kind != "identity":
+            raise DomainError("unknown factor kind %r" % kind)
+        return super().__new__(cls, kind, param)
 
     @property
     def is_inner(self) -> bool:
@@ -245,15 +244,16 @@ def _blaschke_powers(c: complex) -> np.ndarray:
     return _power_table(_z_mobius(c, 1.0, n), n, math.isqrt(n))
 
 
-@dataclass(frozen=True)
-class SchwarzFunction:
-    """Composition of zero-fixing disk self-maps, applied first-to-last."""
+class SchwarzFunction(namedtuple("SchwarzFunction", "factors")):
+    """Composition of zero-fixing disk self-maps, applied first-to-last;
+    ``factors`` is a tuple of ``Factor``."""
 
-    factors: tuple[Factor, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.factors:
+    def __new__(cls, factors: tuple[Factor, ...]):
+        if not factors:
             raise DomainError("recipe needs at least one factor")
+        return super().__new__(cls, factors)
 
     @property
     def is_inner(self) -> bool:
@@ -321,29 +321,28 @@ def random_schwarz(
     return SchwarzFunction(tuple(factors))
 
 
-@dataclass(frozen=True)
-class LargeFunctionSpec:
+class LargeFunctionSpec(namedtuple("LargeFunctionSpec",
+                                   "a b alpha phi series")):
     """Constructive description of an analytic F omitting two values.
 
     F(z) = a + (b - a) Q_alpha(phi(z)) for a covering parameter alpha and a
-    Schwarz function phi.  With phi inner the image is exactly the plane
-    minus {a, b}.  However it is built, ``DomainError`` unless a, b, b - a
-    and (by ``TruncatedSeries``) each coefficient have a finite modulus.
+    Schwarz function phi, with ``series`` F's ``TruncatedSeries``.  With phi
+    inner the image is exactly the plane minus {a, b}.  However it is
+    built, ``DomainError`` unless a, b, b - a and (by ``TruncatedSeries``)
+    each coefficient have a finite modulus.
     """
 
-    a: complex
-    b: complex
-    alpha: CoveringParameter
-    phi: SchwarzFunction
-    series: TruncatedSeries = field(repr=False)
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, a: complex, b: complex, alpha: CoveringParameter,
+                phi: SchwarzFunction, series: TruncatedSeries):
         with np.errstate(over="ignore"):
-            ends = np.abs((self.a, self.b, self.b - self.a))
+            ends = np.abs((a, b, b - a))
         if not math.isfinite(ends.max()):
             raise DomainError("an omitted point of F exceeds the double range")
-        if self.a == self.b:
+        if a == b:
             raise DomainError("omitted points must be distinct")
+        return super().__new__(cls, a, b, alpha, phi, series)
 
     @property
     def order(self) -> int:

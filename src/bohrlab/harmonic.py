@@ -18,7 +18,7 @@ dilatation the sweep draws meets; nothing is sampled to decide it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -29,17 +29,16 @@ from .modular import E_PI
 from .series import TruncatedSeries, _truncmul, circle_sup
 
 
-@dataclass(frozen=True)
-class HarmonicPair:
-    """h + conj(g), h = spec.series, g integrated from the dilatation."""
+class HarmonicPair(namedtuple("HarmonicPair", "spec g mu")):
+    """h + conj(g), h = spec.series, g integrated from the dilatation mu."""
 
-    spec: LargeFunctionSpec
-    g: TruncatedSeries
-    mu: TruncatedSeries
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.g[0] != 0:
+    def __new__(cls, spec: LargeFunctionSpec, g: TruncatedSeries,
+                mu: TruncatedSeries):
+        if g[0] != 0:
             raise ValueError("g must vanish at 0")
+        return super().__new__(cls, spec, g, mu)
 
 
 def build_pair(spec: LargeFunctionSpec, mu: TruncatedSeries) -> HarmonicPair:

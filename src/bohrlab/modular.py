@@ -16,8 +16,9 @@ radius, and a closed-form pair with J(z1) = J(z2) beyond it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -253,17 +254,17 @@ def j_deriv(z):
 # The covering map Q
 
 
-@dataclass(frozen=True)
-class CoveringParameter:
+class CoveringParameter(namedtuple("CoveringParameter", "alpha")):
     """Positive exponent of the cover Q(z) = J(exp(-alpha (1+z)/(1-z)))."""
 
-    alpha: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not math.isfinite(self.alpha):
-            raise DomainError("alpha must be finite, not %r" % self.alpha)
-        if not self.alpha > 0:
+    def __new__(cls, alpha: float):
+        if not math.isfinite(alpha):
+            raise DomainError("alpha must be finite, not %r" % alpha)
+        if not alpha > 0:
             raise DomainError("alpha must be positive")
+        return super().__new__(cls, alpha)
 
 
 def _covering_parameter(alpha) -> CoveringParameter:
@@ -410,8 +411,7 @@ def q_series(alpha, order: int) -> np.ndarray:
 _STARLIKE_TERMS = 64
 
 
-@dataclass(frozen=True)
-class StarlikeCertificate:
+class StarlikeCertificate(NamedTuple):
     """A lower bound on Re zJ'/J on a circle, with the terms it subtracts."""
 
     min_re: float               # min of Re h_K at the nodes, as computed
@@ -475,8 +475,7 @@ def starlike_certificate(r: float, nodes: int) -> StarlikeCertificate:
         tail, nu / (1.0 - nu) * float(np.dot(k + 1, scaled)))
 
 
-@dataclass(frozen=True)
-class CollisionReport:
+class CollisionReport(NamedTuple):
     """A pair J(z1) = J(z2) in a disk, with its value gap."""
 
     z1: complex

@@ -11,7 +11,7 @@ Arithmetic works on coefficient arrays (``_truncmul``, ``compose``,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from math import isfinite, isqrt
 
@@ -25,21 +25,19 @@ except ImportError:                     # numpy < 2, where it does not warn
     from numpy.core.multiarray import correlate as _correlate
 
 
-@dataclass(frozen=True)
-class TruncatedSeries:
+class TruncatedSeries(namedtuple("TruncatedSeries", "coeffs label")):
     """Coefficient prefix c_0..c_N of an analytic function.
 
     ``coeffs`` always has exactly ``order + 1`` entries, all of finite
     modulus (else ``DomainError``): the one check on coefficient moduli,
     which a finite c passes only if |c| is finite too.  ``label`` is a
-    free-form provenance string.
+    free-form provenance string.  Immutable; ``series[n]`` is c_n.
     """
 
-    coeffs: np.ndarray
-    label: str = ""
+    __slots__ = ()
 
-    def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=complex)
+    def __new__(cls, coeffs, label: str = ""):
+        c = np.asarray(coeffs, dtype=complex)
         if c.ndim != 1 or c.size == 0:
             raise ValueError("coeffs must be a nonempty 1-d sequence")
         with np.errstate(over="ignore"):
@@ -48,7 +46,7 @@ class TruncatedSeries:
             raise DomainError("series coefficient moduli must be finite, "
                               "not past the double range or NaN")
         c.setflags(write=False)
-        object.__setattr__(self, "coeffs", c)
+        return super().__new__(cls, c, label)
 
     @property
     def order(self) -> int:

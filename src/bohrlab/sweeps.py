@@ -16,7 +16,6 @@ trial is a result, not a crash: the suite completes and reports it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -41,12 +40,13 @@ MOBIUS_ORDER = 64   # classical-bohr's f (own tail) and harmonic's mu
 MAX_MODULUS_SAMPLES = 4096
 
 
-@dataclass
 class SuiteResult:
-    name: str
-    trials: int
-    rows: list = field(default_factory=list)
-    summary: dict = field(default_factory=dict)
+    """A suite's rows, one per executed check, and its summary numbers."""
+
+    def __init__(self, name: str, trials: int, rows: list | None = None):
+        self.name, self.trials = name, trials
+        self.rows = [] if rows is None else rows
+        self.summary = {}
 
     @property
     def failures(self) -> list:

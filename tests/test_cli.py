@@ -250,12 +250,13 @@ def test_runtime_imports_only_numpy():
 def test_report_loads_no_numpy_random():
     """A report draws from ``generators.Stream``, so neither
     ``numpy.random`` (nor the ``secrets`` and ``hashlib`` it pulls in) nor
-    ``numpy.polynomial`` is imported."""
+    ``numpy.polynomial`` is imported; its records are tuples, so neither
+    is ``dataclasses``."""
     code = ("import contextlib, io, sys; from bohrlab.cli import main\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    rc = main(['report', '--all', '--seed', '7'])\n"
             "print(rc, *sorted(m for m in ('numpy.random', 'numpy.polynomial',"
-            " 'secrets', 'hashlib') if m in sys.modules))")
+            " 'secrets', 'hashlib', 'dataclasses') if m in sys.modules))")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(SRC), env.get("PYTHONPATH")) if p)

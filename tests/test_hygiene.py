@@ -135,64 +135,143 @@ def test_runner_problems_are_found():
                                         "run_c: not in SUITES"]
 
 
-def _dataclass_fields(source: str) -> list[tuple[str, str]]:
-    """(class, field) for each annotated field of a top-level class
-    decorated with ``@dataclass`` or ``@dataclass(...)``."""
+def _is_name(node, name: str) -> bool:
+    """``node`` is ``name`` or ``module.name``."""
+    return (isinstance(node, ast.Name) and node.id == name
+            or isinstance(node, ast.Attribute) and node.attr == name)
+
+
+def _namedtuple_calls(tree) -> list[ast.Call]:
+    """Every ``namedtuple("X", "a b")`` call whose type name and field
+    string (or list of field names) are literals."""
+    return [node for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and _is_name(node.func, "namedtuple")
+            and len(node.args) >= 2 and isinstance(node.args[0], ast.Constant)
+            and isinstance(node.args[1], (ast.Constant, ast.List, ast.Tuple))]
+
+
+def _record_fields(source: str) -> list[tuple[str, str]]:
+    """(class, field) for each field of a record type: the annotated fields
+    of a top-level class decorated with ``@dataclass`` or ``@dataclass(...)``
+    or derived from ``NamedTuple``, the attributes that a top-level class's
+    ``__init__`` sets on ``self``, and the fields of each
+    ``namedtuple("X", "a b")`` call, under its type name X."""
+    tree = ast.parse(source)
     fields = []
-    for node in ast.parse(source).body:
-        if not isinstance(node, ast.ClassDef) or not any(
-                isinstance(d, ast.Name) and d.id == "dataclass"
-                or isinstance(d, ast.Call) and isinstance(d.func, ast.Name)
-                and d.func.id == "dataclass" for d in node.decorator_list):
+    for node in tree.body:
+        if not isinstance(node, ast.ClassDef):
             continue
-        fields += [(node.name, stmt.target.id) for stmt in node.body
-                   if isinstance(stmt, ast.AnnAssign)
-                   and isinstance(stmt.target, ast.Name)]
+        if any(_is_name(getattr(d, "func", d), "dataclass")
+               for d in node.decorator_list) or any(
+                _is_name(b, "NamedTuple") for b in node.bases):
+            fields += [(node.name, stmt.target.id) for stmt in node.body
+                       if isinstance(stmt, ast.AnnAssign)
+                       and isinstance(stmt.target, ast.Name)]
+        fields += [(node.name, target.attr) for stmt in node.body
+                   if isinstance(stmt, ast.FunctionDef)
+                   and stmt.name == "__init__"
+                   for target in ast.walk(stmt)
+                   if isinstance(target, ast.Attribute)
+                   and isinstance(target.ctx, ast.Store)
+                   and isinstance(target.value, ast.Name)
+                   and target.value.id == "self"]
+    for call in _namedtuple_calls(tree):
+        names = call.args[1]
+        names = (names.value.replace(",", " ").split()
+                 if isinstance(names, ast.Constant)
+                 else [e.value for e in names.elts])
+        fields += [(call.args[0].value, name) for name in names]
     return fields
 
 
 def _field_reads(source: str) -> set[str]:
-    """Attribute names a source loads, and its string constants."""
+    """Attribute names a source loads, and its string constants other than
+    the arguments of a ``namedtuple`` call."""
+    tree = ast.parse(source)
+    declared = {id(node) for call in _namedtuple_calls(tree)
+                for arg in call.args for node in ast.walk(arg)}
     reads = set()
-    for node in ast.walk(ast.parse(source)):
+    for node in ast.walk(tree):
         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             reads.add(node.attr)
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and id(node) not in declared:
             reads.add(node.value)
     return reads
 
 
-def _unread_dataclass_fields(defining: dict[str, str],
-                             readers: list[str]) -> list[str]:
-    """``module: Class.field`` for each dataclass field of ``defining``
+def _unread_record_fields(defining: dict[str, str],
+                          readers: list[str]) -> list[str]:
+    """``module: Class.field`` for each record field of ``defining``
     (file name -> source) that no source of ``readers`` loads as an
     attribute or names in a string constant."""
     reads = set().union(*map(_field_reads, readers))
     return sorted("%s: %s.%s" % (module, cls, name)
                   for module, source in defining.items()
-                  for cls, name in _dataclass_fields(source)
+                  for cls, name in _record_fields(source)
                   if name not in reads)
 
 
 def test_every_dataclass_field_is_read():
+    """Every field of a record type of ``src/`` (a ``NamedTuple``, a
+    ``namedtuple`` base or a plain class) has a reader, and there are
+    fields to check."""
     defining = {p.name: p.read_text(encoding="utf-8")
                 for p in SRC.glob("*.py")}
     readers = [p.read_text(encoding="utf-8")
                for folder in (SRC, ROOT / "tests", ROOT / "benchmarks")
                for p in folder.glob("*.py")]
-    assert _unread_dataclass_fields(defining, readers) == []
+    assert [f for source in defining.values() for f in _record_fields(source)]
+    assert _unread_record_fields(defining, readers) == []
 
 
 def test_unread_dataclass_field_is_found():
-    defining = {"a.py": ("from dataclasses import dataclass\n\n"
+    defining = {"a.py": ("from collections import namedtuple\n"
+                         "from dataclasses import dataclass\n"
+                         "import typing\n\n"
                          "@dataclass(frozen=True)\nclass R:\n"
                          "    seen: int\n    keyed: int\n    unread: int\n\n"
                          "@dataclass\nclass S:\n    bare: int\n\n"
-                         "class T:\n    plain: int\n")}
+                         "class T:\n    plain: int\n\n"
+                         "class U(typing.NamedTuple):\n"
+                         "    seen: int\n    spare: int\n\n"
+                         "class V(namedtuple('V', 'seen, lone')):\n"
+                         "    __slots__ = ()\n\n"
+                         "W = namedtuple('W', ['solo'])\n\n"
+                         "class X:\n    def __init__(self):\n"
+                         "        self.seen, self.kept = 1, 2\n")}
     readers = [defining["a.py"],
                "def f(r):\n    r.unread = 1\n    return r.seen, r['keyed']\n"]
-    assert _unread_dataclass_fields(defining, readers) == ["a.py: R.unread",
-                                                           "a.py: S.bare"]
+    assert _unread_record_fields(defining, readers) == [
+        "a.py: R.unread", "a.py: S.bare", "a.py: U.spare", "a.py: V.lone",
+        "a.py: W.solo", "a.py: X.kept"]
+
+
+def _dataclass_imports(source: str) -> list[str]:
+    """``line N`` for each import of ``dataclasses``: its decorator
+    generates and ``exec``s each class's methods when the module loads,
+    which every fresh CLI process pays for."""
+    return ["line %d" % node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Import) and any(
+                alias.name.split(".")[0] == "dataclasses"
+                for alias in node.names)
+            or isinstance(node, ast.ImportFrom) and not node.level
+            and (node.module or "").split(".")[0] == "dataclasses"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_module_imports_dataclasses(path):
+    assert _dataclass_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_dataclass_imports_are_found():
+    source = ("import dataclasses\nimport dataclasses_json, os\n"
+              "from .dataclasses import box\n"
+              "from dataclasses import dataclass, field\n\n"
+              "def f():\n    import os, dataclasses as dc\n"
+              "    return dc\n")
+    assert _dataclass_imports(source) == ["line 1", "line 4", "line 7"]
 
 
 def _public_api(source: str) -> list[tuple[str, str, bool]]:
