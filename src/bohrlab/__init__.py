@@ -10,8 +10,9 @@ from .bohr import (BASE_SLACK, BohrRadiusResult, InequalityCheck,
 from .errors import BohrlabError, DomainError
 from .generators import (Factor, LargeFunctionSpec, SchwarzFunction,
                          identity_schwarz, make_large_function,
-                         random_large_function, random_mobius_bounded,
-                         random_polynomial, random_schwarz)
+                         modulus_bounds, random_large_function,
+                         random_mobius_bounded, random_polynomial,
+                         random_schwarz)
 from .geometry import boundary_distance, density_distance_products
 from .harmonic import HarmonicPair, build_pair, harmonic_bohr_check
 from .modular import (E_HALF_PI, E_PI, CoveringParameter, a_coeffs,

@@ -41,7 +41,7 @@ def cauchy_tail_bound(m_rho: float, order: int) -> float:
     estimates on |z| = rho = ``TAIL_RHO``.
 
     |a_n| <= m_rho / rho^n for any upper bound m_rho on |f| over |z| = rho,
-    such as the closed form ``LargeFunctionSpec.modulus_bound``; the
+    such as a closed-form bound of ``generators.modulus_bounds``; the
     geometric sum of (r/rho)^n past ``order`` is then exact.
     """
     q = E_PI / TAIL_RHO
@@ -138,24 +138,26 @@ def littlewood_check(phi: SchwarzFunction, order: int,
                             BASE_SLACK)
 
 
-def main_theorem_check(spec: LargeFunctionSpec,
+def main_theorem_check(spec: LargeFunctionSpec, bound: float,
                        distance: float) -> InequalityCheck:
     """Verify sum_{n>=1} |a_n| r^n <= ``distance``, the caller's
     ``geometry.boundary_distance(spec)``, at r = e^-pi; the lhs is the stored
-    prefix's sum plus the Cauchy tail bound from ``spec.modulus_bound``."""
+    prefix's sum plus the Cauchy tail bound from ``bound``, the caller's
+    bound on |F| over |z| <= ``TAIL_RHO`` (``generators.modulus_bounds``)."""
     lhs = bohr_operator(spec.series, E_PI, from_degree=1)
-    tail = cauchy_tail_bound(spec.modulus_bound, spec.order)
+    tail = cauchy_tail_bound(bound, spec.order)
     return InequalityCheck("theorem-main", lhs + tail, distance, BASE_SLACK)
 
 
 def von_neumann_check(spec: LargeFunctionSpec, p: TruncatedSeries,
-                      distance: float) -> InequalityCheck:
+                      bound: float, distance: float) -> InequalityCheck:
     """Check M(p(F))(r) <= sup of |p| on the unit circle at r = e^-pi.
 
     Requires the boundary distance ``distance`` of F to be below 1.  p(F)
     is Horner's rule over F's coefficients, each step a ``_truncmul`` and
     p_k added in place.  The tail uses
-    |p(F)| <= sum_k |p_k| M^k, M = ``spec.modulus_bound``, and the
+    |p(F)| <= sum_k |p_k| M^k, M = ``bound`` (the caller's bound on |F|
+    over |z| <= ``TAIL_RHO``, from ``generators.modulus_bounds``), and the
     right side samples |p| at 4096 points.  Both sides are reported whether
     or not the inequality holds; past the double range it raises
     ``DomainError``.
@@ -168,7 +170,7 @@ def von_neumann_check(spec: LargeFunctionSpec, p: TruncatedSeries,
         for k in range(p.order - 1, -1, -1):
             composed = _truncmul(composed, f, order)
             composed[0] += p.coeffs[k]
-        m_p = float(np.polyval(np.abs(p.coeffs[::-1]), spec.modulus_bound))
+        m_p = float(np.polyval(np.abs(p.coeffs[::-1]), bound))
         rhs = circle_sup(p, 1.0, 4096)
     lhs = bohr_operator(TruncatedSeries(composed), E_PI, from_degree=0)
     tail = cauchy_tail_bound(m_p, order)

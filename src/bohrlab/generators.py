@@ -24,8 +24,8 @@ from .modular import (CoveringParameter, _covering_parameter, j_eval, q_eval,
 from .series import (TOEPLITZ_MAX_ORDER, TruncatedSeries, _compose_powers,
                      _power_table, compose)
 
-#: Radius of the circle on which ``LargeFunctionSpec.modulus_bound`` bounds
-#: |F|; every Cauchy tail bound of the inequality checks reads it.
+#: Radius of the circle on which ``modulus_bounds`` bounds |F|; every Cauchy
+#: tail bound of the inequality checks reads it.
 TAIL_RHO = 0.3
 
 # ---------------------------------------------------------------------------
@@ -101,7 +101,8 @@ class Stream:
     def random(self, n: int | None = None):
         if n is None:
             return (self._next64() >> 11) * 2.0 ** -53
-        return np.array([self.random() for _ in range(n)])
+        next64 = self._next64
+        return np.array([(next64() >> 11) * 2.0 ** -53 for _ in range(n)])
 
     def uniform(self, low: float, high: float, n: int | None = None):
         return low + (high - low) * self.random(n)
@@ -349,27 +350,6 @@ class LargeFunctionSpec(namedtuple("LargeFunctionSpec",
         """Truncation order of ``series``."""
         return self.series.order
 
-    @property
-    def modulus_bound(self) -> float:
-        """Certified bound on |F| over |z| <= TAIL_RHO from one scalar J.
-
-        |phi| <= rho = TAIL_RHO by Schwarz, so Re (1+phi)/(1-phi) and
-        Re (1-phi)/(1+phi) are >= c = (1-rho)/(1+rho).  As |J(w)| <= -J(-|w|)
-        (positive coefficients) and J(e^s) = 1 - J(e^{pi^2/s}), |J| is at
-        most -J(-e^{-alpha c}) and 1 - J(-e^{-pi^2 c/alpha}).  The nome used
-        is <= e^{-pi c} (0.184 at rho = 0.3), where j_eval is good to a few
-        ulps; the 1e-12 factor covers that rounding.  Past the double range
-        it raises ``DomainError``.
-        """
-        alpha, c = self.alpha.alpha, (1.0 - TAIL_RHO) / (1.0 + TAIL_RHO)
-        dual = alpha < math.pi
-        x = math.exp(-(math.pi ** 2 / alpha if dual else alpha) * c)
-        m = float(dual) - complex(j_eval(-x)).real
-        bound = (abs(self.a) + abs(self.b - self.a) * m) * (1.0 + 1e-12)
-        if not math.isfinite(bound):
-            raise DomainError("the bound on |F| exceeds the double range")
-        return bound
-
     def eval(self, z):
         return self.a + (self.b - self.a) * q_eval(self.alpha.alpha,
                                                    self.phi.eval(z))
@@ -388,6 +368,34 @@ class LargeFunctionSpec(namedtuple("LargeFunctionSpec",
             _fmt(self.a), _fmt(self.b), _fmt(self.alpha.alpha),
             self.order, self.phi.text(),
         )
+
+
+def modulus_bounds(specs) -> list[float]:
+    """Certified bounds on |F| over |z| <= TAIL_RHO, one per spec, from one
+    ``j_eval`` call at every spec's point -x.
+
+    |phi| <= rho = TAIL_RHO by Schwarz, so Re (1+phi)/(1-phi) and
+    Re (1-phi)/(1+phi) are >= c = (1-rho)/(1+rho).  As |J(w)| <= -J(-|w|)
+    (positive coefficients) and J(e^s) = 1 - J(e^{pi^2/s}), |J| is at
+    most -J(-e^{-alpha c}) and 1 - J(-e^{-pi^2 c/alpha}): the second for
+    alpha < pi, so the nome used is x <= e^{-pi c} (0.184 at rho = 0.3),
+    where j_eval is good to a few ulps; the 1e-12 factor covers that
+    rounding.  J works point by point, so a spec's bound has the same bits
+    in any batch.  A bound past the double range, for any spec of the
+    batch, raises ``DomainError``.
+    """
+    c = (1.0 - TAIL_RHO) / (1.0 + TAIL_RHO)
+    alphas = [spec.alpha.alpha for spec in specs]
+    points = [-math.exp(-(math.pi ** 2 / a if a < math.pi else a) * c)
+              for a in alphas]
+    bounds = []
+    for spec, a, j in zip(specs, alphas, j_eval(points).real.tolist()):
+        m = float(a < math.pi) - j
+        bound = (abs(spec.a) + abs(spec.b - spec.a) * m) * (1.0 + 1e-12)
+        if not math.isfinite(bound):
+            raise DomainError("the bound on |F| exceeds the double range")
+        bounds.append(bound)
+    return bounds
 
 
 def make_large_function(a, b, alpha, phi: SchwarzFunction,

@@ -9,8 +9,9 @@ at the Bohr radius r = e^{-pi}, where d is ``geometry.boundary_distance``
 of the analytic part.  The sup-of-mu reading is used for the right-hand
 side (a pointwise |mu(z)| does not give a single number).  That sampled
 sup may undershoot, which only makes a pass harder.  The tail of M(h) is
-``cauchy_tail_bound`` of ``LargeFunctionSpec.modulus_bound``, and that of
-M(g) is the same bound times M(mu)(``TAIL_RHO``); both are upper bounds.
+``cauchy_tail_bound`` of a bound on |h| from ``generators.modulus_bounds``,
+and that of M(g) is the same tail times M(mu)(``TAIL_RHO``); both are upper
+bounds.
 A second row checks the domination M(g)(r) <= M(h - h(0))(r) at r = 0.2,
 a theorem when M(mu)(t) <= 1 for t <= 1/3, which the stored prefix of every
 dilatation the sweep draws meets; nothing is sampled to decide it.
@@ -52,13 +53,15 @@ def build_pair(spec: LargeFunctionSpec, mu: TruncatedSeries) -> HarmonicPair:
     return HarmonicPair(spec, TruncatedSeries(g), mu)
 
 
-def harmonic_bohr_check(pair: HarmonicPair,
+def harmonic_bohr_check(pair: HarmonicPair, bound: float,
                         distance: float) -> InequalityCheck:
     """Verify the (1 + sup|mu|) boundary-distance bound at r = e^-pi.
 
-    ``distance`` is the caller's ``boundary_distance(pair.spec)``.
+    ``bound`` is the caller's bound on |h| over |z| <= ``TAIL_RHO``
+    (``generators.modulus_bounds``), ``distance`` its
+    ``boundary_distance(pair.spec)``.
 
-    The tail of M(g) is an upper bound: M = ``spec.modulus_bound`` bounds
+    The tail of M(g) is an upper bound: M = ``bound`` bounds
     |h| on |z| <= rho = ``TAIL_RHO``, so |h_j| <= M / rho^j (Cauchy), and
     G = integral of mu h' has |G_{m+1}| = |sum_k mu_k (m-k+1) h_{m-k+1}| /
     (m+1) <= M(mu)(rho) M / rho^{m+1}.  As g_n = G_n for n <= N, the tail
@@ -67,7 +70,7 @@ def harmonic_bohr_check(pair: HarmonicPair,
     h, g, r = pair.spec.series, pair.g, E_PI
     mh = bohr_operator(h, r, from_degree=1)
     mg = bohr_operator(g, r, from_degree=1)
-    tail_h = cauchy_tail_bound(pair.spec.modulus_bound, h.order)
+    tail_h = cauchy_tail_bound(bound, h.order)
     tail_g = bohr_operator(pair.mu, TAIL_RHO) * tail_h
     with np.errstate(over="ignore", invalid="ignore"):
         sup_mu = circle_sup(pair.mu, r, 1024)

@@ -7,7 +7,6 @@ infinities raise ``ValueError``.
 
 from __future__ import annotations
 
-import csv
 import json
 import sys
 
@@ -58,7 +57,10 @@ def report_document(results, seed: int, overrides: dict | None = None) -> dict:
 
 def write_csv(rows, path: str) -> int:
     """One line per executed check, each real as its float repr; returns
-    the number of rows written."""
+    the number of rows written.  ``csv`` is imported here, so a report
+    that writes no CSV does not load it."""
+    import csv
+
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_FIELDS)

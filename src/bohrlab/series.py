@@ -63,8 +63,9 @@ class TruncatedSeries(namedtuple("TruncatedSeries", "coeffs label")):
         """
         z = np.asarray(z, dtype=complex)
         acc = np.full(z.shape, self.coeffs[-1], dtype=complex)
-        for k in range(self.order - 1, -1, -1):
-            acc = acc * z + self.coeffs[k]
+        for k in range(self.order - 1, -1, -1):    # in place: no temporary
+            acc *= z
+            acc += self.coeffs[k]
         return complex(acc) if acc.ndim == 0 else acc
 
 

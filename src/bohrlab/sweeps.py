@@ -92,10 +92,12 @@ def theorem4_spec(trial_seed: int, t: int) -> gen.LargeFunctionSpec:
 
 def run_theorem4(seed: int = 7, trials: int = 100) -> SuiteResult:
     res = SuiteResult("theorem4", trials)
-    for t in range(trials):
-        ts = _trial_seed(seed, t)
-        spec = theorem4_spec(ts, t)
-        rep = bohr.main_theorem_check(spec, geometry.boundary_distance(spec))
+    seeds = [_trial_seed(seed, t) for t in range(trials)]
+    specs = [theorem4_spec(ts, t) for t, ts in enumerate(seeds)]
+    bounds = gen.modulus_bounds(specs)
+    for t, (ts, spec, bound) in enumerate(zip(seeds, specs, bounds)):
+        rep = bohr.main_theorem_check(spec, bound,
+                                      geometry.boundary_distance(spec))
         res.rows.append(rep.row() | {"trial": t, "seed": ts,
                                      "spec": spec.text(),
                                      "exact_distance": spec.phi.is_inner})
@@ -119,6 +121,7 @@ def _spec_and_distance(trial_seed: int) -> tuple[gen.LargeFunctionSpec, float]:
 
 def run_von_neumann(seed: int = 7, trials: int = 50) -> SuiteResult:
     res = SuiteResult("von-neumann", trials)
+    cases = []
     for t in range(trials):
         ts = _trial_seed(seed, t)
         spec, dist = _spec_and_distance(ts)
@@ -127,14 +130,16 @@ def run_von_neumann(seed: int = 7, trials: int = 50) -> SuiteResult:
         # boundary distance below one.  Both scale linearly.
         m_f = bohr.bohr_operator(spec.series, E_PI, 0)
         c = 0.3 / max(m_f, dist)
-        spec = spec.scaled(c)
         if t % 3 == 0:
             p = TruncatedSeries([0.0, 1.0], "w")           # identity
         elif t % 3 == 1:
             p = TruncatedSeries([0.0, 0.0, 1.0], "w^2")
         else:
             p = gen.random_polynomial(ts + 1, 2 + t % 5)
-        rep = bohr.von_neumann_check(spec, p, dist * c)
+        cases.append((t, ts, spec.scaled(c), p, dist * c))
+    bounds = gen.modulus_bounds([case[2] for case in cases])
+    for (t, ts, spec, p, dist), bound in zip(cases, bounds):
+        rep = bohr.von_neumann_check(spec, p, bound, dist)
         res.rows.append(rep.row() | {"trial": t, "seed": ts,
                                      "spec": spec.text(),
                                      "poly": [[c.real, c.imag]
@@ -171,11 +176,15 @@ def harmonic_trial(trial_seed: int, t: int
 
 def run_harmonic(seed: int = 7, trials: int = 50) -> SuiteResult:
     res = SuiteResult("harmonic", trials)
+    cases = []
     for t in range(trials):
         ts = _trial_seed(seed, t)
-        spec, mu = harmonic_trial(ts, t)
+        cases.append((t, ts, *harmonic_trial(ts, t),
+                      _spec_and_distance(ts)[1]))
+    bounds = gen.modulus_bounds([case[2] for case in cases])
+    for (t, ts, spec, mu, dist), bound in zip(cases, bounds):
         pair = harmonic.build_pair(spec, mu)
-        rep = harmonic.harmonic_bohr_check(pair, _spec_and_distance(ts)[1])
+        rep = harmonic.harmonic_bohr_check(pair, bound, dist)
         dom = harmonic.majorant_domination_check(pair, 0.2)
         tags = {"trial": t, "seed": ts, "spec": spec.text(),
                 "mu": mu.label, "mu_coeffs": [complex(c) for c in mu.coeffs],

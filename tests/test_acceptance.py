@@ -24,7 +24,8 @@ import pytest
 
 from bohrlab.bohr import (BASE_SLACK, bohr_operator, bohr_radius_solve,
                           cauchy_tail_bound, main_theorem_check)
-from bohrlab.generators import identity_schwarz, make_large_function
+from bohrlab.generators import (identity_schwarz, make_large_function,
+                                modulus_bounds)
 from bohrlab.geometry import boundary_distance
 from bohrlab.harmonic import (build_pair, harmonic_bohr_check,
                               majorant_domination_check)
@@ -157,13 +158,19 @@ def confirms(o: OracleSides, lhs: float, rhs: float, budget: float,
 def theorem_budget(spec) -> float:
     """Error budget of a theorem-main row: its Cauchy tail plus the
     slack."""
-    return cauchy_tail_bound(spec.modulus_bound, spec.order) + BASE_SLACK
+    return cauchy_tail_bound(modulus_bounds([spec])[0],
+                             spec.order) + BASE_SLACK
+
+
+def _bound_and_distance(spec):
+    """The bound on |F| and the boundary distance a sweep passes a check."""
+    return modulus_bounds([spec])[0], boundary_distance(spec)
 
 
 def readme_counterexample():
     """The README spec Q_1: flagged, with the 50-digit lhs/rhs."""
     spec = make_large_function(0, 1, 1, identity_schwarz(), 64)
-    rep = main_theorem_check(spec, boundary_distance(spec))
+    rep = main_theorem_check(spec, *_bound_and_distance(spec))
     o = oracle(spec)
     ok = (not rep.passed
           and abs(o.lhs / o.rhs - README_RATIO) <= 5e-11
@@ -264,7 +271,7 @@ def test_criterion_06_main_inequality_sweep():
     replay_ok, confirmed, refuted = True, [], []
     for rec in res.failures:
         spec = theorem4_spec(rec["seed"], rec["trial"])
-        rep = main_theorem_check(spec, boundary_distance(spec))
+        rep = main_theorem_check(spec, *_bound_and_distance(spec))
         replay_ok &= spec.text() == rec["spec"] and replays(rec, rep.row())
         if spec.phi.is_inner:
             budget = theorem_budget(spec)
@@ -272,7 +279,7 @@ def test_criterion_06_main_inequality_sweep():
             (confirmed if ok else refuted).append(rec["trial"])
     tight = tightest_exact_pass(res.rows, "theorem-main")
     spec = theorem4_spec(tight["seed"], tight["trial"])
-    rep = main_theorem_check(spec, boundary_distance(spec))
+    rep = main_theorem_check(spec, *_bound_and_distance(spec))
     tight_ok = confirms(oracle(spec), rep.lhs, rep.rhs,
                         theorem_budget(spec), False)
     ok = (readme_ok and enough_exact and replay_ok and not refuted
@@ -303,8 +310,8 @@ def test_criterion_09_harmonic_extension():
     # Part 1: the mu = 0 reduction must reproduce the analytic check.
     spec = make_large_function(0.0, 1.0, math.pi, identity_schwarz(), 64)
     pair = build_pair(spec, TruncatedSeries([0.0]))
-    rep = harmonic_bohr_check(pair, boundary_distance(spec))
-    base = main_theorem_check(spec, boundary_distance(spec))
+    rep = harmonic_bohr_check(pair, *_bound_and_distance(spec))
+    base = main_theorem_check(spec, *_bound_and_distance(spec))
     reduction_ok = (
         rep.lhs == base.lhs
         and bohr_operator(pair.g, E_PI, from_degree=1) == 0.0
@@ -314,7 +321,7 @@ def test_criterion_09_harmonic_extension():
     # and g = c (h - h(0)) scales the co-analytic majorant by c.
     c = 0.6
     pairc = build_pair(spec, TruncatedSeries([c]))
-    repc = harmonic_bohr_check(pairc, boundary_distance(spec))
+    repc = harmonic_bohr_check(pairc, *_bound_and_distance(spec))
     constant_ok = (repc.passed
                    and abs(repc.rhs - (1 + c) * rep.rhs) < 1e-12
                    and abs(bohr_operator(pairc.g, E_PI, from_degree=1)
@@ -326,7 +333,7 @@ def test_criterion_09_harmonic_extension():
     pytest.importorskip("mpmath")
     spec, base, readme_ok = readme_counterexample()
     rep0 = harmonic_bohr_check(build_pair(spec, TruncatedSeries([0.0])),
-                               boundary_distance(spec))
+                               *_bound_and_distance(spec))
     readme_ok = (readme_ok and not rep0.passed
                  and abs(rep0.lhs / rep0.rhs / (base.lhs / base.rhs) - 1)
                  <= AGREE_RTOL)
@@ -337,7 +344,7 @@ def test_criterion_09_harmonic_extension():
         pair = build_pair(spec, mu)
         domination = rec["check"] == "majorant-domination"
         rep = (majorant_domination_check(pair, 0.2) if domination
-               else harmonic_bohr_check(pair, boundary_distance(spec)))
+               else harmonic_bohr_check(pair, *_bound_and_distance(spec)))
         replay_ok &= (spec.text() == rec["spec"] and mu.label == rec["mu"]
                       and list(mu.coeffs) == rec["mu_coeffs"]
                       and replays(rec, rep.row()))
@@ -349,7 +356,8 @@ def test_criterion_09_harmonic_extension():
             (confirmed if ok else refuted).append(rec["trial"])
     tight = tightest_exact_pass(res.rows, "harmonic-bohr")
     spec, mu = harmonic_trial(tight["seed"], tight["trial"])
-    rep = harmonic_bohr_check(build_pair(spec, mu), boundary_distance(spec))
+    rep = harmonic_bohr_check(build_pair(spec, mu),
+                              *_bound_and_distance(spec))
     tight_ok = confirms(oracle(spec, mu.coeffs), rep.lhs, rep.rhs,
                         rep.slack, False, SUP_MU_RTOL)
     ok = (reduction_ok and constant_ok and readme_ok and replay_ok

@@ -16,19 +16,20 @@ from bohrlab.bohr import (BASE_SLACK, InequalityCheck,
                           classical_bohr_check, littlewood_check,
                           main_theorem_check, von_neumann_check)
 from bohrlab.errors import DomainError
-from bohrlab.generators import (TAIL_RHO, Factor, SchwarzFunction,
+from bohrlab.generators import (TAIL_RHO, Factor, SchwarzFunction, Stream,
                                 _blaschke_powers, identity_schwarz,
-                                make_large_function, random_large_function,
-                                random_mobius_bounded, random_polynomial,
-                                random_schwarz)
+                                make_large_function, modulus_bounds,
+                                random_large_function, random_mobius_bounded,
+                                random_polynomial, random_schwarz)
 from bohrlab.geometry import boundary_distance
 from bohrlab.harmonic import build_pair, harmonic_bohr_check
-from bohrlab.modular import E_PI, j_series, q_series
+from bohrlab.modular import E_PI, j_eval, j_series, q_series
 from bohrlab.reporting import apply_tolerance_override
 from bohrlab.series import (TOEPLITZ_MAX_ORDER, TruncatedSeries,
                             _compose_powers, _truncmul, circle_sup, compose,
                             inverse, unit_ring)
-from bohrlab.sweeps import SuiteResult, run_von_neumann
+from bohrlab.sweeps import (SuiteResult, _trial_seed, run_von_neumann,
+                            theorem4_spec)
 
 
 # -- the verdict rule --------------------------------------------------------
@@ -94,28 +95,67 @@ def _sampled_max(spec):
     return float(np.abs(spec.eval(TAIL_RHO * unit_ring(4096))).max())
 
 
+def _bound_and_distance(spec):
+    """The bound on |F| and the boundary distance a sweep passes a check."""
+    return modulus_bounds([spec])[0], boundary_distance(spec)
+
+
+def _scalar_bound(spec):
+    """The bound of ``modulus_bounds`` for one spec, from its own scalar
+    J: the per-spec formula that the batch must reproduce bit for bit."""
+    alpha, c = spec.alpha.alpha, (1.0 - TAIL_RHO) / (1.0 + TAIL_RHO)
+    dual = alpha < math.pi
+    x = math.exp(-(math.pi ** 2 / alpha if dual else alpha) * c)
+    m = float(dual) - complex(j_eval(-x)).real
+    return (abs(spec.a) + abs(spec.b - spec.a) * m) * (1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("seed", [7, 8, 11])
+def test_modulus_bounds_equal_one_scalar_j_per_spec(monkeypatch, seed):
+    """On a seed's theorem4 specs and von-neumann's scaled ones, the batch
+    bounds are the per-spec bounds bit for bit, in order."""
+    specs = [theorem4_spec(_trial_seed(seed, t), t) for t in range(100)]
+    specs += [spec for spec, _, _ in _von_neumann_trials(monkeypatch, seed)]
+    assert modulus_bounds(specs) == [_scalar_bound(s) for s in specs]
+
+
+def test_modulus_bounds_equal_one_scalar_j_per_spec_over_alpha():
+    """Bit for bit on 2000 specs with alpha log-uniform in [1e-3, 1e4],
+    both sides of the dual switch at pi and points a, b in |z| < 2."""
+    rng = Stream(3)
+    alphas = np.exp(rng.uniform(math.log(1e-3), math.log(1e4), 2000))
+    specs = [make_large_function(a, b, alpha, identity_schwarz(), 1)
+             for a, b, alpha in zip(rng.disk(2.0, 2000), rng.disk(2.0, 2000),
+                                    alphas) if a != b]
+    assert sum(s.alpha.alpha < math.pi for s in specs) > 500
+    assert modulus_bounds(specs) == [_scalar_bound(s) for s in specs]
+    assert modulus_bounds([]) == []
+
+
 def test_modulus_bound_dominates_sampled_max():
     for s in range(200):
         spec = random_large_function(s)
-        assert spec.modulus_bound >= _sampled_max(spec), s
+        assert _bound_and_distance(spec)[0] >= _sampled_max(spec), s
     for alpha in (1e-3, 0.1, math.pi, 10.0, 50.0):
         spec = make_large_function(0.0, 1.0, alpha, identity_schwarz(), 16)
-        bound = spec.modulus_bound
+        bound = modulus_bounds([spec])[0]
         assert np.isfinite(bound), alpha
         assert bound >= _sampled_max(spec), alpha
 
 
 def test_modulus_bound_beyond_the_double_range_is_a_domain_error():
     # At alpha = 1 the closed form is about 1.08 |b - a|, so b = 1.7e308
-    # has no finite bound, and no theorem-main row is written for it.
+    # has no finite bound, alone or in a batch of finite ones, and an
+    # infinite bound writes no theorem-main row.
     phi = SchwarzFunction((Factor("contraction", 0.5),))
     spec = make_large_function(0.0, 1.7e308, 1.0, phi, 64)
+    fine = make_large_function(0.0, 1e307, 1.0, phi, 64)
+    for batch in ([spec], [fine, spec], [fine, fine, spec, fine]):
+        with pytest.raises(DomainError, match="double range"):
+            modulus_bounds(batch)
     with pytest.raises(DomainError, match="double range"):
-        spec.modulus_bound
-    with pytest.raises(DomainError, match="double range"):
-        main_theorem_check(spec, boundary_distance(spec))
-    spec = make_large_function(0.0, 1e307, 1.0, phi, 64)
-    rep = main_theorem_check(spec, boundary_distance(spec))
+        main_theorem_check(spec, math.inf, boundary_distance(spec))
+    rep = main_theorem_check(fine, *_bound_and_distance(fine))
     assert np.isfinite([rep.lhs, rep.rhs]).all()
 
 
@@ -124,7 +164,7 @@ def test_closed_form_tail_dominates_true_tail():
         spec = random_large_function(seed, order=200)
         mags = np.abs(spec.series.coeffs[65:201])
         true_tail = float(np.dot(mags, E_PI ** np.arange(65, 201)))
-        bound = cauchy_tail_bound(spec.modulus_bound, 64)
+        bound = cauchy_tail_bound(modulus_bounds([spec])[0], 64)
         assert true_tail <= bound, seed
 
 
@@ -143,29 +183,29 @@ def _count_j_points(monkeypatch):
 
 
 def test_inner_checks_evaluate_a_few_j_points(monkeypatch):
-    """On an inner spec each check evaluates one J point, its modulus
-    bound, and the boundary distance none: F(0) is the series' constant."""
+    """On an inner spec the boundary distance evaluates no J point, as
+    F(0) is the series' constant; the bounds on |F| take one point a spec,
+    in one call, and the checks, which take them from the caller, none."""
     spec = make_large_function(0.0, 1.0, math.pi, identity_schwarz(), 64)
     small = spec.scaled(0.3)
     pair = build_pair(spec, TruncatedSeries([0.25j]))
     points = _count_j_points(monkeypatch)
     distance = boundary_distance(spec)
     assert points == []
-    main_theorem_check(spec, distance)
-    assert points == [1]
+    bound, small_bound = modulus_bounds([spec, small])
+    assert points == [2]
     points.clear()
-    von_neumann_check(small, TruncatedSeries([0.0, 1.0]), 0.15)
-    assert points == [1]
-    points.clear()
-    harmonic_bohr_check(pair, distance)
-    assert points == [1]
+    main_theorem_check(spec, bound, distance)
+    von_neumann_check(small, TruncatedSeries([0.0, 1.0]), small_bound, 0.15)
+    harmonic_bohr_check(pair, bound, distance)
+    assert points == []
 
 
 def test_main_check_small_alpha_stays_finite():
     for alpha in (1e-3, 0.02, 0.1):
         spec = make_large_function(0.0, 1.0, alpha, identity_schwarz(), 64)
-        rep = main_theorem_check(spec, boundary_distance(spec))
-        tail = cauchy_tail_bound(spec.modulus_bound, spec.order)
+        rep = main_theorem_check(spec, *_bound_and_distance(spec))
+        tail = cauchy_tail_bound(modulus_bounds([spec])[0], spec.order)
         assert np.isfinite([rep.lhs, rep.rhs, tail]).all(), alpha
         assert rep.passed, alpha
 
@@ -484,7 +524,7 @@ def test_power_chain_moves_coefficients_exactly():
 
 def test_main_check_passes_for_central_spec():
     spec = make_large_function(0.0, 1.0, math.pi, identity_schwarz(), 64)
-    rep = main_theorem_check(spec, boundary_distance(spec))
+    rep = main_theorem_check(spec, *_bound_and_distance(spec))
     assert rep.passed
     assert rep.rhs == pytest.approx(0.5, abs=1e-12)
 
@@ -495,7 +535,7 @@ def test_main_check_fails_near_puncture():
     # asserted inequality is genuinely false there, and the check must
     # report that rather than mask it.
     spec = make_large_function(0.0, 1.0, 1.0, identity_schwarz(), 64)
-    rep = main_theorem_check(spec, boundary_distance(spec))
+    rep = main_theorem_check(spec, *_bound_and_distance(spec))
     assert not rep.passed
     assert rep.lhs > rep.rhs * 1.2
 
@@ -503,8 +543,8 @@ def test_main_check_fails_near_puncture():
 def test_main_check_scale_invariance():
     spec = make_large_function(0.0, 1.0, math.pi, identity_schwarz(), 64)
     scaled = spec.scaled(3.0)
-    rep1 = main_theorem_check(spec, boundary_distance(spec))
-    rep2 = main_theorem_check(scaled, boundary_distance(scaled))
+    rep1 = main_theorem_check(spec, *_bound_and_distance(spec))
+    rep2 = main_theorem_check(scaled, *_bound_and_distance(scaled))
     assert rep2.lhs == pytest.approx(3 * rep1.lhs, rel=1e-10)
     assert rep2.rhs == pytest.approx(3 * rep1.rhs, rel=1e-10)
 
@@ -535,7 +575,7 @@ def test_von_neumann_series_is_p_of_f(monkeypatch):
                   TruncatedSeries([0.0, 0.0, 1.0]),
                   random_polynomial(seed, 2 + seed)):
             composed.clear()
-            von_neumann_check(spec, p, d * c)
+            von_neumann_check(spec, p, *modulus_bounds([spec]), d * c)
             assert len(composed) == 1 and composed[0].order == 64
             want = np.polyval(p.coeffs[::-1], f_z)
             gap = np.abs(composed[0].eval(z) - want).max()
@@ -555,16 +595,17 @@ def test_von_neumann_normalized_spec():
     spec = spec.scaled(c)
     for p in (TruncatedSeries([0.0, 1.0]), TruncatedSeries([0.0, 0.0, 1.0]),
               TruncatedSeries([0.5, -0.25, 0.125])):
-        rep = von_neumann_check(spec, p, d * c)
+        rep = von_neumann_check(spec, p, *modulus_bounds([spec]), d * c)
         assert rep.passed, rep
 
 
 def test_von_neumann_hypothesis_guard():
     spec = make_large_function(0.0, 1.0, math.pi, identity_schwarz(), 64)
     d = boundary_distance(spec)
+    big = spec.scaled(10.0)
     with pytest.raises(DomainError, match="is not < 1"):
-        von_neumann_check(spec.scaled(10.0), TruncatedSeries([0.0, 1.0]),
-                          10.0 * d)
+        von_neumann_check(big, TruncatedSeries([0.0, 1.0]),
+                          *modulus_bounds([big]), 10.0 * d)
 
 
 def _von_neumann_trials(monkeypatch, seed=7):
@@ -573,8 +614,8 @@ def _von_neumann_trials(monkeypatch, seed=7):
     trials = []
     check = bohrlab.bohr.von_neumann_check
 
-    def capture(spec, p, distance):
-        rep = check(spec, p, distance)
+    def capture(spec, p, bound, distance):
+        rep = check(spec, p, bound, distance)
         trials.append((spec, p, rep))
         return rep
 
@@ -585,7 +626,7 @@ def _von_neumann_trials(monkeypatch, seed=7):
 
 def test_von_neumann_sides_for_the_identity_and_the_square(monkeypatch):
     """For p = w the lhs is M(F)(e^-pi), constant term included, plus the
-    Cauchy tail of |F| <= ``modulus_bound``, bit for bit; for p = w and
+    Cauchy tail of |F| <= ``modulus_bounds``, bit for bit; for p = w and
     p = w^2 the rhs, |p| sampled on the unit circle, is 1 up to rounding."""
     seen = {"w": 0, "w^2": 0}
     for spec, p, rep in _von_neumann_trials(monkeypatch):
@@ -595,7 +636,7 @@ def test_von_neumann_sides_for_the_identity_and_the_square(monkeypatch):
         assert abs(rep.rhs - 1.0) <= 4e-16, p.label
         if p.label == "w":
             assert rep.lhs == (bohr_operator(spec.series, E_PI, 0)
-                               + cauchy_tail_bound(spec.modulus_bound,
+                               + cauchy_tail_bound(modulus_bounds([spec])[0],
                                                    spec.order))
     assert seen == {"w": 17, "w^2": 17}
 

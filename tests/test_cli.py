@@ -251,12 +251,14 @@ def test_report_loads_no_numpy_random():
     """A report draws from ``generators.Stream``, so neither
     ``numpy.random`` (nor the ``secrets`` and ``hashlib`` it pulls in) nor
     ``numpy.polynomial`` is imported; its records are tuples, so neither
-    is ``dataclasses``."""
+    is ``dataclasses``; and with no ``--csv`` it writes no CSV, so neither
+    is ``csv``."""
     code = ("import contextlib, io, sys; from bohrlab.cli import main\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    rc = main(['report', '--all', '--seed', '7'])\n"
             "print(rc, *sorted(m for m in ('numpy.random', 'numpy.polynomial',"
-            " 'secrets', 'hashlib', 'dataclasses') if m in sys.modules))")
+            " 'secrets', 'hashlib', 'dataclasses', 'csv', '_csv')"
+            " if m in sys.modules))")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(SRC), env.get("PYTHONPATH")) if p)

@@ -20,9 +20,9 @@ from bohrlab.bohr import (bohr_operator, littlewood_check, main_theorem_check,
                          von_neumann_check)
 from bohrlab.errors import DomainError
 from bohrlab.generators import (Factor, SchwarzFunction, identity_schwarz,
-                                make_large_function, random_large_function,
-                                random_mobius_bounded, random_polynomial,
-                                random_schwarz)
+                                make_large_function, modulus_bounds,
+                                random_large_function, random_mobius_bounded,
+                                random_polynomial, random_schwarz)
 from bohrlab.geometry import boundary_distance, density_distance_products
 from bohrlab.harmonic import (build_pair, harmonic_bohr_check,
                               majorant_domination_check)
@@ -136,10 +136,11 @@ def test_large_function_and_its_checks(a, b, alpha, phi, order, c):
             continue
         _finite(s.a, s.b, s.series.coeffs)
         distance = _holds(boundary_distance, s)
-        if distance is None:
+        bounds = _holds(modulus_bounds, [s])
+        if distance is None or bounds is None:
             continue
-        _finite(distance)
-        row = _holds(main_theorem_check, s, distance)
+        _finite(distance, bounds)
+        row = _holds(main_theorem_check, s, *bounds, distance)
         if row is not None:
             _finite(row.lhs, row.rhs, row.slack)
 
@@ -150,16 +151,22 @@ def test_large_function_and_its_checks(a, b, alpha, phi, order, c):
 def test_harmonic_and_von_neumann_checks(a, b, alpha, phi, order, poly, r,
                                          distance):
     """``poly`` is mu for the harmonic pair and p for von Neumann;
-    ``distance`` stands in for a boundary distance below one."""
+    ``distance`` stands in for a boundary distance below one.  The two
+    checks that take a bound on |F| are skipped where computing it raised."""
     spec = _holds(make_large_function, a, b, alpha, phi, order)
     if spec is None or poly is None:
         return
+    bounds = _holds(modulus_bounds, [spec])
+    if bounds is not None:
+        _finite(bounds)
     pair = _holds(build_pair, spec, poly)
     if pair is not None:
         _finite(pair.g.coeffs)
-        _finite_row(_holds(harmonic_bohr_check, pair, distance))
+        if bounds is not None:
+            _finite_row(_holds(harmonic_bohr_check, pair, *bounds, distance))
         _finite_row(_holds(majorant_domination_check, pair, r))
-    _finite_row(_holds(von_neumann_check, spec, poly, distance))
+    if bounds is not None:
+        _finite_row(_holds(von_neumann_check, spec, poly, *bounds, distance))
 
 
 @CONTRACT
@@ -320,7 +327,7 @@ def test_harmonic_tail_past_the_double_range_is_a_domain_error():
     spec = make_large_function(1e10, 1e10 + 1j, 2.0, identity_schwarz(), 1)
     pair = build_pair(spec, TruncatedSeries([1e301]))
     with pytest.raises(DomainError, match="harmonic-bohr: a side is past"):
-        harmonic_bohr_check(pair, 0.0)
+        harmonic_bohr_check(pair, *modulus_bounds([spec]), 0.0)
 
 
 @pytest.mark.parametrize("a, alpha, order, p", [
@@ -333,4 +340,5 @@ def test_von_neumann_past_the_double_range_is_a_domain_error(a, alpha,
     b = 1j if a == 0 else 0
     spec = make_large_function(a, b, alpha, identity_schwarz(), order)
     with pytest.raises(DomainError, match="double range"):
-        von_neumann_check(spec, TruncatedSeries(p), 0.5)
+        von_neumann_check(spec, TruncatedSeries(p), *modulus_bounds([spec]),
+                          0.5)

@@ -9,8 +9,8 @@ import bohrlab.harmonic
 import bohrlab.sweeps
 from bohrlab.bohr import bohr_operator, cauchy_tail_bound, main_theorem_check
 from bohrlab.generators import (TAIL_RHO, identity_schwarz,
-                                make_large_function, random_large_function,
-                                random_mobius_bounded)
+                                make_large_function, modulus_bounds,
+                                random_large_function, random_mobius_bounded)
 from bohrlab.geometry import boundary_distance
 from bohrlab.harmonic import (HarmonicPair, build_pair, harmonic_bohr_check,
                               majorant_domination_check)
@@ -23,6 +23,11 @@ from bohrlab.sweeps import (SuiteResult, _trial_seed, harmonic_trial,
 
 def central_spec(order=64):
     return make_large_function(0.0, 1.0, math.pi, identity_schwarz(), order)
+
+
+def _bound_and_distance(spec):
+    """The bound on |F| and the boundary distance a sweep passes a check."""
+    return modulus_bounds([spec])[0], boundary_distance(spec)
 
 
 def test_g_is_integral_of_mu_h_prime():
@@ -45,8 +50,8 @@ def test_pair_requires_vanishing_g():
 def test_zero_dilatation_reduces_to_analytic_case():
     spec = central_spec()
     pair = build_pair(spec, TruncatedSeries([0.0]))
-    rep = harmonic_bohr_check(pair, boundary_distance(spec))
-    base = main_theorem_check(spec, boundary_distance(spec))
+    rep = harmonic_bohr_check(pair, *_bound_and_distance(spec))
+    base = main_theorem_check(spec, *_bound_and_distance(spec))
     assert rep.passed
     assert bohr_operator(pair.g, E_PI, from_degree=1) == 0.0
     assert rep.lhs == base.lhs
@@ -57,9 +62,9 @@ def test_constant_dilatation_scales_the_bound():
     spec = central_spec()
     c = 0.6
     rep0 = harmonic_bohr_check(build_pair(spec, TruncatedSeries([0.0])),
-                               boundary_distance(spec))
+                               *_bound_and_distance(spec))
     pair = build_pair(spec, TruncatedSeries([c]))
-    rep = harmonic_bohr_check(pair, boundary_distance(spec))
+    rep = harmonic_bohr_check(pair, *_bound_and_distance(spec))
     assert rep.passed
     # The rhs is (1 + sup|mu|) d, and sup|mu| = c.
     assert rep.rhs / rep0.rhs - 1 == pytest.approx(c, abs=1e-12)
@@ -73,12 +78,12 @@ def test_constant_dilatation_scales_the_bound():
 def test_mobius_dilatation_passes_for_good_specs():
     for seed in (1, 2, 3):
         spec = random_large_function(seed, order=64)
-        base = main_theorem_check(spec, boundary_distance(spec))
+        base = main_theorem_check(spec, *_bound_and_distance(spec))
         if not base.passed:
             continue  # inherits the genuine counterexample of the base case
         mu = random_mobius_bounded(seed + 50, order=64)
         rep = harmonic_bohr_check(build_pair(spec, mu),
-                                  boundary_distance(spec))
+                                  *_bound_and_distance(spec))
         assert rep.passed, (seed, rep)
 
 
@@ -91,7 +96,7 @@ def test_g_tail_bound_dominates_coefficients_and_true_tail():
         spec, mu = harmonic_trial(_trial_seed(7, t), t)
         order = spec.order
         n = np.arange(1, order + 1)
-        m, m_mu = spec.modulus_bound, bohr_operator(mu, TAIL_RHO)
+        m, m_mu = modulus_bounds([spec])[0], bohr_operator(mu, TAIL_RHO)
         g = build_pair(spec, mu).g.coeffs
         assert np.all(np.abs(g[1:]) <= m_mu * m / TAIL_RHO ** n), t
         spec300 = make_large_function(spec.a, spec.b, spec.alpha, spec.phi,
@@ -111,7 +116,7 @@ def test_g_tail_is_the_mu_majorant_times_h_tail(monkeypatch):
     pair = build_pair(central_spec(), mu)
     sums = (bohr_operator(pair.spec.series, E_PI, from_degree=1)
             + bohr_operator(pair.g, E_PI, from_degree=1))
-    assert harmonic_bohr_check(pair, 0.0).lhs - sums == pytest.approx(
+    assert harmonic_bohr_check(pair, 1.0, 0.0).lhs - sums == pytest.approx(
         1.0 + bohr_operator(mu, TAIL_RHO), rel=1e-12)
 
 

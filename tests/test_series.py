@@ -335,3 +335,20 @@ def test_eval_vectorized():
     f = TruncatedSeries([1.0, 1.0])
     z = np.array([0.0, 0.5j])
     assert np.allclose(f.eval(z), [1.0, 1.0 + 0.5j])
+
+
+@pytest.mark.parametrize("shape", [(), (1,), (4097,), (3, 65)])
+def test_eval_in_place_is_horner_with_temporaries_bit_for_bit(shape):
+    """The in-place Horner steps round as acc = acc * z + c_k does, on
+    0-d, 1-d and 2-d points; order 64 as for harmonic's dilatations."""
+    rng = generators.Stream(5)
+    f = TruncatedSeries(rng.disk(1.0, 65))
+    z = rng.disk(1.0, math.prod(shape)).reshape(shape)
+    acc = np.full(z.shape, f.coeffs[-1], dtype=complex)
+    for k in range(f.order - 1, -1, -1):
+        acc = acc * z + f.coeffs[k]
+    got = f.eval(z)
+    if shape == ():
+        assert isinstance(got, complex) and got == complex(acc)
+    else:
+        assert got.shape == shape and np.array_equal(got, acc)

@@ -117,6 +117,20 @@ def test_vectors_replay_numpy():
                     == theirs.uniform(-1.0, 1.0, 9)).all()
 
 
+def test_vector_is_its_scalar_draws():
+    """random(n) draws what n scalar draws do, bit for bit, and leaves
+    the stream where they leave it, also after a kept 32-bit half."""
+    for seed in SEEDS[:200]:
+        vector, scalars = Stream(seed), Stream(seed)
+        for n in (0, 1, 9, 100):
+            got = vector.random(n)
+            want = [scalars.random() for _ in range(n)]
+            assert got.dtype == np.float64 and got.shape == (n,)
+            assert got.tolist() == want
+            assert vector.random() == scalars.random()
+            assert vector.integers(7) == scalars.integers(7)
+
+
 def test_integers_interleave_with_doubles():
     """32-bit draws take the lower half of a 64-bit output first and keep
     the upper one; a double draw leaves the kept half for the next."""

@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 
 import bohrlab.bohr
+import bohrlab.generators
 import bohrlab.harmonic
 import bohrlab.modular
 import bohrlab.sweeps
 from bohrlab.bohr import (BASE_SLACK, bohr_operator, cauchy_tail_bound,
                           littlewood_check, main_theorem_check)
 from bohrlab.errors import DomainError
-from bohrlab.generators import TAIL_RHO, random_schwarz
+from bohrlab.generators import TAIL_RHO, modulus_bounds, random_schwarz
 from bohrlab.geometry import boundary_distance
 from bohrlab.harmonic import build_pair, harmonic_bohr_check
 from bohrlab.series import TruncatedSeries
@@ -22,6 +23,11 @@ from bohrlab.sweeps import (ORDER, SUITE_NAMES, SUITES, TAIL_BUDGET,
 #: ch. 3).  Rebuilt at another order, the seed-7, 8 and 11 spec rows move
 #: by at most 5.4e-16 of their lhs beyond the tail.
 ROUNDING = 64 * 2.0 ** -53
+
+
+def _bound_and_distance(spec):
+    """The bound on |F| and the boundary distance a sweep passes a check."""
+    return modulus_bounds([spec])[0], boundary_distance(spec)
 
 
 def test_suite_names_keep_report_order():
@@ -105,7 +111,7 @@ def test_seed7_failure_records_rebuild_from_seed_and_trial():
     for rec in res.failures:
         spec = theorem4_spec(rec["seed"], rec["trial"])
         assert spec.text() == rec["spec"]
-        row = main_theorem_check(spec, boundary_distance(spec)).row()
+        row = main_theorem_check(spec, *_bound_and_distance(spec)).row()
         assert (row["lhs"], row["rhs"]) == (rec["lhs"], rec["rhs"])
     res = run_harmonic(7)
     assert [rec["trial"] for rec in res.failures] == [25, 35, 46]
@@ -115,7 +121,7 @@ def test_seed7_failure_records_rebuild_from_seed_and_trial():
         assert (spec.text(), mu.label) == (rec["spec"], rec["mu"])
         assert [complex(c) for c in mu.coeffs] == rec["mu_coeffs"]
         row = harmonic_bohr_check(build_pair(spec, mu),
-                                  boundary_distance(spec)).row()
+                                  *_bound_and_distance(spec)).row()
         assert (row["lhs"], row["rhs"]) == (rec["lhs"], rec["rhs"])
     # The two rows of a trial share one recipe.
     assert res.rows[0]["mu_coeffs"] is res.rows[1]["mu_coeffs"]
@@ -148,6 +154,22 @@ def test_univalence_evaluates_only_the_collision_pair(monkeypatch):
     res = run_univalence(7)
     assert res.passed
     assert points == [1, 1]
+
+
+@pytest.mark.parametrize("name", ["theorem4", "von-neumann", "harmonic"])
+def test_spec_suites_bound_every_spec_in_one_j_call(monkeypatch, name):
+    """A suite's bounds on |F| come from one J evaluation at one point per
+    spec, not from one J call per spec."""
+    calls = []
+    j_eval = bohrlab.generators.j_eval
+
+    def counting(w):
+        calls.append(np.size(w))
+        return j_eval(w)
+
+    monkeypatch.setattr(bohrlab.generators, "j_eval", counting)
+    res = run_suite(name, 7)
+    assert calls == [res.trials]
 
 
 def _spec_rows(monkeypatch, order, seed):
