@@ -8,6 +8,7 @@ every requested check passes, 1 when a check ran to completion and failed,
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import sys
 import time
@@ -64,7 +65,7 @@ def _cmd_verify(args) -> int:
     return 0 if result.passed else 1
 
 
-def _parse_overrides(pairs) -> dict:
+def _parse_overrides(pairs, names) -> dict:
     out = {}
     for item in pairs or ():
         name, _, value = item.partition("=")
@@ -72,6 +73,9 @@ def _parse_overrides(pairs) -> dict:
             raise BohrlabError(
                 "tolerance override must be SUITE=VALUE with a known "
                 "suite, got %r" % item)
+        if name not in names:
+            raise BohrlabError("tolerance override %r names a suite the "
+                               "report does not run" % item)
         try:
             out[name] = float(value)
         except ValueError:
@@ -85,7 +89,7 @@ def _cmd_report(args) -> int:
     names = sweeps.SUITE_NAMES if args.all else tuple(args.suite or ())
     if not names:
         raise BohrlabError("report needs --all or at least one --suite")
-    overrides = _parse_overrides(args.tolerance)
+    overrides = _parse_overrides(args.tolerance, names)
     results = [_run_suite(name, args.seed, tolerance=overrides.get(name))
                for name in names]
     if args.csv:
@@ -143,16 +147,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run ``argv`` and return the exit status.  With ``argv`` None this
+    call is the process (``python -m bohrlab.cli``, the ``bohrlab`` script),
+    so it freezes the heap once the answer is written: exit then neither
+    collects nor frees what the imports built, and the OS reclaims it."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        return args.func(args)
     except SystemExit as exc:      # argparse exits 2 on bad usage
         return 0 if exc.code in (0, None) else 2
-    try:
-        return args.func(args)
     except (BohrlabError, ValueError, OverflowError) as exc:
         eprint("error: %s" % exc)
         return 2
+    finally:
+        if argv is None:
+            gc.freeze()
 
 
 if __name__ == "__main__":

@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import os
@@ -172,6 +173,18 @@ def test_non_finite_tolerance_exits_2_before_any_suite_runs(capsys, tmp_path,
     assert not path.exists()
 
 
+def test_tolerance_for_a_suite_not_run_exits_2_before_any_suite_runs(
+        capsys, tmp_path):
+    path = tmp_path / "rows.csv"
+    code, out, err = run(capsys, "report", "--suite", "density-distance",
+                         "--tolerance", "algebra=-1", "--csv", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == ("error: tolerance override 'algebra=-1' names a suite "
+                   "the report does not run\n")
+    assert not path.exists()
+
+
 @pytest.mark.parametrize("argv", [("verify", "littlewood"),
                                   ("verify", "density-distance"),
                                   ("report", "--all")],
@@ -227,6 +240,46 @@ def test_eval_next_to_the_cusp_at_one():
     assert proc.returncode == 0
     assert proc.stderr == ""
     assert json.loads(proc.stdout)["value"] == [1.0, 0.0]
+
+
+def test_entry_point_freezes_the_heap_once_it_has_answered():
+    """Called as the process, with no ``argv``, main freezes the heap, so
+    the interpreter's exit does not collect it."""
+    code = ("import gc, sys; from bohrlab.cli import main\n"
+            "sys.argv = ['bohrlab', 'eval', '--re', '0.5']\n"
+            "before = gc.get_freeze_count(); rc = main()\n"
+            "print(rc, before, gc.get_freeze_count() > 0)")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 0 True"
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (("eval", "--re", "0.5"), 0),
+    (("report", "--suite", "algebra", "--tolerance", "algebra=-1"), 1),
+    (("frobnicate",), 2),
+    (("eval", "--re", "2.0"), 2)],
+    ids=["pass", "fail", "usage", "domain"])
+def test_in_process_main_keeps_normal_gc(capsys, argv, expected):
+    before = gc.get_freeze_count()
+    assert run(capsys, *argv)[0] == expected
+    assert gc.get_freeze_count() == before
+
+
+def test_entry_point_output_is_the_in_process_output(capsys, tmp_path):
+    """The frozen heap loses no byte: stdout and the CSV of a fresh
+    ``python -m bohrlab.cli`` report are those of ``main`` in-process."""
+    argv = ["report", "--all", "--seed", "7", "--csv"]
+    code, out, _ = run(capsys, *argv, str(tmp_path / "in.csv"))
+    proc = run_cli(*argv, str(tmp_path / "fresh.csv"))
+    assert proc.returncode == code == 1
+    assert proc.stdout == out
+    assert ((tmp_path / "fresh.csv").read_bytes()
+            == (tmp_path / "in.csv").read_bytes())
 
 
 def test_runtime_imports_only_numpy():
